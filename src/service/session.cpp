@@ -1,6 +1,8 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <sstream>
 
 #include "engine/charge.h"
@@ -19,6 +21,9 @@ using Clock = std::chrono::steady_clock;
 /// deadline the slice shrinks further — see fair_poll_slice.
 constexpr std::chrono::milliseconds kPollSlice{20};
 
+/// Missing-vertex ranges a deadline diagnostic lists before eliding.
+constexpr std::size_t kListedRanges = 8;
+
 std::chrono::milliseconds slice_until(Clock::time_point deadline,
                                       std::size_t live_links) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -26,10 +31,12 @@ std::chrono::milliseconds slice_until(Clock::time_point deadline,
   return fair_poll_slice(left, live_links);
 }
 
-/// Session-phase counters and timings.  The per-sketch `sketch_bits`
-/// histogram mirrors the model accounting exactly: count == players,
-/// sum == CommStats::total_bits, max == CommStats::max_bits for a
-/// one-round session (asserted by tests/audit/obs_audit_test.cpp).
+/// Round counters and histograms, recorded once per round by
+/// RoundCollector::finish whichever referee path collected it.  The
+/// per-sketch `sketch_bits` histogram mirrors the model accounting
+/// exactly: count == players, sum == CommStats::total_bits, max ==
+/// CommStats::max_bits for a one-round session (asserted by
+/// tests/audit/obs_audit_test.cpp).
 struct ServiceMetrics {
   obs::Counter& rounds_collected =
       obs::counter("service.rounds_collected");
@@ -39,20 +46,20 @@ struct ServiceMetrics {
   obs::Histogram& sketch_bits = obs::histogram("service.sketch_bits");
   obs::Histogram& round_payload_bits =
       obs::histogram("service.round_payload_bits");
-  obs::Histogram& collect_us = obs::histogram("service.collect_us");
   obs::Counter& dead_links = obs::counter("service.dead_links");
   obs::Counter& deadline_misses = obs::counter("service.deadline_misses");
   obs::Counter& broadcasts = obs::counter("service.broadcasts");
-  // Rejected frames, by reason (sum == WireStats::rejected_frames).
-  obs::Counter& reject_corrupt = obs::counter("service.reject.corrupt");
-  obs::Counter& reject_bad_type = obs::counter("service.reject.bad_type");
-  obs::Counter& reject_bad_protocol =
-      obs::counter("service.reject.bad_protocol");
-  obs::Counter& reject_bad_round = obs::counter("service.reject.bad_round");
-  obs::Counter& reject_bad_vertex =
-      obs::counter("service.reject.bad_vertex");
-  obs::Counter& reject_duplicate =
-      obs::counter("service.reject.duplicate");
+  // Rejected frames, indexed by RejectReason (sum ==
+  // WireStats::rejected_frames).
+  static_assert(static_cast<std::size_t>(RejectReason::kDuplicate) + 1 ==
+                kRejectReasons);
+  std::array<obs::Counter*, kRejectReasons> rejects{
+      &obs::counter("service.reject.corrupt"),
+      &obs::counter("service.reject.bad_type"),
+      &obs::counter("service.reject.bad_protocol"),
+      &obs::counter("service.reject.bad_round"),
+      &obs::counter("service.reject.bad_vertex"),
+      &obs::counter("service.reject.duplicate")};
 };
 
 ServiceMetrics& metrics() {
@@ -60,7 +67,86 @@ ServiceMetrics& metrics() {
   return m;
 }
 
+/// The acceptance rule: why frame `h` is unusable for `spec` given the
+/// vertices already held, or nullopt to accept it.
+std::optional<RejectReason> check_frame(const wire::FrameHeader& h,
+                                        const RoundSpec& spec,
+                                        const std::vector<bool>& have) {
+  if (h.type != wire::FrameType::kSketch) return RejectReason::kBadType;
+  if (h.protocol_id != spec.protocol_id) return RejectReason::kBadProtocol;
+  if (h.round != spec.round) return RejectReason::kBadRound;
+  if (h.vertex >= spec.n) return RejectReason::kBadVertex;
+  if (have[h.vertex]) return RejectReason::kDuplicate;
+  return std::nullopt;
+}
+
+std::string frame_detail(RejectReason why, const wire::FrameHeader& h,
+                         const RoundSpec& spec) {
+  const std::string v = std::to_string(h.vertex);
+  switch (why) {
+    case RejectReason::kBadType:
+      return "unexpected frame type from a player";
+    case RejectReason::kBadProtocol:
+      return "protocol id mismatch from vertex " + v;
+    case RejectReason::kBadRound:
+      return "round " + std::to_string(h.round) + " frame from vertex " + v +
+             " during round " + std::to_string(spec.round);
+    case RejectReason::kBadVertex:
+      return "vertex " + v + " out of range";
+    case RejectReason::kDuplicate:
+      return "duplicate sketch for vertex " + v;
+    case RejectReason::kCorrupt:
+      break;
+  }
+  return {};
+}
+
+/// "round 2: 5 sketch(es) missing at the deadline (vertices 3-6, 9);
+/// 1 frame(s) rejected" — the missing vertices as inclusive ranges, the
+/// first kListedRanges of them.
+std::string missing_report(const RoundSpec& spec,
+                           const std::vector<bool>& have,
+                           graph::Vertex accepted, std::size_t rejected) {
+  std::ostringstream os;
+  os << "round " << spec.round << ": " << spec.n - accepted
+     << " sketch(es) missing at the deadline (vertices ";
+  std::size_t ranges = 0;
+  for (graph::Vertex v = 0; v < spec.n; ++v) {
+    if (have[v]) continue;
+    if (ranges == kListedRanges) {
+      os << ", ...";
+      break;
+    }
+    graph::Vertex last = v;
+    while (last + 1 < spec.n && !have[last + 1]) ++last;
+    os << (ranges > 0 ? ", " : "") << v;
+    if (last > v) os << '-' << last;
+    ++ranges;
+    v = last;
+  }
+  os << "); " << rejected << " frame(s) rejected";
+  return os.str();
+}
+
 }  // namespace
+
+std::string_view reject_reason_name(RejectReason r) noexcept {
+  switch (r) {
+    case RejectReason::kCorrupt:
+      return "corrupt";
+    case RejectReason::kBadType:
+      return "bad_type";
+    case RejectReason::kBadProtocol:
+      return "bad_protocol";
+    case RejectReason::kBadRound:
+      return "bad_round";
+    case RejectReason::kBadVertex:
+      return "bad_vertex";
+    case RejectReason::kDuplicate:
+      return "duplicate";
+  }
+  return "unknown";
+}
 
 std::pair<graph::Vertex, graph::Vertex> shard_range(
     graph::Vertex n, std::size_t parts, std::size_t index) noexcept {
@@ -73,15 +159,94 @@ std::pair<graph::Vertex, graph::Vertex> shard_range(
           static_cast<graph::Vertex>(begin + size)};
 }
 
-FrameVerdict classify_sketch_frame(const wire::FrameHeader& h,
-                                   std::uint32_t protocol_id,
-                                   std::uint32_t round,
-                                   graph::Vertex n) noexcept {
-  if (h.type != wire::FrameType::kSketch) return FrameVerdict::kBadType;
-  if (h.protocol_id != protocol_id) return FrameVerdict::kBadProtocol;
-  if (h.round != round) return FrameVerdict::kBadRound;
-  if (h.vertex >= n) return FrameVerdict::kBadVertex;
-  return FrameVerdict::kAccept;
+RoundCollector::RoundCollector(const RoundSpec& spec)
+    : spec_(spec), sketches_(spec.n), have_(spec.n, false) {}
+
+void RoundCollector::reject(RejectReason reason, std::string detail) {
+  rejects_.push_back({reason, std::move(detail)});
+}
+
+std::size_t RoundCollector::offer_message(
+    std::span<const std::uint8_t> message, std::string_view from,
+    std::size_t from_index) {
+  ++messages_;
+  const auto sender = [&] {
+    return std::string(from) + ' ' + std::to_string(from_index) + ": ";
+  };
+  wire::BatchDecode batch = wire::decode_frames(message);
+  if (batch.status != wire::DecodeStatus::kOk) {
+    std::ostringstream os;
+    os << sender() << wire::decode_status_name(batch.status) << " at byte "
+       << batch.rest_offset << " of a " << message.size()
+       << "-byte message; dropped the rest of the message";
+    reject(RejectReason::kCorrupt, os.str());
+  }
+  std::size_t taken = 0;
+  for (wire::Frame& frame : batch.frames) {
+    const wire::FrameHeader& h = frame.header;
+    if (const auto why = check_frame(h, spec_, have_)) {
+      reject(*why, sender() + frame_detail(*why, h, spec_));
+      continue;
+    }
+    have_[h.vertex] = true;
+    sketches_[h.vertex] = std::move(frame.payload);
+    ++taken;
+  }
+  accepted_ += static_cast<graph::Vertex>(taken);
+  return taken;
+}
+
+std::size_t RoundCollector::absorb(RoundCollector&& later,
+                                   std::string_view later_name) {
+  messages_ += later.messages_;
+  for (Reject& r : later.rejects_) rejects_.push_back(std::move(r));
+  std::size_t duplicates = 0;
+  for (graph::Vertex v = 0; v < spec_.n; ++v) {
+    if (!later.has(v)) continue;
+    if (!have_[v]) {
+      have_[v] = true;
+      sketches_[v] = std::move(later.sketches_[v]);
+      ++accepted_;
+      continue;
+    }
+    ++duplicates;
+    reject(RejectReason::kDuplicate,
+           std::string(later_name) + ": cross-shard duplicate of vertex " +
+               std::to_string(v) + " lost the merge");
+  }
+  return duplicates;
+}
+
+CollectedRound RoundCollector::finish() && {
+  ServiceMetrics& m = metrics();
+  m.messages.add(messages_);
+  for (const Reject& r : rejects_) {
+    m.rejects[static_cast<std::size_t>(r.reason)]->increment();
+  }
+  if (!complete()) {
+    m.deadline_misses.increment();
+    throw ServiceError(
+        missing_report(spec_, have_, accepted_, rejects_.size()));
+  }
+  CollectedRound out;
+  out.wire.frames = spec_.n;
+  out.wire.messages = messages_;
+  out.wire.rejected_frames = rejects_.size();
+  for (graph::Vertex v = 0; v < spec_.n; ++v) {
+    const std::size_t bits = sketches_[v].bit_count();
+    const wire::FrameHeader h{wire::FrameType::kSketch, spec_.protocol_id, v,
+                              spec_.round};
+    out.wire.payload_bits += bits;
+    out.wire.framing_bits += wire::encoded_frame_size(h, bits) * 8 - bits;
+    m.sketch_bits.record(bits);
+  }
+  m.rounds_collected.increment();
+  m.frames_accepted.add(spec_.n);
+  m.payload_bits.add(out.wire.payload_bits);
+  m.round_payload_bits.record(out.wire.payload_bits);
+  out.sketches = std::move(sketches_);
+  out.rejects = std::move(rejects_);
+  return out;
 }
 
 std::chrono::milliseconds fair_poll_slice(std::chrono::milliseconds left,
@@ -102,28 +267,15 @@ CollectedRound collect_sketch_round(
     std::span<const std::unique_ptr<wire::Link>> links, graph::Vertex n,
     std::uint32_t protocol_id, std::uint32_t round,
     std::chrono::milliseconds timeout) {
-  const obs::ScopedSpan span("service.collect", &metrics().collect_us);
-  CollectedRound result;
-  result.sketches.resize(n);
-  std::vector<bool> have(n, false);
+  RoundCollector collector({n, protocol_id, round});
   std::vector<bool> link_live(links.size(), true);
-  graph::Vertex missing = n;
-
-  const auto reject = [&result](obs::Counter& reason_counter,
-                                std::string reason) {
-    reason_counter.increment();
-    ++result.wire.rejected_frames;
-    result.rejects.push_back(std::move(reason));
-  };
-
   const Clock::time_point deadline = Clock::now() + timeout;
-  while (missing > 0) {
+  while (!collector.complete()) {
     const auto live = static_cast<std::size_t>(
         std::count(link_live.begin(), link_live.end(), true));
-    bool any_live = false;
-    for (std::size_t li = 0; li < links.size() && missing > 0; ++li) {
+    for (std::size_t li = 0; li < links.size() && !collector.complete();
+         ++li) {
       if (!link_live[li]) continue;
-      any_live = true;
       const wire::RecvResult msg =
           links[li]->recv(slice_until(deadline, live));
       if (msg.status == wire::RecvStatus::kTimeout) continue;
@@ -135,82 +287,11 @@ CollectedRound collect_sketch_round(
         metrics().dead_links.increment();
         continue;
       }
-      ++result.wire.messages;
-      metrics().messages.increment();
-
-      wire::BatchDecode batch = wire::decode_frames(msg.message);
-      if (batch.status != wire::DecodeStatus::kOk) {
-        std::ostringstream os;
-        os << "link " << li << ": "
-           << wire::decode_status_name(batch.status) << " at byte "
-           << batch.rest_offset << " of a " << msg.message.size()
-           << "-byte message; dropped the rest of the message";
-        reject(metrics().reject_corrupt, os.str());
-      }
-      for (wire::Frame& frame : batch.frames) {
-        const wire::FrameHeader& h = frame.header;
-        const FrameVerdict verdict =
-            classify_sketch_frame(h, protocol_id, round, n);
-        if (verdict == FrameVerdict::kBadType) {
-          reject(metrics().reject_bad_type,
-                 "unexpected frame type from a player");
-          continue;
-        }
-        if (verdict == FrameVerdict::kBadProtocol) {
-          reject(metrics().reject_bad_protocol,
-                 "protocol id mismatch from vertex " +
-                     std::to_string(h.vertex));
-          continue;
-        }
-        if (verdict == FrameVerdict::kBadRound) {
-          reject(metrics().reject_bad_round,
-                 "round " + std::to_string(h.round) + " frame from vertex " +
-                     std::to_string(h.vertex) + " during round " +
-                     std::to_string(round));
-          continue;
-        }
-        if (verdict == FrameVerdict::kBadVertex) {
-          reject(metrics().reject_bad_vertex,
-                 "vertex " + std::to_string(h.vertex) + " out of range");
-          continue;
-        }
-        if (have[h.vertex]) {
-          reject(metrics().reject_duplicate,
-                 "duplicate sketch for vertex " + std::to_string(h.vertex));
-          continue;
-        }
-        have[h.vertex] = true;
-        --missing;
-        ++result.wire.frames;
-        result.wire.payload_bits += frame.payload.bit_count();
-        result.wire.framing_bits +=
-            wire::encoded_frame_size(h, frame.payload.bit_count()) * 8 -
-            frame.payload.bit_count();
-        metrics().frames_accepted.increment();
-        metrics().payload_bits.add(frame.payload.bit_count());
-        metrics().sketch_bits.record(frame.payload.bit_count());
-        result.sketches[h.vertex] = std::move(frame.payload);
-      }
+      (void)collector.offer_message(msg.message, "link", li);
     }
-    if (missing == 0) break;
-    if (Clock::now() >= deadline || !any_live) {
-      metrics().deadline_misses.increment();
-      std::ostringstream os;
-      os << "round " << round << ": " << missing
-         << " sketch(es) missing at the deadline (first absent vertex ";
-      for (graph::Vertex v = 0; v < n; ++v) {
-        if (!have[v]) {
-          os << v;
-          break;
-        }
-      }
-      os << "); " << result.wire.rejected_frames << " frame(s) rejected";
-      throw ServiceError(os.str());
-    }
+    if (live == 0 || Clock::now() >= deadline) break;
   }
-  metrics().rounds_collected.increment();
-  metrics().round_payload_bits.record(result.wire.payload_bits);
-  return result;
+  return std::move(collector).finish();
 }
 
 WireStats broadcast_to_links(

@@ -1,6 +1,6 @@
 // Wire-session vocabulary shared by the referee service and the player
-// client: separated byte accounting, the round-collection core, and the
-// failure type.
+// client: separated byte accounting, the round collector both referee
+// paths drive, and the failure type.
 //
 // Accounting contract (docs/WIRE.md): WireStats::payload_bits counts
 // exactly the bits the model charges — BitWriter::bit_count() of each
@@ -18,6 +18,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,11 +58,32 @@ struct WireStats {
   }
 };
 
+/// Why a player frame was rejected: the one taxonomy both referee paths
+/// use, counted as service.reject.<reject_reason_name(reason)>.
+enum class RejectReason : std::uint8_t {
+  kCorrupt,      // the message failed to decode; its rest is dropped
+  kBadType,      // not a kSketch frame
+  kBadProtocol,  // another protocol's frame
+  kBadRound,     // another round's frame
+  kBadVertex,    // vertex id >= n
+  kDuplicate,    // a second sketch for an already-accepted vertex
+};
+inline constexpr std::size_t kRejectReasons = 6;
+
+/// "corrupt", "bad_type", "bad_protocol", "bad_round", "bad_vertex",
+/// "duplicate".
+[[nodiscard]] std::string_view reject_reason_name(RejectReason r) noexcept;
+
+struct Reject {
+  RejectReason reason = RejectReason::kCorrupt;
+  std::string detail;  // which frame, from which link or connection
+};
+
 /// One fully collected sketch round.
 struct CollectedRound {
   std::vector<util::BitString> sketches;  // indexed by vertex, all present
   WireStats wire;
-  std::vector<std::string> rejects;  // one diagnostic per rejected frame
+  std::vector<Reject> rejects;  // in arrival order
 };
 
 /// Contiguous vertex range [first, second) owned by shard `index` of
@@ -71,21 +93,66 @@ struct CollectedRound {
 [[nodiscard]] std::pair<graph::Vertex, graph::Vertex> shard_range(
     graph::Vertex n, std::size_t parts, std::size_t index) noexcept;
 
-/// Why a kSketch frame is unusable for (protocol_id, round, n), or
-/// kAccept.  Shared by the blocking collection loop (session.cpp) and the
-/// sharded referee (shard.cpp) so the two paths cannot drift on the
-/// rejection taxonomy.  Duplicate detection stays with the caller — it
-/// depends on the caller's accumulation state.
-enum class FrameVerdict : std::uint8_t {
-  kAccept,
-  kBadType,
-  kBadProtocol,
-  kBadRound,
-  kBadVertex,
+/// What a round accepts: exactly one kSketch frame of `protocol_id` and
+/// `round` for each vertex in [0, n).
+struct RoundSpec {
+  graph::Vertex n = 0;
+  std::uint32_t protocol_id = 0;
+  std::uint32_t round = 0;
 };
-[[nodiscard]] FrameVerdict classify_sketch_frame(
-    const wire::FrameHeader& header, std::uint32_t protocol_id,
-    std::uint32_t round, graph::Vertex n) noexcept;
+
+/// The round collector: the acceptance rule, the reject taxonomy, and the
+/// round's close, in one place.  The blocking loop (collect_sketch_round)
+/// feeds one collector from its links; each sharded-referee shard feeds
+/// its own, and the combiner folds them together with absorb().  Offering
+/// touches no shared state and no metrics, so a shard's thread can drive
+/// its collector alone; finish() records the round in the service.*
+/// metrics once, whichever path collected it.
+class RoundCollector {
+ public:
+  RoundCollector() = default;
+  explicit RoundCollector(const RoundSpec& spec);
+
+  /// Decode one transport message and offer every frame in it.  A frame
+  /// is accepted iff it is a kSketch frame of this spec's protocol and
+  /// round, for a vertex below n that holds no sketch yet; anything else
+  /// becomes a Reject, as does a message that fails to decode (frames
+  /// before the damage still count).  `from` and `from_index` label the
+  /// sender in reject details ("link", 3).  Returns the frames accepted.
+  std::size_t offer_message(std::span<const std::uint8_t> message,
+                            std::string_view from, std::size_t from_index);
+
+  /// Fold a sibling collector of the same spec into this one.  Vertices
+  /// this collector holds keep their sketch; every copy `later` also holds
+  /// becomes a kDuplicate reject naming `later_name`, just as if it had
+  /// arrived here second.  Returns the number of such duplicates.
+  std::size_t absorb(RoundCollector&& later, std::string_view later_name);
+
+  [[nodiscard]] const RoundSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] bool complete() const noexcept {
+    return accepted_ == spec_.n;
+  }
+  [[nodiscard]] bool has(graph::Vertex v) const noexcept {
+    return v < have_.size() && have_[v];
+  }
+
+  /// Close the round and record it in the service.* metrics.  Throws
+  /// ServiceError naming the missing vertex ranges if any vertex is still
+  /// without a sketch; otherwise returns the round, its WireStats derived
+  /// from the accepted sketches (payload and framing bits of exactly one
+  /// frame per vertex) plus the messages and rejects seen.
+  [[nodiscard]] CollectedRound finish() &&;
+
+ private:
+  void reject(RejectReason reason, std::string detail);
+
+  RoundSpec spec_;
+  std::vector<util::BitString> sketches_;
+  std::vector<bool> have_;
+  graph::Vertex accepted_ = 0;
+  std::size_t messages_ = 0;
+  std::vector<Reject> rejects_;
+};
 
 /// The per-link poll slice while `left` remains to the round deadline and
 /// `live_links` links are still being polled.  Dividing the remainder by
@@ -97,12 +164,12 @@ enum class FrameVerdict : std::uint8_t {
 [[nodiscard]] std::chrono::milliseconds fair_poll_slice(
     std::chrono::milliseconds left, std::size_t live_links) noexcept;
 
-/// Gather exactly one kSketch frame per vertex for `round` from `links`
-/// (players may be spread over the links arbitrarily and batched many
-/// frames per message).  Rejected frames — corrupt bytes, wrong protocol
-/// or round, out-of-range or duplicate vertex — are recorded and skipped;
-/// the sender can retransmit until `timeout`.  Throws ServiceError if any
-/// vertex is still missing at the deadline.
+/// The blocking referee path: poll `links` and feed every message to one
+/// RoundCollector until the round is complete, every link is dead, or
+/// `timeout` passes (players may be spread over the links arbitrarily and
+/// batch many frames per message; a rejected frame's sender can
+/// retransmit until the deadline).  Throws ServiceError if any vertex is
+/// still missing then.
 [[nodiscard]] CollectedRound collect_sketch_round(
     std::span<const std::unique_ptr<wire::Link>> links, graph::Vertex n,
     std::uint32_t protocol_id, std::uint32_t round,

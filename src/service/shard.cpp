@@ -4,7 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 #include <thread>
 
 #include "obs/obs.h"
@@ -23,19 +23,14 @@ using Clock = std::chrono::steady_clock;
 /// millisecond without busy-spinning a core away from the siblings.
 constexpr std::chrono::milliseconds kShardPollSlice{1};
 
-/// Sharded-referee counters (docs/OBSERVABILITY.md).  The reject family
-/// mirrors session.cpp's service.reject.* taxonomy one for one; the two
-/// names with no blocking-path sibling are out_of_range (a frame landing
-/// on a shard that does not nominally own its vertex — legal, but worth
-/// watching) and cross_shard_duplicates (the combiner-divergence failure
-/// mode in docs/WIRE.md).
+/// Sharded-referee counters (docs/OBSERVABILITY.md).  Frames, payload
+/// and rejects are counted once per combined round under service.*, by
+/// RoundCollector::finish; what is left here has no blocking-path
+/// sibling: out_of_range (a frame landing on a shard that does not
+/// nominally own its vertex — legal, but worth watching) and
+/// cross_shard_duplicates (the combiner-divergence failure mode in
+/// docs/WIRE.md).
 struct ShardMetrics {
-  obs::Counter& rounds_combined =
-      obs::counter("service.shard.rounds_combined");
-  obs::Counter& messages = obs::counter("service.shard.messages");
-  obs::Counter& frames_accepted =
-      obs::counter("service.shard.frames_accepted");
-  obs::Counter& payload_bits = obs::counter("service.shard.payload_bits");
   obs::Counter& out_of_range = obs::counter("service.shard.out_of_range");
   obs::Counter& cross_shard_duplicates =
       obs::counter("service.shard.cross_shard_duplicates");
@@ -43,18 +38,6 @@ struct ShardMetrics {
       obs::counter("service.shard.dead_connections");
   obs::Counter& broadcasts = obs::counter("service.shard.broadcasts");
   obs::Histogram& collect_us = obs::histogram("service.shard.collect_us");
-  obs::Counter& reject_corrupt =
-      obs::counter("service.shard.reject.corrupt");
-  obs::Counter& reject_bad_type =
-      obs::counter("service.shard.reject.bad_type");
-  obs::Counter& reject_bad_protocol =
-      obs::counter("service.shard.reject.bad_protocol");
-  obs::Counter& reject_bad_round =
-      obs::counter("service.shard.reject.bad_round");
-  obs::Counter& reject_bad_vertex =
-      obs::counter("service.shard.reject.bad_vertex");
-  obs::Counter& reject_duplicate =
-      obs::counter("service.shard.reject.duplicate");
 };
 
 ShardMetrics& metrics() {
@@ -65,81 +48,22 @@ ShardMetrics& metrics() {
 }  // namespace
 
 RefereeShard::RefereeShard(std::size_t index, std::size_t parts)
-    : index_(index), parts_(std::max<std::size_t>(parts, 1)) {
+    : index_(index),
+      parts_(std::max<std::size_t>(parts, 1)),
+      conn_label_("shard " + std::to_string(index) + " conn") {
   // Bound once so poll_round costs no std::function churn per pass.
   on_message_ = [this](std::size_t conn, std::vector<std::uint8_t> message) {
-    ShardRound& r = open_.round;
-    const ShardRoundSpec& spec = open_.spec;
-    const auto reject = [&r](obs::Counter& reason_counter,
-                             std::string reason) {
-      reason_counter.increment();
-      ++r.wire.rejected_frames;
-      r.rejects.push_back(std::move(reason));
-    };
-
-    ++r.wire.messages;
-    metrics().messages.increment();
-    wire::BatchDecode batch = wire::decode_frames(message);
-    if (batch.status != wire::DecodeStatus::kOk) {
-      std::ostringstream os;
-      os << "shard " << index_ << " conn " << conn << ": "
-         << wire::decode_status_name(batch.status) << " at byte "
-         << batch.rest_offset << " of a " << message.size()
-         << "-byte message; dropped the rest of the message";
-      reject(metrics().reject_corrupt, os.str());
-    }
-    for (wire::Frame& frame : batch.frames) {
-      const wire::FrameHeader& h = frame.header;
-      switch (classify_sketch_frame(h, spec.protocol_id, spec.round,
-                                    spec.n)) {
-        case FrameVerdict::kBadType:
-          reject(metrics().reject_bad_type,
-                 "unexpected frame type from a player");
-          continue;
-        case FrameVerdict::kBadProtocol:
-          reject(metrics().reject_bad_protocol,
-                 "protocol id mismatch from vertex " +
-                     std::to_string(h.vertex));
-          continue;
-        case FrameVerdict::kBadRound:
-          reject(metrics().reject_bad_round,
-                 "round " + std::to_string(h.round) + " frame from vertex " +
-                     std::to_string(h.vertex) + " during round " +
-                     std::to_string(spec.round));
-          continue;
-        case FrameVerdict::kBadVertex:
-          reject(metrics().reject_bad_vertex,
-                 "vertex " + std::to_string(h.vertex) + " out of range");
-          continue;
-        case FrameVerdict::kAccept:
-          break;
-      }
-      if (r.have[h.vertex]) {
-        reject(metrics().reject_duplicate,
-               "duplicate sketch for vertex " + std::to_string(h.vertex));
-        continue;
-      }
-      r.have[h.vertex] = true;
-      ++r.wire.frames;
-      r.wire.payload_bits += frame.payload.bit_count();
-      r.wire.framing_bits +=
-          wire::encoded_frame_size(h, frame.payload.bit_count()) * 8 -
-          frame.payload.bit_count();
-      if (h.vertex < open_.lo || h.vertex >= open_.hi) {
-        ++r.out_of_range;
-        metrics().out_of_range.increment();
-      }
-      metrics().frames_accepted.increment();
-      metrics().payload_bits.add(frame.payload.bit_count());
-      r.sketches[h.vertex] = std::move(frame.payload);
-      const graph::Vertex accepted =
-          open_.accepted->fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (accepted == spec.n && wake_fd_ >= 0) {
-        // Round complete: post one semaphore unit per shard so every
-        // sibling's poll slice ends now, not at slice granularity.
-        const std::uint64_t units = parts_;
-        (void)!::write(wake_fd_, &units, sizeof(units));
-      }
+    const std::size_t taken =
+        open_.offer_message(message, conn_label_, conn);
+    if (taken == 0) return;
+    const graph::Vertex n = open_.spec().n;
+    const graph::Vertex before = accepted_->fetch_add(
+        static_cast<graph::Vertex>(taken), std::memory_order_acq_rel);
+    if (before < n && before + taken >= n && wake_fd_ >= 0) {
+      // Round complete: post one semaphore unit per shard so every
+      // sibling's poll slice ends now, not at slice granularity.
+      const std::uint64_t units = parts_;
+      (void)!::write(wake_fd_, &units, sizeof(units));
     }
   };
   on_close_ = [](std::size_t, wire::RecvStatus) {
@@ -168,29 +92,23 @@ std::size_t RefereeShard::bytes_received() const noexcept {
   return loop_.bytes_received();
 }
 
-void RefereeShard::begin_round(const ShardRoundSpec& spec,
+void RefereeShard::begin_round(const RoundSpec& spec,
                                std::atomic<graph::Vertex>& accepted_global) {
-  open_.spec = spec;
-  open_.round = ShardRound{};
-  open_.round.sketches.resize(spec.n);
-  open_.round.have.assign(spec.n, false);
-  const auto [lo, hi] = shard_range(spec.n, parts_, index_);
-  open_.lo = lo;
-  open_.hi = hi;
-  open_.accepted = &accepted_global;
+  open_ = RoundCollector(spec);
+  accepted_ = &accepted_global;
 }
 
 std::size_t RefereeShard::poll_round(std::chrono::milliseconds timeout) {
   return loop_.poll_once(timeout, on_message_, on_close_);
 }
 
-ShardRound RefereeShard::end_round() {
-  open_.accepted = nullptr;
-  return std::move(open_.round);
+RoundCollector RefereeShard::end_round() {
+  accepted_ = nullptr;
+  return std::move(open_);
 }
 
-ShardRound RefereeShard::collect_round(
-    const ShardRoundSpec& spec, Clock::time_point deadline,
+RoundCollector RefereeShard::collect_round(
+    const RoundSpec& spec, Clock::time_point deadline,
     std::atomic<graph::Vertex>& accepted_global) {
   begin_round(spec, accepted_global);
   const obs::ScopedSpan span("service.shard.collect",
@@ -232,61 +150,22 @@ void RefereeShard::broadcast(std::span<const std::uint8_t> message,
   }
 }
 
-CollectedRound combine_shard_rounds(const ShardRoundSpec& spec,
-                                    std::span<ShardRound> rounds) {
-  CollectedRound out;
-  out.sketches.resize(spec.n);
-  std::vector<bool> have(spec.n, false);
+CollectedRound combine_shard_rounds(std::span<RoundCollector> rounds) {
+  if (rounds.empty()) throw ServiceError("no referee shard to combine");
+  const graph::Vertex n = rounds[0].spec().n;
   for (std::size_t s = 0; s < rounds.size(); ++s) {
-    ShardRound& r = rounds[s];
-    out.wire.merge(r.wire);
-    for (std::string& reason : r.rejects) {
-      out.rejects.push_back(std::move(reason));
+    // Ownership is nominal: count what landed outside shard s's range.
+    const auto [lo, hi] = shard_range(n, rounds.size(), s);
+    std::size_t foreign = 0;
+    for (graph::Vertex v = 0; v < n; ++v) {
+      if ((v < lo || v >= hi) && rounds[s].has(v)) ++foreign;
     }
-    for (graph::Vertex v = 0; v < spec.n; ++v) {
-      if (!r.have[v]) continue;
-      if (!have[v]) {
-        have[v] = true;
-        out.sketches[v] = std::move(r.sketches[v]);
-        continue;
-      }
-      // Combiner divergence: a second shard also accepted vertex v.  The
-      // lowest shard index won above; un-account the loser's frame and
-      // record it as the duplicate rejection the blocking loop would
-      // have issued on arrival (docs/WIRE.md, failure-mode table).
-      const std::size_t bits = r.sketches[v].bit_count();
-      const wire::FrameHeader h{wire::FrameType::kSketch, spec.protocol_id,
-                                v, spec.round};
-      --out.wire.frames;
-      out.wire.payload_bits -= bits;
-      out.wire.framing_bits -= wire::encoded_frame_size(h, bits) * 8 - bits;
-      ++out.wire.rejected_frames;
-      metrics().cross_shard_duplicates.increment();
-      out.rejects.push_back("cross-shard duplicate sketch for vertex " +
-                            std::to_string(v) + " (shard " +
-                            std::to_string(s) + " lost the merge)");
-    }
+    metrics().out_of_range.add(foreign);
+    if (s == 0) continue;
+    metrics().cross_shard_duplicates.add(rounds[0].absorb(
+        std::move(rounds[s]), "shard " + std::to_string(s)));
   }
-
-  graph::Vertex missing = 0;
-  for (graph::Vertex v = 0; v < spec.n; ++v) {
-    if (!have[v]) ++missing;
-  }
-  if (missing > 0) {
-    std::ostringstream os;
-    os << "round " << spec.round << ": " << missing
-       << " sketch(es) missing at the deadline (first absent vertex ";
-    for (graph::Vertex v = 0; v < spec.n; ++v) {
-      if (!have[v]) {
-        os << v;
-        break;
-      }
-    }
-    os << "); " << out.wire.rejected_frames << " frame(s) rejected";
-    throw ServiceError(os.str());
-  }
-  metrics().rounds_combined.increment();
-  return out;
+  return std::move(rounds[0]).finish();
 }
 
 ShardedWireSource::ShardedWireSource(
@@ -354,8 +233,9 @@ void ShardedWireSource::ensure_workers() {
 }
 
 void ShardedWireSource::collect_threaded(
-    const ShardRoundSpec& spec, Clock::time_point deadline,
-    std::atomic<graph::Vertex>& accepted, std::vector<ShardRound>& rounds) {
+    const RoundSpec& spec, Clock::time_point deadline,
+    std::atomic<graph::Vertex>& accepted,
+    std::vector<RoundCollector>& rounds) {
   ensure_workers();
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -369,8 +249,9 @@ void ShardedWireSource::collect_threaded(
 }
 
 void ShardedWireSource::collect_inline(
-    const ShardRoundSpec& spec, Clock::time_point deadline,
-    std::atomic<graph::Vertex>& accepted, std::vector<ShardRound>& rounds) {
+    const RoundSpec& spec, Clock::time_point deadline,
+    std::atomic<graph::Vertex>& accepted,
+    std::vector<RoundCollector>& rounds) {
   // Consecutive empty rotations tolerated before parking in epoll_wait:
   // while senders (usually threads sharing this core) are producing,
   // yielding between rotations hands them the core with no sleep/wake
@@ -411,10 +292,10 @@ void ShardedWireSource::collect_inline(
 
 std::vector<util::BitString> ShardedWireSource::collect(
     unsigned round, std::span<const util::BitString> /*broadcasts*/) {
-  const ShardRoundSpec spec{n_, protocol_id_, round};
+  const RoundSpec spec{n_, protocol_id_, round};
   const Clock::time_point deadline = Clock::now() + timeout_;
   std::atomic<graph::Vertex> accepted{0};
-  std::vector<ShardRound> rounds(shards_.size());
+  std::vector<RoundCollector> rounds(shards_.size());
 
   if (shards_.size() == 1) {
     rounds[0] = shards_[0]->collect_round(spec, deadline, accepted);
@@ -424,7 +305,7 @@ std::vector<util::BitString> ShardedWireSource::collect(
     collect_inline(spec, deadline, accepted, rounds);
   }
 
-  CollectedRound combined = combine_shard_rounds(spec, rounds);
+  CollectedRound combined = combine_shard_rounds(rounds);
   uplink_.merge(combined.wire);
   return std::move(combined.sketches);
 }

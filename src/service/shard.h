@@ -2,10 +2,11 @@
 // over its block of player connections, feeding one combiner.
 //
 // Sharding splits the referee's ingestion, not the model.  Each shard
-// accumulates the sketch frames its connections deliver for the current
-// round; combine_shard_rounds then merges the shard states into the one
-// CollectedRound the engine decodes — the merge is associative and the
-// engine charges sketches in vertex order, so the sharded service and the
+// feeds the messages its connections deliver for the current round to
+// its own RoundCollector (the blocking path's acceptance rule and reject
+// taxonomy), and combine_shard_rounds folds the collectors, in shard
+// order, into the one CollectedRound the engine decodes.  The engine
+// charges sketches in vertex order, so the sharded service and the
 // single-referee service produce bit-identical CommStats by construction
 // (ShardedWireSource is just the third implementation of the engine's
 // SketchSource seam, after LocalSource and WireSource).
@@ -21,9 +22,9 @@
 // (docs/WIRE.md, failure-mode table).
 //
 // Round completion is coordinated through one shared atomic: every shard
-// bumps it per accepted frame and every shard's poll loop exits once it
-// reaches n, so no shard waits out the deadline after the round is
-// already complete elsewhere.
+// adds the frames each message got accepted, and every shard's poll loop
+// exits once it reaches n, so no shard waits out the deadline after the
+// round is already complete elsewhere.
 #pragma once
 
 #include <atomic>
@@ -44,27 +45,8 @@
 
 namespace ds::service {
 
-/// What the current round accepts: the frame-validation inputs shared
-/// with the blocking collection loop (classify_sketch_frame).
-struct ShardRoundSpec {
-  graph::Vertex n = 0;
-  std::uint32_t protocol_id = 0;
-  std::uint32_t round = 0;
-};
-
-/// One shard's view of one round: dense sketch slots (indexed by vertex,
-/// only this shard's accepted subset present) plus the same accounting
-/// the blocking loop keeps, ready for the associative combiner merge.
-struct ShardRound {
-  std::vector<util::BitString> sketches;
-  std::vector<bool> have;
-  WireStats wire;
-  std::vector<std::string> rejects;
-  std::size_t out_of_range = 0;  // accepted, but outside the nominal range
-};
-
 /// One referee shard: an event loop over this shard's connections and
-/// the per-round accumulation driven by it.  Single-threaded — the
+/// the round collector it feeds.  Single-threaded — the
 /// owning ShardedWireSource gives each shard its own collection thread.
 class RefereeShard {
  public:
@@ -92,26 +74,26 @@ class RefereeShard {
 
   /// Drive the event loop until every vertex is globally accounted for
   /// (`accepted_global` reaches spec.n, counting acceptances across all
-  /// shards) or `deadline` passes, accumulating this shard's frames.
+  /// shards) or `deadline` passes, collecting this shard's frames.
   /// Never throws on peer misbehaviour — bad frames are rejected and
   /// recorded, dead connections are dropped, and missing vertices are
-  /// the combiner's diagnosis, not the shard's.  Equivalent to
+  /// diagnosed when the combined round is finished, not here.  Equivalent to
   /// begin_round + poll_round until done + end_round.
-  [[nodiscard]] ShardRound collect_round(
-      const ShardRoundSpec& spec,
+  [[nodiscard]] RoundCollector collect_round(
+      const RoundSpec& spec,
       std::chrono::steady_clock::time_point deadline,
       std::atomic<graph::Vertex>& accepted_global);
 
   /// Incremental round API, for a driver multiplexing several shards on
   /// one thread (ShardDrive::kInline).  begin_round opens the round's
-  /// accumulation state; each poll_round runs one event-loop pass (at
-  /// most `timeout` parked in epoll_wait) and returns the number of
-  /// connections that had events; end_round closes the round and yields
-  /// the accumulated state.  begin_round while a round is open resets it.
-  void begin_round(const ShardRoundSpec& spec,
+  /// collector; each poll_round runs one event-loop pass (at most
+  /// `timeout` parked in epoll_wait) and returns the number of
+  /// connections that had events; end_round yields the collector.
+  /// begin_round while a round is open resets it.
+  void begin_round(const RoundSpec& spec,
                    std::atomic<graph::Vertex>& accepted_global);
   std::size_t poll_round(std::chrono::milliseconds timeout);
-  [[nodiscard]] ShardRound end_round();
+  [[nodiscard]] RoundCollector end_round();
 
   /// Queue `message` on every live connection and flush until all
   /// backlogs reach the kernel or `deadline` passes.  Throws
@@ -127,33 +109,27 @@ class RefereeShard {
   [[nodiscard]] std::size_t bytes_received() const noexcept;
 
  private:
-  /// State of the round currently open between begin_round/end_round.
-  struct OpenRound {
-    ShardRoundSpec spec;
-    ShardRound round;
-    graph::Vertex lo = 0;  // nominal range [lo, hi)
-    graph::Vertex hi = 0;
-    std::atomic<graph::Vertex>* accepted = nullptr;
-  };
-
   std::size_t index_;
   std::size_t parts_;
+  std::string conn_label_;  // "shard <index> conn", for reject details
   int wake_fd_ = -1;  // not owned; -1 until attach_wake
   wire::EventLoop loop_;
   std::vector<std::size_t> conns_;  // every id ever adopted
-  OpenRound open_;
+  // The round open between begin_round and end_round.
+  RoundCollector open_;
+  std::atomic<graph::Vertex>* accepted_ = nullptr;
   wire::EventLoop::MessageFn on_message_;  // bound to open_, built once
   wire::EventLoop::CloseFn on_close_;
 };
 
-/// Merge per-shard round states into the one CollectedRound the engine
-/// decodes.  Cross-shard duplicates resolve to the lowest shard index
-/// (deterministic: independent of collection timing); the loser's frame
-/// is re-accounted as a rejected duplicate, exactly as the blocking loop
-/// would have rejected it on arrival.  Throws ServiceError with the
-/// blocking loop's diagnostic shape if any vertex is missing.
+/// Fold per-shard collectors (shard s at index s, all of one spec) into
+/// the one CollectedRound the engine decodes.  Cross-shard duplicates
+/// resolve to the lowest shard index (deterministic: independent of
+/// collection timing); the loser's copy becomes a kDuplicate reject,
+/// exactly as one collector would have rejected it on arrival.  Throws
+/// ServiceError, like every round close, if any vertex is missing.
 [[nodiscard]] CollectedRound combine_shard_rounds(
-    const ShardRoundSpec& spec, std::span<ShardRound> rounds);
+    std::span<RoundCollector> rounds);
 
 /// How ShardedWireSource drives a multi-shard round.
 enum class ShardDrive {
@@ -209,6 +185,9 @@ class ShardedWireSource {
   WireStats broadcast_frame(const wire::FrameHeader& header,
                             const util::BitString& payload);
 
+  [[nodiscard]] std::uint32_t protocol_id() const noexcept {
+    return protocol_id_;
+  }
   [[nodiscard]] const WireStats& uplink() const noexcept { return uplink_; }
   [[nodiscard]] const WireStats& downlink() const noexcept {
     return downlink_;
@@ -217,21 +196,21 @@ class ShardedWireSource {
  private:
   /// One round's work order, shared with every parked worker.
   struct RoundTask {
-    ShardRoundSpec spec;
+    RoundSpec spec;
     std::chrono::steady_clock::time_point deadline;
     std::atomic<graph::Vertex>* accepted = nullptr;
-    std::vector<ShardRound>* rounds = nullptr;
+    std::vector<RoundCollector>* rounds = nullptr;
   };
 
   void ensure_workers();
-  void collect_threaded(const ShardRoundSpec& spec,
+  void collect_threaded(const RoundSpec& spec,
                         std::chrono::steady_clock::time_point deadline,
                         std::atomic<graph::Vertex>& accepted,
-                        std::vector<ShardRound>& rounds);
-  void collect_inline(const ShardRoundSpec& spec,
+                        std::vector<RoundCollector>& rounds);
+  void collect_inline(const RoundSpec& spec,
                       std::chrono::steady_clock::time_point deadline,
                       std::atomic<graph::Vertex>& accepted,
-                      std::vector<ShardRound>& rounds);
+                      std::vector<RoundCollector>& rounds);
 
   std::span<const std::unique_ptr<RefereeShard>> shards_;
   graph::Vertex n_;

@@ -1,9 +1,10 @@
 // The sharded referee service: serve_protocol / serve_adaptive over a
 // ShardedWireSource instead of a WireSource.
 //
-// Same engine, same charging site, same decode — only the ingestion path
-// differs (N epoll shards feeding the combiner, service/shard.h), which
-// is why every serve result here is bit-identical to the single-referee
+// Same serve template (detail::serve), same engine, same charging site,
+// same decode, same round collector — only the ingestion path differs
+// (N epoll shards feeding the combiner, service/shard.h), which is why
+// every serve result here is bit-identical to the single-referee
 // and simulated runs (tests/audit/shard_audit_test.cpp checks the whole
 // protocol zoo, adaptive included).
 //
@@ -24,21 +25,6 @@
 
 namespace ds::service {
 
-namespace detail {
-/// The kResult reply on the sharded downlink: encode the output once,
-/// broadcast it through every shard's event loop.
-template <typename Output>
-void reply_result_sharded(ShardedWireSource& source, std::uint32_t proto,
-                          std::uint32_t round, const Output& output) {
-  const obs::ScopedSpan reply_span("service.reply", &reply_us_histogram());
-  util::BitWriter w;
-  OutputCodec<Output>::encode(output, w);
-  const util::BitString encoded(std::move(w));
-  (void)source.broadcast_frame(
-      {wire::FrameType::kResult, proto, 0, round}, encoded);
-}
-}  // namespace detail
-
 /// One-round service over shards: collect (fanned out), decode,
 /// broadcast the result.
 template <typename Output>
@@ -48,43 +34,25 @@ template <typename Output>
     const model::PublicCoins& coins,
     std::chrono::milliseconds timeout = kDefaultRoundTimeout,
     ShardDrive drive = ShardDrive::kAuto) {
-  const std::uint32_t proto = wire::protocol_id(protocol.name());
-  ShardedWireSource source(shards, n, proto, timeout, drive);
-  const engine::OneRoundReferee<Output> referee(protocol, coins);
-  detail::ServiceInstrumentation instr;
-  engine::EngineResult<Output> run =
-      engine::run_rounds(n, referee, source, instr);
-
-  ServeResult<Output> result{std::move(run.output), run.comm,
-                             source.uplink(), source.downlink()};
-  detail::reply_result_sharded(source, proto, 0, result.output);
-  result.downlink = source.downlink();
-  return result;
+  ShardedWireSource source(shards, n, wire::protocol_id(protocol.name()),
+                           timeout, drive);
+  return detail::serve(
+      source, engine::OneRoundReferee<Output>(protocol, coins), n);
 }
 
 /// Multi-round adaptive service over shards, inter-round broadcasts
 /// pushed through every shard's event loop.
 template <typename Output>
-[[nodiscard]] AdaptiveServeResult<Output> serve_adaptive_sharded(
+[[nodiscard]] ServeResult<Output> serve_adaptive_sharded(
     std::span<const std::unique_ptr<RefereeShard>> shards,
     const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n,
     const model::PublicCoins& coins,
     std::chrono::milliseconds timeout = kDefaultRoundTimeout,
     ShardDrive drive = ShardDrive::kAuto) {
-  const std::uint32_t proto = wire::protocol_id(protocol.name());
-  ShardedWireSource source(shards, n, proto, timeout, drive);
-  const engine::AdaptiveReferee<Output> referee(protocol, coins);
-  detail::ServiceInstrumentation instr;
-  engine::EngineResult<Output> run =
-      engine::run_rounds(n, referee, source, instr);
-
-  AdaptiveServeResult<Output> result{
-      std::move(run.output),     run.comm,          std::move(run.by_round),
-      run.broadcast_bits,        source.uplink(),   source.downlink()};
-  detail::reply_result_sharded(source, proto, protocol.num_rounds() - 1,
-                               result.output);
-  result.downlink = source.downlink();
-  return result;
+  ShardedWireSource source(shards, n, wire::protocol_id(protocol.name()),
+                           timeout, drive);
+  return detail::serve(
+      source, engine::AdaptiveReferee<Output>(protocol, coins), n);
 }
 
 /// Convenience owner: builds k shards, deals adopted fds round-robin,
@@ -116,7 +84,7 @@ class ShardedRefereeService {
   }
 
   template <typename Output>
-  [[nodiscard]] AdaptiveServeResult<Output> run_adaptive(
+  [[nodiscard]] ServeResult<Output> run_adaptive(
       const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n) {
     return serve_adaptive_sharded(shards_, protocol, n, coins_, timeout_);
   }

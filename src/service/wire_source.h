@@ -10,8 +10,8 @@
 //
 // Frame-level wire accounting (payload vs framing vs transport) is kept
 // here, strictly separate from the model bits the engine charges
-// (docs/WIRE.md); the per-frame service.* metrics stay in session.cpp
-// with the collection loop that observes them.
+// (docs/WIRE.md); the service.* round metrics are recorded where the
+// round is closed, RoundCollector::finish (session.cpp).
 #pragma once
 
 #include <chrono>
@@ -46,10 +46,22 @@ class WireSource {
 
   /// Push the referee's inter-round broadcast to every link.
   void deliver_broadcast(unsigned round, const util::BitString& b) {
-    downlink_.merge(broadcast_to_links(
-        links_, {wire::FrameType::kBroadcast, protocol_id_, 0, round}, b));
+    (void)broadcast_frame(
+        {wire::FrameType::kBroadcast, protocol_id_, 0, round}, b);
   }
 
+  /// Send one referee frame to every link (the kResult reply shares this
+  /// with deliver_broadcast); the stats are merged into downlink().
+  WireStats broadcast_frame(const wire::FrameHeader& header,
+                            const util::BitString& payload) {
+    const WireStats stats = broadcast_to_links(links_, header, payload);
+    downlink_.merge(stats);
+    return stats;
+  }
+
+  [[nodiscard]] std::uint32_t protocol_id() const noexcept {
+    return protocol_id_;
+  }
   [[nodiscard]] const WireStats& uplink() const noexcept { return uplink_; }
   [[nodiscard]] const WireStats& downlink() const noexcept {
     return downlink_;

@@ -14,6 +14,8 @@
 // equalities are exact, not approximate.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <memory>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "protocols/zoo.h"
 #include "service/player_client.h"
 #include "service/referee_service.h"
+#include "service/sharded_referee.h"
 #include "wire/loopback.h"
 #include "wire/tcp.h"
 
@@ -286,6 +289,53 @@ TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
             served.uplink.payload_bits);
   // Both decode paths ran through the engine's decode span.
   EXPECT_EQ(obs::histogram("service.decode_us").count(), 1u);
+}
+
+// The sharded referee closes its combined round through the same
+// RoundCollector::finish as the blocking one, so the service.* round
+// series must equal the served CommStats on that path too, and the
+// collect span must be the one serve template's.
+TEST_F(ObsAudit, ShardedServiceHistogramMatchesServedCommStats) {
+  const Graph g = test_graph();
+  const protocols::AgmSpanningForest protocol;
+  const model::PublicCoins coins(78);
+  constexpr std::size_t kPlayers = 3;
+
+  service::ShardedRefereeService referee(2, 78, 5000ms);
+  std::vector<std::unique_ptr<wire::Link>> player_links;
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    (void)referee.adopt_fd(fds[0]);
+    player_links.push_back(wire::tcp_adopt_fd(fds[1]));
+  }
+  std::vector<std::thread> clients;
+  clients.reserve(kPlayers);
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    clients.emplace_back([&, i] {
+      (void)service::play_protocol(
+          *player_links[i], g,
+          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
+          coins, 5000ms);
+    });
+  }
+  const auto served = referee.run(protocol, g.num_vertices());
+  for (std::thread& t : clients) t.join();
+
+  const obs::Histogram& sketch_bits = obs::histogram("service.sketch_bits");
+  EXPECT_EQ(sketch_bits.count(), served.comm.num_players);
+  EXPECT_EQ(sketch_bits.sum(), served.comm.total_bits);
+  EXPECT_EQ(sketch_bits.max(), served.comm.max_bits);
+  EXPECT_EQ(obs::counter("service.payload_bits").value(),
+            served.uplink.payload_bits);
+  EXPECT_EQ(obs::counter("service.frames_accepted").value(),
+            served.comm.num_players);
+  EXPECT_EQ(obs::counter("service.messages").value(),
+            served.uplink.messages);
+  EXPECT_EQ(obs::counter("service.rounds_collected").value(), 1u);
+  EXPECT_EQ(obs::histogram("service.collect_us").count(), 1u);
+  EXPECT_EQ(obs::histogram("service.decode_us").count(), 1u);
+  EXPECT_EQ(obs::histogram("service.reply_us").count(), 1u);
 }
 
 TEST_F(ObsAudit, DisabledMetricsRecordNothingAndPreserveResults) {

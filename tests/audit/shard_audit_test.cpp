@@ -177,7 +177,7 @@ void expect_sharded_adaptive_equals_sim(
             coins, 5000ms);
       });
     }
-    const service::AdaptiveServeResult<Output> served =
+    const service::ServeResult<Output> served =
         service::serve_adaptive_sharded(cluster.shards, protocol,
                                         g.num_vertices(), coins, 5000ms,
                                         drive);

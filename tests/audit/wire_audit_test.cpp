@@ -181,7 +181,7 @@ void expect_adaptive_wire_equals_sim(
           coins, 5000ms);
     });
   }
-  const service::AdaptiveServeResult<Output> served =
+  const service::ServeResult<Output> served =
       service::serve_adaptive(cluster.referee, protocol, g.num_vertices(),
                               coins, 5000ms);
   for (std::thread& t : threads) t.join();

@@ -149,7 +149,7 @@ TEST(RefereeService, AdaptiveTwoRoundCompletesOverTcp) {
     ASSERT_NE(link, nullptr);
     links.push_back(std::move(link));
   }
-  const service::AdaptiveServeResult<model::MatchingOutput> served =
+  const service::ServeResult<model::MatchingOutput> served =
       service::serve_adaptive(links, protocol, g.num_vertices(), coins,
                               5000ms);
   for (std::thread& t : threads) t.join();

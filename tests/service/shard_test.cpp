@@ -213,39 +213,31 @@ util::BitString bits_of(std::uint64_t value, unsigned width) {
   return util::BitString(std::move(w));
 }
 
-/// A ShardRound holding `verts` with small distinct payloads, accounted
-/// the way RefereeShard::collect_round accounts accepted frames.
-service::ShardRound make_shard_round(const service::ShardRoundSpec& spec,
-                                     std::vector<graph::Vertex> verts) {
-  service::ShardRound r;
-  r.sketches.resize(spec.n);
-  r.have.assign(spec.n, false);
+/// A shard's collector holding `verts`, each with the 8-bit payload
+/// (v + 1) ^ tag, fed through the acceptance rule as one message.
+service::RoundCollector make_shard_round(const service::RoundSpec& spec,
+                                         std::vector<graph::Vertex> verts,
+                                         std::uint64_t tag = 0) {
+  service::RoundCollector r(spec);
+  std::vector<std::uint8_t> message;
   for (const graph::Vertex v : verts) {
-    util::BitString payload = bits_of(v + 1, 8);
-    const wire::FrameHeader h{wire::FrameType::kSketch, spec.protocol_id, v,
-                              spec.round};
-    r.have[v] = true;
-    ++r.wire.frames;
-    r.wire.payload_bits += payload.bit_count();
-    r.wire.framing_bits +=
-        wire::encoded_frame_size(h, payload.bit_count()) * 8 -
-        payload.bit_count();
-    r.sketches[v] = std::move(payload);
+    (void)service::append_sketch_frame(message, spec.protocol_id, v,
+                                       spec.round, bits_of((v + 1) ^ tag, 8));
   }
-  ++r.wire.messages;
+  (void)r.offer_message(message, "conn", 0);
   return r;
 }
 
 TEST(CombineShardRounds, MergesDisjointShardsCompletely) {
-  const service::ShardRoundSpec spec{6, 42, 0};
-  std::vector<service::ShardRound> rounds;
+  const service::RoundSpec spec{6, 42, 0};
+  std::vector<service::RoundCollector> rounds;
   rounds.push_back(make_shard_round(spec, {0, 1, 2}));
   rounds.push_back(make_shard_round(spec, {3, 4, 5}));
 
-  const service::CollectedRound out =
-      service::combine_shard_rounds(spec, rounds);
+  const service::CollectedRound out = service::combine_shard_rounds(rounds);
   ASSERT_EQ(out.sketches.size(), 6u);
   EXPECT_EQ(out.wire.frames, 6u);
+  EXPECT_EQ(out.wire.messages, 2u);
   EXPECT_EQ(out.wire.rejected_frames, 0u);
   for (graph::Vertex v = 0; v < 6; ++v) {
     EXPECT_EQ(out.sketches[v].bit_count(), 8u) << "vertex " << v;
@@ -257,30 +249,29 @@ TEST(CombineShardRounds, CrossShardDuplicateResolvesToLowestShard) {
   // combiner must keep shard 0's copy (deterministic, independent of
   // collection timing) and re-account shard 1's as a rejection, leaving
   // the totals exactly what a single referee would have recorded.
-  const service::ShardRoundSpec spec{4, 42, 0};
-  std::vector<service::ShardRound> rounds;
+  const service::RoundSpec spec{4, 42, 0};
+  std::vector<service::RoundCollector> rounds;
   rounds.push_back(make_shard_round(spec, {0, 1, 2}));
-  rounds.push_back(make_shard_round(spec, {2, 3}));
-  // Overwrite shard 1's copy of vertex 2 so the winner is observable.
-  rounds[1].sketches[2] = bits_of(0xEE, 8);
+  rounds.push_back(make_shard_round(spec, {2, 3}, /*tag=*/0xF0));
 
-  const service::CollectedRound out =
-      service::combine_shard_rounds(spec, rounds);
+  const service::CollectedRound out = service::combine_shard_rounds(rounds);
   EXPECT_EQ(out.wire.frames, 4u);  // the duplicate is not double-counted
   EXPECT_EQ(out.wire.rejected_frames, 1u);
   EXPECT_EQ(out.wire.payload_bits, 4u * 8u);
   ASSERT_EQ(out.rejects.size(), 1u);
-  EXPECT_NE(out.rejects[0].find("cross-shard"), std::string::npos);
-  // Shard 0 wrote v+1 = 3; shard 1's 0xEE lost.
+  EXPECT_EQ(out.rejects[0].reason, service::RejectReason::kDuplicate);
+  EXPECT_NE(out.rejects[0].detail.find("cross-shard"), std::string::npos);
+  EXPECT_NE(out.rejects[0].detail.find("shard 1"), std::string::npos);
+  // Shard 0 wrote v+1 = 3; shard 1's 3 ^ 0xF0 lost.
   EXPECT_EQ(out.sketches[2].words()[0], 3u);
 }
 
 TEST(CombineShardRounds, MissingVertexIsACleanDeadlineError) {
-  const service::ShardRoundSpec spec{5, 42, 0};
-  std::vector<service::ShardRound> rounds;
+  const service::RoundSpec spec{5, 42, 0};
+  std::vector<service::RoundCollector> rounds;
   rounds.push_back(make_shard_round(spec, {0, 1}));
   rounds.push_back(make_shard_round(spec, {3, 4}));  // vertex 2 missing
-  EXPECT_THROW((void)service::combine_shard_rounds(spec, rounds),
+  EXPECT_THROW((void)service::combine_shard_rounds(rounds),
                service::ServiceError);
 }
 
@@ -362,7 +353,7 @@ TEST(ShardedReferee, AdaptiveTwoRoundOverFourShards) {
           *cluster.players[i], g, owned, protocol, coins, 5000ms);
     });
   }
-  const service::AdaptiveServeResult<model::MatchingOutput> served =
+  const service::ServeResult<model::MatchingOutput> served =
       cluster.referee.run_adaptive(protocol, g.num_vertices());
   for (std::thread& t : threads) t.join();
 

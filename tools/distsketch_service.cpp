@@ -255,8 +255,8 @@ void print_wire(const char* label, const ds::service::WireStats& w) {
             << w.rejected_frames << " rejected)\n";
 }
 
-/// Shared tail of every serve branch: the wire accounting both
-/// ServeResult and AdaptiveServeResult carry.
+/// Shared tail of every serve branch: the wire accounting every
+/// ServeResult carries.
 template <typename Result>
 void print_serve_wire(const Result& r) {
   print_wire("uplink", r.uplink);
