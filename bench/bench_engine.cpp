@@ -8,9 +8,10 @@
 // and the ACTUAL global allocation count via an operator-new override —
 // and emits BENCH_engine.json.
 //
-// Exits nonzero if pooled and unpooled sketches differ bit for bit, or
-// if the pooled steady state still allocates per vertex (allocations per
-// trial >= n on an encode-only case).
+// Exits nonzero if pooled and unpooled sketches differ bit for bit, if
+// the pooled steady state still allocates per vertex (allocations per
+// trial >= n on an encode-only case), or if any case reports a zero
+// decode rate (its referee decode went unmeasured).
 //
 // Roofline instrumentation (ISSUE 9): every case also reports the sketch
 // payload bytes per trial, encode/decode MB/s, and — on x86_64, via
@@ -26,6 +27,7 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,6 +161,22 @@ Measured measure_collect(Source& source, engine::SketchArena* arena,
   return m;
 }
 
+/// Referee decode wall time over `trials` passes of one round's sketches,
+/// after one warm pass.
+template <typename Output>
+double time_decode(const model::SketchingProtocol<Output>& protocol,
+                   graph::Vertex n, std::span<const util::BitString> sketches,
+                   const model::PublicCoins& coins, std::size_t trials) {
+  volatile std::uint64_t sink = 0;
+  (void)protocol.decode(n, sketches, coins);  // warm
+  const auto start = Clock::now();
+  for (std::size_t t = 0; t < trials; ++t) {
+    const Output out = protocol.decode(n, sketches, coins);
+    sink = sink + out.size();
+  }
+  return ms_since(start);
+}
+
 /// `gate_allocs` should be true only for protocols whose encode performs
 /// no internal heap allocation of its own (e.g. TrivialMis): for those,
 /// pooled steady-state allocations per trial < n proves the engine's
@@ -193,14 +211,7 @@ CaseRecord encode_case(std::string name, const graph::Graph& g,
   {
     const std::vector<util::BitString> sketches = pooled_source.collect(0, {});
     rec.bytes_per_trial = payload_bytes(sketches);
-    volatile std::uint64_t sink = 0;
-    (void)protocol.decode(n, sketches, coins);  // warm
-    const auto start = Clock::now();
-    for (std::size_t t = 0; t < trials; ++t) {
-      const Output out = protocol.decode(n, sketches, coins);
-      sink = sink + out.size();
-    }
-    rec.decode_ms = ms_since(start);
+    rec.decode_ms = time_decode(protocol, n, sketches, coins, trials);
   }
 
   rec.identical = rec.unpooled.fingerprint == rec.pooled.fingerprint;
@@ -215,7 +226,8 @@ CaseRecord encode_case(std::string name, const graph::Graph& g,
 
 /// Full run_protocol (encode + charge + decode) throughput, pooled vs
 /// not.  Decode allocates its output, so this case reports allocation
-/// counts but does not gate on them.
+/// counts but does not gate on them.  The referee decode is also timed on
+/// its own over one round's sketches, as in encode_case.
 template <typename Output>
 CaseRecord full_run_case(std::string name, const graph::Graph& g,
                          const model::SketchingProtocol<Output>& protocol,
@@ -254,6 +266,11 @@ CaseRecord full_run_case(std::string name, const graph::Graph& g,
   rec.unpooled = measure(nullptr);
   engine::SketchArena arena;
   rec.pooled = measure(&arena);
+  model::CommStats comm;
+  const std::vector<util::BitString> sketches =
+      model::collect_sketches(g, protocol, coins, comm, &pool);
+  rec.decode_ms = time_decode(protocol, g.num_vertices(), sketches, coins,
+                              trials);
   rec.identical = rec.unpooled.fingerprint == rec.pooled.fingerprint;
   rec.zero_per_vertex = true;  // not gated for full runs
   return rec;
@@ -386,6 +403,7 @@ int run(const std::string& out_path, bool quick,
   }
 
   bool ok = true;
+  bool unmeasured = false;
   for (const CaseRecord& r : records) {
     std::cout << "[" << r.name << "] n=" << r.n << " trials=" << r.trials
               << " unpooled=" << r.unpooled.ms << "ms ("
@@ -399,6 +417,11 @@ int run(const std::string& out_path, bool quick,
               << "B/cyc identical=" << (r.identical ? "yes" : "NO") << "\n";
     ok &= r.identical;
     if (r.gate_allocs) ok &= r.zero_per_vertex;
+    if (mb_per_sec(r.bytes_per_trial, r.trials, r.decode_ms) <= 0.0) {
+      std::cerr << "bench_engine: " << r.name
+                << " reports no decode rate (decode unmeasured)\n";
+      unmeasured = true;
+    }
   }
   write_json(out_path, records, pool.num_threads());
   if (!ok) {
@@ -406,6 +429,7 @@ int run(const std::string& out_path, bool quick,
                  "per vertex in steady state\n";
     return 1;
   }
+  if (unmeasured) return 1;
   if (!baseline_path.empty() && !check_baseline(baseline_path, records)) {
     std::cerr << "bench_engine: encode throughput regressed vs "
               << baseline_path << "\n";

@@ -22,7 +22,7 @@ model::ForestOutput AgmSpanningForest::decode(
     s.read(reader);
     decoded.push_back(std::move(s));
   }
-  return sketch::agm_spanning_forest(n, std::move(decoded)).forest;
+  return sketch::agm_spanning_forest(n, decoded).forest;
 }
 
 }  // namespace ds::protocols

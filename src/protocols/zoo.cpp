@@ -52,7 +52,7 @@ std::uint32_t AgmConnectivity::decode(
     s.read(reader);
     decoded.push_back(std::move(s));
   }
-  return sketch::agm_spanning_forest(n, std::move(decoded)).components;
+  return sketch::agm_spanning_forest(n, decoded).components;
 }
 
 void KConnectivityCertificate::encode(const model::VertexView& view,
@@ -84,7 +84,7 @@ std::vector<Edge> KConnectivityCertificate::decode(
       sketches_g[e.v].add_single_edge(e.v, e.u, -1);
     }
     const sketch::SpanningForestDecode forest =
-        sketch::agm_spanning_forest(n, std::move(sketches_g));
+        sketch::agm_spanning_forest(n, sketches_g);
     certificate.insert(certificate.end(), forest.forest.begin(),
                        forest.forest.end());
   }
@@ -128,7 +128,7 @@ std::uint64_t MstWeight::decode(Vertex n,
     std::vector<sketch::AgmVertexSketch> group = read_group(
         coins, n, util::mix64(kWeightClassTag, klass), sketches, readers);
     components[klass] =
-        sketch::agm_spanning_forest(n, std::move(group)).components;
+        sketch::agm_spanning_forest(n, group).components;
   }
   // w(MSF) = sum_{i=0}^{W-1} (c_i - c_W).
   std::uint64_t weight = 0;

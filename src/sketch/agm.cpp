@@ -1,5 +1,6 @@
 #include "sketch/agm.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -107,54 +108,63 @@ std::size_t AgmVertexSketch::state_bits() const {
   return bits;
 }
 
-SpanningForestDecode agm_spanning_forest(Vertex n,
-                                         std::vector<AgmVertexSketch> sketches) {
+SpanningForestDecode agm_spanning_forest(
+    Vertex n, std::span<const AgmVertexSketch> sketches) {
+  constexpr Vertex kLookahead = 4;
   assert(sketches.size() == n);
   const unsigned rounds = sketches.empty() ? 0 : sketches.front().rounds();
 
   graph::Dsu dsu(n);
   SpanningForestDecode result;
-  // `component_sketch[root]` accumulates the merged sketch of the whole
-  // component; we rebuild it lazily per round from scratch to keep the
-  // code simple (the referee is not bandwidth-constrained).
+  // Per round, component c's members are members[start[c] .. start[c+1])
+  // in vertex order, for every vertex id c (empty unless c is a root).
+  std::vector<Vertex> root_of(n);
+  std::vector<Vertex> start(std::size_t{n} + 1);
+  std::vector<Vertex> cursor(n);
+  std::vector<Vertex> members(n);
   for (unsigned round = 0; round < rounds && dsu.num_sets() > 1; ++round) {
-    // Group vertices by component root.
-    std::vector<Vertex> root_of(n);
-    std::vector<Vertex> roots;
+    std::fill(start.begin(), start.end(), Vertex{0});
     for (Vertex v = 0; v < n; ++v) {
       root_of[v] = dsu.find(v);
-      if (root_of[v] == v) roots.push_back(v);
+      ++start[root_of[v] + 1];
     }
-    // Merge this round's sampler per component.
-    std::vector<L0Sampler> merged;
-    std::vector<Vertex> merged_root;
-    merged.reserve(roots.size());
-    {
-      // index of root in `merged`
-      std::vector<std::uint32_t> slot(n, 0xffffffffu);
-      for (Vertex root : roots) {
-        slot[root] = static_cast<std::uint32_t>(merged.size());
-        merged.push_back(sketches[root].sampler(round));
-        merged_root.push_back(root);
-      }
-      for (Vertex v = 0; v < n; ++v) {
-        if (v == root_of[v]) continue;
-        merged[slot[root_of[v]]].merge(sketches[v].sampler(round));
-      }
+    for (Vertex c = 0; c < n; ++c) {
+      start[c + 1] += start[c];
+      cursor[c] = start[c];
     }
-    // Boruvka step: each component proposes one outgoing edge.
-    bool progress = false;
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      const std::optional<Recovered> sample = merged[i].decode();
+    for (Vertex v = 0; v < n; ++v) members[cursor[root_of[v]]++] = v;
+
+    // Boruvka step: each component, in ascending root order, proposes one
+    // outgoing edge from the sum of its members' samplers.  The sum is
+    // exact field addition, so its words do not depend on the order the
+    // members are added in.  Each sampler's state is its own allocation,
+    // so the walk prefetches kLookahead samplers ahead to overlap their
+    // cache misses.
+    L0Sampler sum = sketches.front().sampler(round);
+    for (Vertex root = 0; root < n; ++root) {
+      if (n - root > kLookahead) {
+        sketches[root + kLookahead].sampler(round).prefetch();
+      }
+      const Vertex lo = start[root];
+      const Vertex hi = start[root + 1];
+      if (lo == hi) continue;
+      const L0Sampler* sampler = &sketches[root].sampler(round);
+      if (hi - lo > 1) {
+        sum = sketches[members[lo]].sampler(round);
+        for (Vertex i = lo + 1; i < hi; ++i) {
+          if (hi - i > kLookahead) {
+            sketches[members[i + kLookahead]].sampler(round).prefetch();
+          }
+          sum.merge(sketches[members[i]].sampler(round));
+        }
+        sampler = &sum;
+      }
+      const std::optional<Recovered> sample = sampler->decode();
       if (!sample.has_value()) continue;
       if (sample->count != 1 && sample->count != -1) continue;  // corrupt
       const Edge e = graph::pair_from_id(n, sample->index);
-      if (dsu.unite(e.u, e.v)) {
-        result.forest.push_back(e);
-        progress = true;
-      }
+      if (dsu.unite(e.u, e.v)) result.forest.push_back(e);
     }
-    if (!progress && round + 1 == rounds) break;
   }
   result.components = dsu.num_sets();
   return result;

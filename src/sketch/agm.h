@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -84,12 +85,18 @@ class AgmVertexSketch {
 /// deserialized AGM sketch.  Returns the recovered forest (edges are
 /// whatever the samplers decoded — validation against the true graph is
 /// the harness's job, per the paper's error model).
+///
+/// Decodes in place: the sketches are only read.  Each round groups the
+/// vertices by component root (a counting sort, roots ascending), decodes
+/// a singleton's sampler where it lies, and sums each larger component's
+/// samplers into one accumulator reused across the round.  Components
+/// propose in ascending root order.
 struct SpanningForestDecode {
   std::vector<graph::Edge> forest;
   std::uint32_t components;  // component count at termination
 };
 [[nodiscard]] SpanningForestDecode agm_spanning_forest(
-    graph::Vertex n, std::vector<AgmVertexSketch> sketches);
+    graph::Vertex n, std::span<const AgmVertexSketch> sketches);
 
 /// Default round count used by make() when rounds == 0.
 [[nodiscard]] unsigned agm_default_rounds(graph::Vertex n) noexcept;

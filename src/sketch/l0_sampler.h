@@ -46,6 +46,9 @@ class L0Sampler {
   /// summarized vector is zero.
   [[nodiscard]] bool looks_zero() const;
 
+  /// Start loading the level table into cache (OneSparseBank::prefetch).
+  void prefetch() const noexcept { levels_.prefetch(); }
+
   void write(util::BitWriter& out) const;
   void read(util::BitReader& in);
   [[nodiscard]] std::size_t state_bits() const;

@@ -25,10 +25,13 @@ std::uint64_t draw_z(const model::PublicCoins& coins, std::uint64_t tag) {
   return 1 + rng.next_below(kP - 1);  // z in [1, p)
 }
 
-/// Shared decode over one slot's state.
-DecodeResult decode_state(std::uint64_t universe, std::uint64_t z,
-                          std::int64_t ell0, std::uint64_t ell1,
-                          std::uint64_t fp) {
+/// Shared decode over one slot's state.  `z_pow(index)` returns z^index
+/// mod p; it is only asked for an index already checked to lie in
+/// [0, universe), the range the bank's power tables cover.
+template <typename ZPow>
+DecodeResult decode_state(std::uint64_t universe, std::int64_t ell0,
+                          std::uint64_t ell1, std::uint64_t fp,
+                          const ZPow& z_pow) {
   if (ell0 == 0 && ell1 == 0 && fp == 0) {
     return {DecodeStatus::kZero, {}};
   }
@@ -40,8 +43,7 @@ DecodeResult decode_state(std::uint64_t universe, std::uint64_t z,
   if (index >= universe) return {DecodeStatus::kFail, {}};
 
   // Fingerprint check: fp must equal ell0 * z^index.
-  const std::uint64_t expected =
-      util::mul_mod(c, util::pow_mod(z, index, kP), kP);
+  const std::uint64_t expected = util::mul_mod(c, z_pow(index), kP);
   if (expected != fp) return {DecodeStatus::kFail, {}};
   return {DecodeStatus::kOne, {index, ell0}};
 }
@@ -76,7 +78,9 @@ void OneSparse::merge(const OneSparse& other) {
 }
 
 DecodeResult OneSparse::decode() const {
-  return decode_state(universe_, z_, ell0_, ell1_, fp_);
+  return decode_state(universe_, ell0_, ell1_, fp_, [this](std::uint64_t i) {
+    return util::pow_mod(z_, i, kP);
+  });
 }
 
 void OneSparse::write(util::BitWriter& out) const {
@@ -192,9 +196,16 @@ void OneSparseBank::merge(const OneSparseBank& other) {
 
 DecodeResult OneSparseBank::decode(std::size_t slot) const {
   assert(slot < slots_);
-  return decode_state(universe_, z(slot),
-                      static_cast<std::int64_t>(ell0()[slot]), ell1()[slot],
-                      fp()[slot]);
+  return decode_state(
+      universe_, static_cast<std::int64_t>(ell0()[slot]), ell1()[slot],
+      fp()[slot], [this, slot](std::uint64_t i) { return z_pow(slot, i); });
+}
+
+void OneSparseBank::prefetch() const noexcept {
+  constexpr std::size_t kWordsPerLine = 64 / sizeof(std::uint64_t);
+  for (std::size_t i = 0; i < data_.size(); i += kWordsPerLine) {
+    __builtin_prefetch(data_.data() + i);
+  }
 }
 
 void OneSparseBank::write(util::BitWriter& out) const {

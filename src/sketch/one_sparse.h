@@ -98,8 +98,11 @@ class OneSparse {
 /// The power tables turn the per-update z^index into a product of
 /// ceil(bit_width(universe-1)/8) table entries (windowed fixed-base
 /// exponentiation) instead of a ~2*log2(index)-multiply square-and-chain
-/// — the dominant saving of the encode hot path.  The residue is the
-/// same field element either way, so every downstream bit is unchanged.
+/// — the dominant saving of the encode hot path.  decode() takes the
+/// fingerprint check's z^index from the same tables: it only checks an
+/// index already known to be < universe, which the windows cover.  The
+/// residue is the same field element either way, so every downstream bit
+/// is unchanged.
 class OneSparseBank {
  public:
   OneSparseBank() = default;
@@ -123,6 +126,11 @@ class OneSparseBank {
   void merge(const OneSparseBank& other);
 
   [[nodiscard]] DecodeResult decode(std::size_t slot) const;
+
+  /// Ask the CPU to start loading the state words.  A hint only: it
+  /// changes no value, and lets a referee walking many banks overlap the
+  /// next bank's cache misses with work on the current one.
+  void prefetch() const noexcept;
 
   /// Serialize / deserialize every slot's state in slot order (identical
   /// bit stream to calling OneSparse::write per slot).

@@ -39,10 +39,7 @@ void DynamicConnectivity::add_half_edge(Vertex v, Vertex w,
 }
 
 sketch::SpanningForestDecode DynamicConnectivity::query_forest() const {
-  // agm_spanning_forest consumes the sketches (Boruvka merges them);
-  // query on copies so the stream can continue.
-  std::vector<sketch::AgmVertexSketch> copy = sketches_;
-  return sketch::agm_spanning_forest(num_vertices(), std::move(copy));
+  return sketch::agm_spanning_forest(num_vertices(), sketches_);
 }
 
 std::uint32_t DynamicConnectivity::query_components() const {

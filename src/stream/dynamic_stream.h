@@ -57,9 +57,10 @@ class DynamicConnectivity {
   /// bit-identical state in any execution order.
   void add_half_edge(graph::Vertex v, graph::Vertex w, std::int64_t scale);
 
-  /// Decode a spanning forest of the current graph (consumes fresh sketch
-  /// copies; the stream state is untouched and can keep absorbing
-  /// updates).
+  /// Decode a spanning forest of the current graph.  The decode reads the
+  /// sketches in place and allocates only O(n) words of bookkeeping plus
+  /// one sampler, so a query adds no copy of the state; the state is
+  /// untouched and can keep absorbing updates.
   [[nodiscard]] sketch::SpanningForestDecode query_forest() const;
   [[nodiscard]] std::uint32_t query_components() const;
 

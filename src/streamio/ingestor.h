@@ -21,8 +21,10 @@
 //
 // Queries never stall ingestion beyond the snapshot copy: the sketch
 // state is copied on the driver thread, and the Boruvka decode runs on
-// a background thread while ingestion continues (bounded to one
-// in-flight snapshot so memory stays at 2x state).
+// a background thread while ingestion continues.  The decode reads the
+// snapshot in place (DynamicConnectivity::query_forest makes no copy of
+// its own), so bounding it to one in-flight snapshot keeps memory at 2x
+// state.
 #pragma once
 
 #include <cstdint>

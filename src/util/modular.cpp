@@ -7,7 +7,29 @@ namespace ds::util {
 
 std::uint64_t inv_mod(std::uint64_t a, std::uint64_t p) noexcept {
   assert(a % p != 0);
-  return pow_mod(a % p, p - 2, p);
+  // Extended Euclid on (p, a), keeping only a's Bezout coefficient t_i
+  // (r_i == t_i * a mod p).  The coefficients alternate in sign, so their
+  // magnitudes obey |t_{i+1}| = |t_{i-1}| + q_i * |t_i| and never exceed
+  // p: unsigned arithmetic holds them exactly, and the sign is the
+  // parity of the step count.
+  std::uint64_t r0 = p;
+  std::uint64_t r1 = a % p;
+  std::uint64_t t0 = 0;
+  std::uint64_t t1 = 1;
+  bool negative = true;  // sign of t0 once the loop has run (t_0 == 0)
+  while (r1 != 0) {
+    const std::uint64_t q = r0 / r1;
+    const std::uint64_t r2 = r0 - q * r1;
+    const std::uint64_t t2 = t0 + q * t1;
+    r0 = r1;
+    r1 = r2;
+    t0 = t1;
+    t1 = t2;
+    negative = !negative;
+  }
+  // r0 == gcd(p, a) == 1 for prime p, so the signed coefficient whose
+  // magnitude is t0 is the inverse.
+  return negative ? p - t0 : t0;
 }
 
 namespace {

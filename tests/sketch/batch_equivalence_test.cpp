@@ -127,6 +127,139 @@ TEST(BatchEquivalence, BankSlotMatchesStandaloneOneSparse) {
   }
 }
 
+/// One summary's serialized state words: (ell0, ell1, fp).
+struct StateWords {
+  std::uint64_t ell0 = 0;
+  std::uint64_t ell1 = 0;
+  std::uint64_t fp = 0;
+};
+
+StateWords words_of(const OneSparse& s) {
+  const util::BitString bits = serialize(s);
+  util::BitReader r(bits);
+  return {r.get_bits(64), r.get_bits(61), r.get_bits(61)};
+}
+
+void put_words(util::BitWriter& w, const StateWords& s) {
+  w.put_bits(s.ell0, 64);
+  w.put_bits(s.ell1, 61);
+  w.put_bits(s.fp, 61);
+}
+
+TEST(BatchEquivalence, BankDecodeMatchesPowModDecode) {
+  // OneSparseBank::decode takes z^index from the bank's power tables;
+  // OneSparse::decode computes it by square-and-multiply.  Both must
+  // return the same status and value on every state a referee can be
+  // handed: honest 1-sparse states with counts +-1, +-2 and large,
+  // cancelling counts (ell0 == 0, ell1 != 0), candidate indices >=
+  // universe, forged fingerprints, 2-sparse states, raw random words, and
+  // zero.
+  const model::PublicCoins coins(0xDEC0);
+  const std::uint64_t p = util::kDefaultPrime;
+  const std::vector<std::uint64_t> tags = {3, 0x51, 0xFFFF'0001ull, 77};
+  util::Rng rng(0xDEC1);
+  int seen[3] = {0, 0, 0};  // per DecodeStatus
+  // 1, 1, 2, 2 and 4 power-table windows, at the window boundaries.
+  for (const std::uint64_t universe :
+       {std::uint64_t{200}, std::uint64_t{256}, std::uint64_t{257},
+        std::uint64_t{65536}, std::uint64_t{2147450880}}) {
+    OneSparseBank bank = OneSparseBank::make(coins, tags, universe);
+    std::vector<OneSparse> singles;
+    for (std::uint64_t tag : tags) {
+      singles.push_back(OneSparse::make(coins, tag, universe));
+    }
+    const auto count = [&rng]() -> std::int64_t {
+      constexpr std::int64_t kSmall[] = {1, -1, 2, -2};
+      const std::uint64_t pick = rng.next_below(6);
+      if (pick < 4) return kSmall[pick];
+      const auto big = static_cast<std::int64_t>(rng.next_below(1ull << 40));
+      return pick == 4 ? big + 3 : -big - 3;
+    };
+    const auto index = [&rng, universe]() -> std::uint64_t {
+      const std::uint64_t pick = rng.next_below(4);
+      if (pick == 0) return 0;
+      if (pick == 1) return universe - 1;
+      return rng.next_below(universe);
+    };
+    for (int rep = 0; rep < 300; ++rep) {
+      util::BitWriter bank_words;
+      std::vector<StateWords> states;
+      for (std::size_t slot = 0; slot < tags.size(); ++slot) {
+        OneSparse honest = OneSparse::make(coins, tags[slot], universe);
+        StateWords s;
+        switch (rng.next_below(7)) {
+          case 0:  // zero
+            break;
+          case 1:  // honest 1-sparse
+            honest.add(index(), count());
+            s = words_of(honest);
+            break;
+          case 2:  // honest 1-sparse with a forged fingerprint
+            honest.add(index(), count());
+            s = words_of(honest);
+            s.fp = rng.next_below(2) == 0 ? s.fp ^ 1 : rng.next_below(p);
+            break;
+          case 3:  // cancelling counts: ell0 == 0, ell1 != 0
+            s.ell1 = 1 + rng.next_below(p - 1);
+            s.fp = rng.next_below(p);
+            break;
+          case 4: {  // candidate index ell1 / ell0 >= universe
+            const std::int64_t c = count();
+            const std::uint64_t c_field =
+                c > 0 ? static_cast<std::uint64_t>(c)
+                      : p - static_cast<std::uint64_t>(-c);
+            const std::uint64_t beyond =
+                rng.next_below(2) == 0 ? universe + rng.next_below(300)
+                                       : universe + rng.next_below(p - universe);
+            s.ell0 = static_cast<std::uint64_t>(c);
+            s.ell1 = util::mul_mod(c_field, beyond, p);
+            s.fp = rng.next_below(p);
+            break;
+          }
+          case 5: {  // honest 2-sparse
+            const std::uint64_t a = index();
+            const std::uint64_t b = index();
+            honest.add(a, count());
+            if (b != a) honest.add(b, count());
+            s = words_of(honest);
+            break;
+          }
+          default:  // raw random words
+            s = {rng.next(), rng.next() & p, rng.next() & p};
+            break;
+        }
+        put_words(bank_words, s);
+        states.push_back(s);
+      }
+      const util::BitString bank_bits(std::move(bank_words));
+      util::BitReader bank_reader(bank_bits);
+      bank.read(bank_reader);
+      for (std::size_t slot = 0; slot < tags.size(); ++slot) {
+        util::BitWriter w;
+        put_words(w, states[slot]);
+        const util::BitString bits(std::move(w));
+        util::BitReader r(bits);
+        singles[slot].read(r);
+        const DecodeResult got = bank.decode(slot);
+        const DecodeResult want = singles[slot].decode();
+        ASSERT_EQ(static_cast<int>(got.status), static_cast<int>(want.status))
+            << "universe=" << universe << " slot=" << slot
+            << " ell0=" << states[slot].ell0 << " ell1=" << states[slot].ell1
+            << " fp=" << states[slot].fp;
+        if (want.status == DecodeStatus::kOne) {
+          ASSERT_EQ(got.value.index, want.value.index);
+          ASSERT_EQ(got.value.count, want.value.count);
+        }
+        ++seen[static_cast<int>(want.status)];
+      }
+    }
+  }
+  // Every outcome was exercised.
+  EXPECT_GT(seen[static_cast<int>(DecodeStatus::kZero)], 100);
+  EXPECT_GT(seen[static_cast<int>(DecodeStatus::kOne)], 500);
+  EXPECT_GT(seen[static_cast<int>(DecodeStatus::kFail)], 1000);
+}
+
 TEST(BatchEquivalence, L0AddBatchMatchesSequentialAdds) {
   const model::PublicCoins coins(7);
   const std::uint64_t universe = 5000;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.h"
 
 namespace ds::util {
@@ -55,6 +57,29 @@ TEST(Modular, InvMod) {
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t a = 1 + rng.next_below(p - 1);
     EXPECT_EQ(mul_mod(a, inv_mod(a, p), p), 1u);
+  }
+}
+
+TEST(Modular, InvModMatchesFermat) {
+  // The extended-Euclid inverse must be the exact residue Fermat's
+  // a^(p-2) gives: in the sketch field, at 2^31 - 1, at a small prime,
+  // and at 2^64 - 59, where the Bezout coefficients reach their widest.
+  for (const std::uint64_t p :
+       {kDefaultPrime, std::uint64_t{2147483647}, std::uint64_t{1000003},
+        std::uint64_t{18446744073709551557ull}}) {
+    std::vector<std::uint64_t> as = {1, 2, 3, p - 3, p - 2, p - 1, p + 1};
+    for (unsigned k = 1; k < 64 && (std::uint64_t{1} << k) < p; ++k) {
+      as.push_back(std::uint64_t{1} << k);
+    }
+    for (std::uint64_t c = 1; c <= 64; ++c) {  // small +-counts
+      as.push_back(c);
+      as.push_back(p - c);
+    }
+    Rng rng(p);
+    for (int i = 0; i < 10000; ++i) as.push_back(1 + rng.next_below(p - 1));
+    for (const std::uint64_t a : as) {
+      ASSERT_EQ(inv_mod(a, p), pow_mod(a, p - 2, p)) << "a=" << a << " p=" << p;
+    }
   }
 }
 
