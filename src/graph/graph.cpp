@@ -8,38 +8,50 @@ namespace ds::graph {
 Graph::Graph(Vertex n) : n_(n), offsets_(static_cast<std::size_t>(n) + 1, 0) {}
 
 Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
+  // Counting sort straight into CSR: histogram both endpoints, scatter the
+  // 2m half-edges into their owners' blocks, then drop each block's
+  // repeats with a last-owner stamp and sort only what is left.  Transient
+  // memory is the half-edge array plus O(n).
   Graph g(n);
-  // Deduplicate on normalized endpoint pairs.
-  std::vector<Edge> normalized;
-  normalized.reserve(edges.size());
+  std::vector<std::size_t>& offsets = g.offsets_;
   for (const Edge& e : edges) {
     assert(e.u != e.v && "self-loops are not supported");
     assert(e.u < n && e.v < n);
-    normalized.push_back(e.normalized());
+    ++offsets[e.u];
+    ++offsets[e.v];
   }
-  std::sort(normalized.begin(), normalized.end());
-  normalized.erase(std::unique(normalized.begin(), normalized.end()),
-                   normalized.end());
+  // offsets[v] becomes the end of v's raw block; the scatter below walks
+  // each cursor back down to its block's start.
+  for (Vertex v = 1; v < n; ++v) offsets[v] += offsets[v - 1];
+  offsets[n] = 2 * edges.size();
+  std::vector<Vertex> adjacency(offsets[n]);
+  for (const Edge& e : edges) {
+    adjacency[--offsets[e.u]] = e.v;
+    adjacency[--offsets[e.v]] = e.u;
+  }
 
-  std::vector<std::uint32_t> degree(n, 0);
-  for (const Edge& e : normalized) {
-    ++degree[e.u];
-    ++degree[e.v];
-  }
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + degree[v];
-  g.adjacency_.resize(g.offsets_[n]);
-
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : normalized) {
-    g.adjacency_[cursor[e.u]++] = e.v;
-    g.adjacency_[cursor[e.v]++] = e.u;
-  }
+  // Compact in place (writes never pass reads): a neighbor is kept the
+  // first time owner v meets it.  Owners are < n <= 2^32 - 1, so ~0 is
+  // never one.
+  std::vector<Vertex> last_owner(n, ~Vertex{0});
+  std::size_t kept = 0;
   for (Vertex v = 0; v < n; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
+    const std::size_t begin = offsets[v];
+    const std::size_t end = offsets[v + 1];
+    offsets[v] = kept;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vertex w = adjacency[i];
+      adjacency[kept] = w;
+      kept += last_owner[w] != v;
+      last_owner[w] = v;
+    }
+    std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+              adjacency.begin() + static_cast<std::ptrdiff_t>(kept));
   }
+  offsets[n] = kept;
+  adjacency.resize(kept);
+  adjacency.shrink_to_fit();
+  g.adjacency_ = std::move(adjacency);
   return g;
 }
 

@@ -37,8 +37,11 @@ class Graph {
   /// Empty graph on n vertices.
   explicit Graph(Vertex n = 0);
 
-  /// Build from an edge list. Self-loops are rejected (assert); duplicate
-  /// edges are collapsed.
+  /// Build from an edge list in O(n + m) plus a sort of each deduplicated
+  /// block. Self-loops and endpoints >= n are rejected (assert); duplicate
+  /// edges, in either orientation, are collapsed. The result is the
+  /// canonical CSR whatever the input order: sorted blocks, exactly 2|E|
+  /// adjacency entries.
   static Graph from_edges(Vertex n, std::span<const Edge> edges);
 
   [[nodiscard]] Vertex num_vertices() const noexcept { return n_; }

@@ -1,7 +1,9 @@
 #include "lowerbound/dmm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <span>
 
 namespace ds::lowerbound {
 
@@ -21,32 +23,51 @@ DmmParameters dmm_parameters(const rs::RsGraph& base, std::uint64_t k) {
 }
 
 EdgeBits::EdgeBits(std::uint64_t k, std::uint64_t t, std::uint64_t r)
-    : k_(k), t_(t), r_(r), bits_(static_cast<std::size_t>(k * t * r), false) {}
+    : k_(k), t_(t), r_(r),
+      words_(static_cast<std::size_t>((k * t * r + 63) / 64), 0) {}
 
 std::uint64_t EdgeBits::pattern(std::uint64_t i, std::uint64_t j) const {
   assert(r_ <= 64);
-  std::uint64_t p = 0;
-  for (std::uint64_t e = 0; e < r_; ++e) {
-    if (get(i, j, e)) p |= std::uint64_t{1} << e;
+  if (r_ == 0) return 0;
+  const std::size_t start = index(i, j, 0);
+  const std::size_t word = start >> 6;
+  const unsigned offset = static_cast<unsigned>(start & 63);
+  std::uint64_t p = words_[word] >> offset;
+  // A pattern straddling a word boundary takes its high part from the
+  // next word (offset > 0 there, so the shift stays below 64).
+  if (offset + r_ > 64) p |= words_[word + 1] << (64 - offset);
+  return r_ == 64 ? p : p & ((std::uint64_t{1} << r_) - 1);
+}
+
+std::uint64_t EdgeBits::count() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t w : words_) {
+    total += static_cast<std::uint64_t>(std::popcount(w));
   }
-  return p;
+  return total;
 }
 
 EdgeBits EdgeBits::random(std::uint64_t k, std::uint64_t t, std::uint64_t r,
                           util::Rng& rng) {
   EdgeBits bits(k, t, r);
-  for (std::size_t idx = 0; idx < bits.bits_.size(); ++idx) {
-    bits.bits_[idx] = rng.next_bit();
+  // One next_bit() per bit, in index order: the draw sequence is part of
+  // what a seed pins (tests/lowerbound/dmm_golden_test.cpp).
+  const std::uint64_t total = bits.total_bits();
+  for (std::uint64_t idx = 0; idx < total; ++idx) {
+    bits.words_[idx >> 6] |= static_cast<std::uint64_t>(rng.next_bit())
+                             << (idx & 63);
   }
   return bits;
 }
 
 EdgeBits EdgeBits::from_mask(std::uint64_t k, std::uint64_t t, std::uint64_t r,
                              std::uint64_t mask) {
-  assert(k * t * r <= 64);
+  const std::uint64_t total = k * t * r;
+  assert(total <= 64);
   EdgeBits bits(k, t, r);
-  for (std::size_t idx = 0; idx < bits.bits_.size(); ++idx) {
-    bits.bits_[idx] = ((mask >> idx) & 1) != 0;
+  if (total > 0) {
+    bits.words_[0] =
+        total == 64 ? mask : mask & ((std::uint64_t{1} << total) - 1);
   }
   return bits;
 }
@@ -110,31 +131,58 @@ DmmInstance build_dmm(const rs::RsGraph& base, std::uint64_t k,
   inst.is_public.assign(p.n, false);
   for (Vertex v : inst.public_final) inst.is_public[v] = true;
 
-  // Final label of base vertex b in copy i.
-  auto final_label = [&](std::uint64_t i, Vertex b) -> Vertex {
-    return star_pos[b] != 0xffffffffu ? inst.unique_final[i][star_pos[b]]
-                                      : inst.public_final[public_pos[b]];
-  };
-
-  // Build the union graph and the special matchings.
-  std::vector<Edge> union_edges;
-  inst.special_full.assign(p.k, {});
-  inst.special_surviving.assign(p.k, {});
+  // labels[i * N + b]: final label of base vertex b in copy i. Public
+  // vertices share one label across copies; V* vertices get copy i's.
+  const std::size_t big_n = static_cast<std::size_t>(p.big_n);
+  std::vector<Vertex> labels(static_cast<std::size_t>(p.k) * big_n);
+  for (Vertex b = 0; b < p.big_n; ++b) {
+    if (public_pos[b] != 0xffffffffu) {
+      labels[b] = inst.public_final[public_pos[b]];
+    }
+  }
   for (std::uint64_t i = 0; i < p.k; ++i) {
+    Vertex* row = labels.data() + i * big_n;
+    if (i > 0) std::copy_n(labels.data(), big_n, row);
+    for (std::size_t l = 0; l < v_star.size(); ++l) {
+      row[v_star[l]] = inst.unique_final[i][l];
+    }
+  }
+
+  // The union graph: every edge is written, and the cursor advances past
+  // the survivors only. One spare slot takes the writes that follow the
+  // last survivor.
+  const std::size_t surviving = inst.bits.count();
+  std::vector<Edge> union_edges(surviving + 1);
+  std::size_t next = 0;
+  for (std::uint64_t i = 0; i < p.k; ++i) {
+    const Vertex* row = labels.data() + i * big_n;
     for (std::uint64_t j = 0; j < p.t; ++j) {
       const Matching& mj = base.matchings[j];
       for (std::uint64_t e = 0; e < p.r; ++e) {
-        const Edge mapped{final_label(i, mj[e].u), final_label(i, mj[e].v)};
-        const bool survived = inst.bits.get(i, j, e);
-        if (survived) union_edges.push_back(mapped);
-        if (j == j_star) {
-          inst.special_full[i].push_back(mapped);
-          if (survived) inst.special_surviving[i].push_back(mapped);
-        }
+        union_edges[next] = {row[mj[e].u], row[mj[e].v]};
+        next += static_cast<std::size_t>(inst.bits.get(i, j, e));
       }
     }
   }
-  inst.g = Graph::from_edges(p.n, union_edges);
+  assert(next == surviving);
+
+  // The special matchings: copy i's image of M^RS_{j*}, before and after
+  // the drop.
+  inst.special_full.assign(p.k, {});
+  inst.special_surviving.assign(p.k, {});
+  const Matching& special = base.matchings[j_star];
+  for (std::uint64_t i = 0; i < p.k; ++i) {
+    const Vertex* row = labels.data() + i * big_n;
+    for (std::uint64_t e = 0; e < p.r; ++e) {
+      const Edge mapped{row[special[e].u], row[special[e].v]};
+      inst.special_full[i].push_back(mapped);
+      if (inst.bits.get(i, j_star, e)) {
+        inst.special_surviving[i].push_back(mapped);
+      }
+    }
+  }
+  inst.g = Graph::from_edges(
+      p.n, std::span<const Edge>(union_edges).first(surviving));
   return inst;
 }
 

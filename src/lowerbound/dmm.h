@@ -44,16 +44,22 @@ struct DmmParameters {
 
 /// Edge-survival indicators: bit (i, j, e) says whether edge e of matching
 /// M^RS_j survived in copy i — the random variables the proof calls M_{i,j}.
+/// Stored as packed 64-bit words, bit index (i*t + j)*r + e LSB-first; bits
+/// past total_bits() stay zero.
 class EdgeBits {
  public:
   EdgeBits(std::uint64_t k, std::uint64_t t, std::uint64_t r);
 
   [[nodiscard]] bool get(std::uint64_t i, std::uint64_t j,
                          std::uint64_t e) const {
-    return bits_[index(i, j, e)];
+    const std::size_t idx = index(i, j, e);
+    return ((words_[idx >> 6] >> (idx & 63)) & 1) != 0;
   }
   void set(std::uint64_t i, std::uint64_t j, std::uint64_t e, bool value) {
-    bits_[index(i, j, e)] = value;
+    const std::size_t idx = index(i, j, e);
+    const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    words_[idx >> 6] =
+        (words_[idx >> 6] & ~bit) | (value ? bit : std::uint64_t{0});
   }
 
   /// The r-bit pattern of matching j in copy i, packed LSB-first — the
@@ -68,7 +74,9 @@ class EdgeBits {
   static EdgeBits from_mask(std::uint64_t k, std::uint64_t t, std::uint64_t r,
                             std::uint64_t mask);
 
-  [[nodiscard]] std::uint64_t total_bits() const { return bits_.size(); }
+  [[nodiscard]] std::uint64_t total_bits() const { return k_ * t_ * r_; }
+  /// Number of set bits: the surviving edges, over all copies.
+  [[nodiscard]] std::uint64_t count() const;
 
  private:
   [[nodiscard]] std::size_t index(std::uint64_t i, std::uint64_t j,
@@ -76,7 +84,7 @@ class EdgeBits {
     return static_cast<std::size_t>((i * t_ + j) * r_ + e);
   }
   std::uint64_t k_, t_, r_;
-  std::vector<bool> bits_;
+  std::vector<std::uint64_t> words_;
 };
 
 struct DmmInstance {

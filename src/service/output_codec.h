@@ -9,6 +9,7 @@
 // the full wire session including this result hop.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -73,7 +74,11 @@ struct OutputCodec<std::vector<graph::Edge>> {
     for (const graph::Edge& e : edges) OutputCodec<graph::Edge>::encode(e, out);
   }
   static std::vector<graph::Edge> decode(util::BitReader& in) {
-    const std::uint64_t count = in.get_gamma() - 1;
+    // A hostile count must not drive allocation: a well-formed list has
+    // 64 bits left per edge (the get_u32_span clamp).
+    const std::uint64_t claimed = in.get_gamma() - 1;
+    const std::uint64_t count =
+        std::min<std::uint64_t>(claimed, in.bits_remaining() / 64);
     std::vector<graph::Edge> edges;
     edges.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -103,8 +108,13 @@ struct OutputCodec<graph::Graph> {
   }
   static graph::Graph decode(util::BitReader& in) {
     const auto n = static_cast<graph::Vertex>(in.get_bits(32));
-    const std::vector<graph::Edge> edges =
+    std::vector<graph::Edge> edges =
         OutputCodec<std::vector<graph::Edge>>::decode(in);
+    // from_edges only asserts its input; drop what a hostile frame can
+    // claim, as decode_reported_graph does.
+    std::erase_if(edges, [n](const graph::Edge& e) {
+      return e.u >= n || e.v >= n || e.u == e.v;
+    });
     return graph::Graph::from_edges(n, edges);
   }
 };

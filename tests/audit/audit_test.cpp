@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <mutex>
 
 #include "audit/audited_refined.h"
 #include "graph/generators.h"
@@ -63,14 +65,15 @@ class NeighborRowPeeker final
 // ---------------------------------------------------------------------------
 // Cheating protocol 2: draws randomness outside the public coins (a mutable
 // call counter standing in for rand()); two runs with identical coins
-// produce different messages.
+// produce different messages.  Players encode on pool workers, so the
+// counter is atomic.
 // ---------------------------------------------------------------------------
 class HiddenStateEncoder final
     : public model::SketchingProtocol<model::VertexSetOutput> {
  public:
   void encode(const model::VertexView&,
               util::BitWriter& out) const override {
-    out.put_bits(calls_++, 32);
+    out.put_bits(calls_.fetch_add(1, std::memory_order_relaxed), 32);
   }
   [[nodiscard]] model::VertexSetOutput decode(
       Vertex, std::span<const util::BitString>,
@@ -80,28 +83,33 @@ class HiddenStateEncoder final
   [[nodiscard]] std::string name() const override { return "cheat-nondet"; }
 
  private:
-  mutable std::uint64_t calls_ = 0;
+  mutable std::atomic<std::uint64_t> calls_{0};
 };
 
 // ---------------------------------------------------------------------------
 // Cheating protocol 3: under-reports its message length.  Each player is
 // charged a single bit, but its whole adjacency row crosses to the referee
 // through a stash on the protocol object — a covert channel the bit
-// accounting never sees.
+// accounting never sees.  Players encode on pool workers, so the stash is
+// guarded; the channel is the same at any thread count.
 // ---------------------------------------------------------------------------
 class StashChannelMis final
     : public model::SketchingProtocol<model::VertexSetOutput> {
  public:
   void encode(const model::VertexView& view,
               util::BitWriter& out) const override {
-    if (stash_.size() <= view.id) stash_.resize(view.id + 1);
-    stash_[view.id].assign(view.neighbors.begin(), view.neighbors.end());
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stash_.size() <= view.id) stash_.resize(view.id + 1);
+      stash_[view.id].assign(view.neighbors.begin(), view.neighbors.end());
+    }
     out.put_bit(false);  // the only bit ever charged
   }
   [[nodiscard]] model::VertexSetOutput decode(
       Vertex n, std::span<const util::BitString>,
       const model::PublicCoins&) const override {
     // Greedy MIS over the stashed (never-transmitted) adjacency.
+    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<bool> blocked(n, false);
     model::VertexSetOutput mis;
     for (Vertex v = 0; v < n; ++v) {
@@ -118,6 +126,7 @@ class StashChannelMis final
   [[nodiscard]] std::string name() const override { return "cheat-stash"; }
 
  private:
+  mutable std::mutex mutex_;
   mutable std::vector<std::vector<Vertex>> stash_;
 };
 

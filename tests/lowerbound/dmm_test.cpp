@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 #include <set>
 
@@ -44,6 +45,70 @@ TEST(EdgeBits, RandomIsFair) {
   }
   const double rate = static_cast<double>(ones) / (kReps * 24.0);
   EXPECT_NEAR(rate, 0.5, 0.03);
+}
+
+TEST(EdgeBits, SetGetEveryIndexAcrossWordBoundary) {
+  // k*t*r = 105 bits in two words: the pattern of (1, 4) is bits 63-69,
+  // straddling the boundary, and that of (2, 4) ends on the last bit.
+  constexpr std::uint64_t kK = 3, kT = 5, kR = 7;
+  EdgeBits bits(kK, kT, kR);
+  ASSERT_EQ(bits.total_bits(), 105u);
+  for (std::uint64_t i = 0; i < kK; ++i) {
+    for (std::uint64_t j = 0; j < kT; ++j) {
+      for (std::uint64_t e = 0; e < kR; ++e) {
+        bits.set(i, j, e, true);
+        EXPECT_EQ(bits.count(), 1u);
+        for (std::uint64_t i2 = 0; i2 < kK; ++i2) {
+          for (std::uint64_t j2 = 0; j2 < kT; ++j2) {
+            const std::uint64_t want =
+                i2 == i && j2 == j ? std::uint64_t{1} << e : 0;
+            EXPECT_EQ(bits.pattern(i2, j2), want)
+                << "set (" << i << "," << j << "," << e << ") read (" << i2
+                << "," << j2 << ")";
+            for (std::uint64_t e2 = 0; e2 < kR; ++e2) {
+              EXPECT_EQ(bits.get(i2, j2, e2), i2 == i && j2 == j && e2 == e);
+            }
+          }
+        }
+        bits.set(i, j, e, false);
+        EXPECT_EQ(bits.count(), 0u);
+      }
+    }
+  }
+}
+
+TEST(EdgeBits, PatternStraddlingAWordMatchesGet) {
+  util::Rng rng(7);
+  const EdgeBits bits = EdgeBits::random(3, 5, 7, rng);
+  std::uint64_t ones = 0;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    for (std::uint64_t j = 0; j < 5; ++j) {
+      std::uint64_t want = 0;
+      for (std::uint64_t e = 0; e < 7; ++e) {
+        if (bits.get(i, j, e)) want |= std::uint64_t{1} << e;
+      }
+      EXPECT_EQ(bits.pattern(i, j), want) << "(" << i << "," << j << ")";
+      ones += static_cast<std::uint64_t>(std::popcount(want));
+    }
+  }
+  EXPECT_EQ(bits.count(), ones);
+}
+
+TEST(EdgeBits, FromMaskFillsAWholeWord) {
+  // k*t*r = 64: the mask is exactly one word, top bit included.
+  const std::uint64_t mask = 0x80F0'0000'0A00'0001ull;
+  const EdgeBits bits = EdgeBits::from_mask(2, 4, 8, mask);
+  ASSERT_EQ(bits.total_bits(), 64u);
+  for (std::uint64_t idx = 0; idx < 64; ++idx) {
+    EXPECT_EQ(bits.get(idx / 32, (idx / 8) % 4, idx % 8),
+              ((mask >> idx) & 1) != 0)
+        << idx;
+  }
+  EXPECT_EQ(bits.pattern(1, 3), 0x80u);
+  EXPECT_EQ(bits.pattern(0, 0), 0x01u);
+  EXPECT_EQ(bits.count(), static_cast<std::uint64_t>(std::popcount(mask)));
+  // r = 64: one pattern is the whole mask.
+  EXPECT_EQ(EdgeBits::from_mask(1, 1, 64, mask).pattern(0, 0), mask);
 }
 
 TEST(DmmParameters, PaperFormulas) {
