@@ -1,25 +1,18 @@
-// W2: sharded-referee throughput — how fast can the referee side absorb
-// a round once clients pipeline their sketches as pre-encoded corked
-// batches?
+// W2: referee throughput — how fast can the referee side absorb a round
+// once clients pipeline their sketches as pre-encoded corked batches?
 //
-// Per case the driver measures:
-//   - a full blocking single-referee TCP session (the BENCH_wire
-//     baseline, same definition: n players / session wall time), and
-//   - the referee absorb rate: clients pre-encode their whole round
-//     batch OUTSIDE the clock, then the clock covers send -> collect ->
-//     combine only.  Absorb is measured for the blocking referee and
-//     for the epoll-sharded referee at 1, 2 and 4 shards.
+// Per case the bench measures the referee absorb rate at 1, 2 and 4
+// shards: clients pre-encode their whole round batch OUTSIDE the clock,
+// then the clock covers send -> collect -> combine only.  Each row's
+// speedup_vs_baseline is its players/sec over the 1-shard row's, so it
+// says what extra shards buy on the host at hand (docs/WIRE.md has the
+// measured figures).
 //
-// Every absorb row is certified against model::collect_sketches: the
-// combined payloads must match the simulation BitString for BitString
-// and the uplink payload bits must equal the simulated CommStats total.
-// Emits BENCH_shard.json and exits nonzero if any row broke that
-// contract (speed never fails the run; broken accounting always does).
-//
-// Note on scaling: this container exposes a single hardware thread, so
-// the shard rows demonstrate that sharding adds no overhead (flat
-// players/sec 1 -> 4 shards) rather than a parallel speedup; the
-// per-shard event loops only run concurrently on multi-core referees.
+// Every row is certified against model::collect_sketches: the combined
+// payloads must match the simulation BitString for BitString and the
+// uplink payload bits must equal the simulated CommStats total.  Emits
+// BENCH_shard.json and exits nonzero if any row broke that contract
+// (speed never fails the run; broken accounting always does).
 #include <sys/socket.h>
 
 #include <chrono>
@@ -35,7 +28,6 @@
 #include "protocols/spanning_forest.h"
 #include "protocols/zoo.h"
 #include "service/player_client.h"
-#include "service/referee_service.h"
 #include "service/shard.h"
 #include "wire/tcp.h"
 
@@ -46,9 +38,7 @@ using namespace ds;
 
 using Clock = std::chrono::steady_clock;
 
-// Best-of repetition counts: one hardware thread means every row rides
-// the scheduler, so each measurement keeps its fastest rep.
-constexpr int kSessionReps = 3;
+// Every row rides the scheduler, so each keeps its fastest of kAbsorbReps.
 constexpr int kAbsorbReps = 9;
 
 double ms_since(Clock::time_point start) {
@@ -60,11 +50,11 @@ struct ShardRow {
   std::string name;
   graph::Vertex n = 0;
   std::size_t clients = 0;
-  std::size_t shards = 0;     // 0 = blocking referee
-  std::string mode;           // "session" | "absorb"
+  std::size_t shards = 0;
+  std::string mode;           // "absorb"
   double ms = 0.0;
   double players_per_sec = 0.0;
-  double speedup_vs_baseline = 0.0;  // vs the blocking session row
+  double speedup_vs_baseline = 0.0;  // vs the same case's shards=1 row
   std::size_t payload_bits = 0;
   std::size_t framing_bits = 0;
   bool payload_matches_sim = false;
@@ -132,100 +122,11 @@ void run_case(const std::string& name, graph::Vertex n, double p,
   model::CommStats sim_comm;
   const std::vector<util::BitString> sim_sketches =
       model::collect_sketches(g, protocol, coins, sim_comm);
-  const auto simulated = model::run_protocol(g, protocol, coins);
-
-  // Row 1 — baseline: the full blocking single-referee TCP session,
-  // measured exactly as BENCH_wire measures it (encode inside the
-  // clock).  Every other row's speedup is relative to this.
-  ShardRow baseline;
-  baseline.name = name + "/blocking-session";
-  baseline.n = n;
-  baseline.clients = clients;
-  baseline.shards = 0;
-  baseline.mode = "session";
-  baseline.ms = 1e300;
-  for (int rep = 0; rep < kSessionReps; ++rep) {
-    wire::TcpListener listener;
-    std::vector<std::unique_ptr<wire::Link>> player_links;
-    std::thread connector([&] {
-      for (std::size_t i = 0; i < clients; ++i) {
-        player_links.push_back(
-            wire::tcp_connect("127.0.0.1", listener.port(), 10000ms));
-      }
-    });
-    std::vector<std::unique_ptr<wire::Link>> referee_links;
-    for (std::size_t i = 0; i < clients; ++i) {
-      referee_links.push_back(listener.accept(10000ms));
-    }
-    connector.join();
-
-    const auto start = Clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (std::size_t i = 0; i < clients; ++i) {
-      threads.emplace_back([&, i] {
-        (void)service::play_protocol(
-            *player_links[i], g,
-            service::shard_vertices(g.num_vertices(), clients, i), protocol,
-            coins, 30000ms);
-      });
-    }
-    const service::ServeResult<Output> served = service::serve_protocol(
-        referee_links, protocol, g.num_vertices(), coins, 30000ms);
-    for (std::thread& t : threads) t.join();
-    baseline.ms = std::min(baseline.ms, ms_since(start));
-    baseline.payload_bits = served.uplink.payload_bits;
-    baseline.framing_bits = served.uplink.framing_bits;
-    baseline.payload_matches_sim =
-        served.uplink.payload_bits == sim_comm.total_bits &&
-        served.output == simulated.output;
-  }
-  baseline.players_per_sec =
-      baseline.ms > 0.0 ? n * 1000.0 / baseline.ms : 0.0;
-  baseline.speedup_vs_baseline = 1.0;
-  rows.push_back(baseline);
-
   const std::vector<std::vector<std::uint8_t>> batches =
       pre_encode_batches(g, protocol, coins, clients);
 
-  // Row 2 — blocking absorb: same referee code path as the baseline but
-  // fed the pre-encoded batches, isolating the collect loop's cost.
-  {
-    ShardRow row;
-    row.name = name + "/blocking-absorb";
-    row.n = n;
-    row.clients = clients;
-    row.shards = 0;
-    row.mode = "absorb";
-    row.ms = 1e300;
-    for (int rep = 0; rep < kAbsorbReps; ++rep) {
-      std::vector<std::unique_ptr<wire::Link>> referee_links;
-      std::vector<std::unique_ptr<wire::Link>> player_links;
-      for (std::size_t i = 0; i < clients; ++i) {
-        int fds[2] = {-1, -1};
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) continue;
-        referee_links.push_back(wire::tcp_adopt_fd(fds[0]));
-        player_links.push_back(wire::tcp_adopt_fd(fds[1]));
-      }
-      service::CollectedRound round;
-      const double ms =
-          timed_absorb(batches, player_links, [&] {
-            round = service::collect_sketch_round(
-                referee_links, g.num_vertices(), proto, 0, 10000ms);
-          });
-      row.ms = std::min(row.ms, ms);
-      row.payload_bits = round.wire.payload_bits;
-      row.framing_bits = round.wire.framing_bits;
-      row.payload_matches_sim =
-          same_payloads(round.sketches, sim_sketches) &&
-          round.wire.payload_bits == sim_comm.total_bits;
-    }
-    row.players_per_sec = row.ms > 0.0 ? n * 1000.0 / row.ms : 0.0;
-    row.speedup_vs_baseline = row.players_per_sec / baseline.players_per_sec;
-    rows.push_back(row);
-  }
-
-  // Rows 3..5 — epoll-sharded absorb at 1, 2 and 4 shards.
+  // Absorb at 1, 2 and 4 shards; the first row is the baseline.
+  const std::size_t first = rows.size();
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
     ShardRow row;
@@ -262,11 +163,12 @@ void run_case(const std::string& name, graph::Vertex n, double p,
           source.uplink().rejected_frames == 0;
     }
     row.players_per_sec = row.ms > 0.0 ? n * 1000.0 / row.ms : 0.0;
-    row.speedup_vs_baseline = row.players_per_sec / baseline.players_per_sec;
+    row.speedup_vs_baseline =
+        shards == 1 ? 1.0 : row.players_per_sec / rows[first].players_per_sec;
     rows.push_back(row);
   }
 
-  for (std::size_t i = rows.size() - 5; i < rows.size(); ++i) {
+  for (std::size_t i = first; i < rows.size(); ++i) {
     const ShardRow& r = rows[i];
     std::cout << "[" << r.name << "] n=" << r.n << " clients=" << r.clients
               << " " << r.mode << "=" << r.ms << "ms players/sec="

@@ -52,11 +52,11 @@ struct WireCaseRecord {
   bool payload_matches_sim = false;
 };
 
-/// One wire session over already-connected links; returns uplink stats
-/// and whether output + accounting matched the simulated run.
+/// One wire session over already-connected players, each on its own
+/// thread against the referee.
 template <typename Output>
 service::ServeResult<Output> run_session(
-    std::span<const std::unique_ptr<wire::Link>> referee_links,
+    const service::RefereeService& referee,
     std::span<const std::unique_ptr<wire::Link>> player_links,
     const graph::Graph& g, const model::SketchingProtocol<Output>& protocol,
     const model::PublicCoins& coins) {
@@ -71,7 +71,7 @@ service::ServeResult<Output> run_session(
     });
   }
   service::ServeResult<Output> served = service::serve_protocol(
-      referee_links, protocol, g.num_vertices(), coins, 30000ms);
+      referee.links(), protocol, g.num_vertices(), coins, referee.timeout());
   for (std::thread& t : clients) t.join();
   return served;
 }
@@ -103,9 +103,10 @@ WireCaseRecord run_case(const std::string& name, graph::Vertex n, double p,
       referee_links.push_back(std::move(pair.referee_side));
       player_links.push_back(std::move(pair.player_side));
     }
+    const service::RefereeService referee(std::move(referee_links), 0,
+                                          30000ms);
     const auto start = Clock::now();
-    const auto served =
-        run_session(referee_links, player_links, g, protocol, coins);
+    const auto served = run_session(referee, player_links, g, protocol, coins);
     record.loopback_ms = ms_since(start);
     record.loopback_players_per_sec =
         record.loopback_ms > 0.0 ? n * 1000.0 / record.loopback_ms : 0.0;
@@ -126,20 +127,19 @@ WireCaseRecord run_case(const std::string& name, graph::Vertex n, double p,
             wire::tcp_connect("127.0.0.1", listener.port(), 10000ms));
       }
     });
-    std::vector<std::unique_ptr<wire::Link>> referee_links;
+    service::RefereeService referee(1, 0, 30000ms);
     for (std::size_t i = 0; i < clients; ++i) {
-      referee_links.push_back(listener.accept(10000ms));
+      (void)referee.adopt_fd(listener.accept_fd(10000ms));
     }
     connector.join();
 
     const auto start = Clock::now();
-    const auto served =
-        run_session(referee_links, player_links, g, protocol, coins);
+    const auto served = run_session(referee, player_links, g, protocol, coins);
     record.tcp_ms = ms_since(start);
     record.tcp_players_per_sec =
         record.tcp_ms > 0.0 ? n * 1000.0 / record.tcp_ms : 0.0;
-    for (const std::unique_ptr<wire::Link>& link : referee_links) {
-      record.transport_bytes += link->bytes_received() + link->bytes_sent();
+    for (const auto& shard : referee.links()) {
+      record.transport_bytes += shard->bytes_received() + shard->bytes_sent();
     }
     record.payload_matches_sim =
         record.payload_matches_sim &&

@@ -1,11 +1,11 @@
 // The sketching model across a real message boundary: the same AGM
 // spanning-forest protocol the simulator runs, but every sketch now
-// travels as a self-delimiting wire frame through a loopback transport to
-// a referee service, and the result comes back as a broadcast frame.
+// travels as a self-delimiting wire frame through a loopback socket to a
+// referee service, and the result comes back as a broadcast frame.
 //
 // Both runs below are the SAME round engine (docs/ENGINE.md): the
 // simulator runs it with an in-process LocalSource, the RefereeService
-// with a WireSource over the loopback links.  The point of the demo is
+// with a ShardedWireSource over its event loop's loopback sockets.  The point of the demo is
 // the accounting split.  The model charges exactly BitWriter::bit_count()
 // per player — from the engine's single ChargeSheet site in either
 // configuration — and the wire adds framing (header varints,
@@ -60,7 +60,8 @@ int main() {
 
   // The engine's wire configuration: the RefereeService adapter runs the
   // same collect/charge/decode core as model::run_protocol above, fed by
-  // a WireSource instead of an in-process LocalSource.
+  // frames from its event loop instead of an in-process LocalSource.  The
+  // referee ends of the loopback pairs move into that loop.
   service::RefereeService referee(std::move(referee_links), 99);
   const service::ServeResult<model::ForestOutput> served =
       referee.run(protocol, g.num_vertices());

@@ -25,10 +25,10 @@
 # --baseline — any case's encode MB/s drops below 80% of the committed
 # figure (the no-regression gate; see docs/ENGINE.md "hot path").
 #
-# Also emits BENCH_shard.json (schema in docs/WIRE.md): the blocking
-# single-referee session baseline vs the epoll referee's absorb rate at
-# 1/2/4 shards, with the same payload_matches_sim certification. Exits
-# nonzero only on a correctness divergence, never on a slow run.
+# Also emits BENCH_shard.json (schema in docs/WIRE.md): the referee's
+# absorb rate at 1/2/4 shards, each relative to 1 shard, with the same
+# payload_matches_sim certification. Exits nonzero only on a
+# correctness divergence, never on a slow run.
 #
 # Also emits BENCH_stream.json (schema in docs/STREAMING.md): turnstile
 # stream ingestion serial vs pooled at 1/4/max threads, with a

@@ -8,8 +8,9 @@
 //   void deliver_broadcast(unsigned round, const util::BitString& b);
 //
 // LocalSource implements it by materializing VertexViews and running the
-// player algorithm in-process; service/wire_source.h implements the same
-// contract over wire::Link frames.  Per-vertex encodes are independent by
+// player algorithm in-process; service::ShardedWireSource
+// (service/shard.h) implements the same contract over frames from the
+// referee's event loops.  Per-vertex encodes are independent by
 // construction (a player sees only its own view, the coins, and earlier
 // broadcasts — Section 2.1), so they fan out across the pool with fixed
 // chunking: sketches land in their vertex slot and results are

@@ -17,8 +17,8 @@
 //
 // The two seams (docs/ENGINE.md):
 //   * SketchSource     — where sketches come from: in-process encode via
-//     the thread pool (engine/local_source.h) or frames over wire links
-//     (service/wire_source.h).
+//     the thread pool (engine/local_source.h) or frames from the
+//     referee's shard event loops (service/shard.h).
 //   * Instrumentation  — what is observed: nothing (Plain), obs metrics
 //     (Obs), audit certification (audit/audited_runner.h), service spans
 //     (service/referee_service.h).  See engine/instrumentation.h.

@@ -1,21 +1,20 @@
-// Epoll-driven event loop: the referee's scalable ingestion path.
+// Epoll-driven event loop: the referee's ingestion path.
 //
-// The blocking transport (wire/tcp.h) gives one thread per whole-message
-// recv; a referee multiplexing hundreds of links over it spends its time
-// parked in per-link poll slices.  wire::EventLoop instead owns N
-// nonblocking fds behind one epoll instance and drives a per-connection
-// partial-read state machine, so a single poll_once() drains every link
-// that has bytes — a message is reassembled incrementally across as many
-// readiness events as the kernel delivers it in, never requiring a whole
-// message per syscall slice.
+// A blocking link (wire/tcp.h) waits on one socket per recv; a referee
+// multiplexing hundreds of players cannot.  wire::EventLoop instead owns
+// N nonblocking fds behind one epoll instance and drives a
+// per-connection partial-read state machine, so a single poll_once()
+// drains every connection that has bytes — a message is reassembled
+// incrementally across as many readiness events as the kernel delivers
+// it in, never requiring a whole message per syscall slice.
 //
 // Message framing is byte-identical to the blocking TCP transport: a
 // 4-byte little-endian length prefix followed by the body (a batch of
 // self-delimiting CRC'd frames, wire/frame.h), with the same
 // kMaxMessageBytes cap rejected before allocation.  A peer speaking to a
 // TcpLink and a peer speaking to an EventLoop connection cannot tell the
-// difference — that is what lets the sharded referee drop in under the
-// unchanged player client.
+// difference — that is what lets the referee's shards serve the blocking
+// player client.
 //
 // Failure modes mirror the blocking transport's taxonomy (docs/WIRE.md):
 // EOF at a message boundary -> kClosed; EOF mid-prefix or mid-body ->
@@ -68,7 +67,7 @@ class EventLoop {
   /// Register a wake fd (typically an eventfd, NOT owned by the loop): a
   /// write to it makes a sleeping poll_once return immediately.  One
   /// pending unit is consumed per pass; no message or close callback
-  /// fires.  The sharded referee uses a shared semaphore eventfd so the
+  /// fires.  A multi-shard referee uses a shared semaphore eventfd so the
   /// shard accepting a round's final frame can cut every sibling's
   /// poll slice short instead of letting them sleep it out.  Throws
   /// WireError on registration failure.

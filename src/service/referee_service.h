@@ -1,19 +1,34 @@
 // The referee as a service: run any existing SketchingProtocol<Output> or
-// AdaptiveProtocol<Output> over real links.
+// AdaptiveProtocol<Output> over real connections.
 //
 // This is the round engine's wire configuration: serve_protocol and
-// serve_adaptive run engine::run_rounds with a WireSource (frames from
-// links instead of in-process encodes) and the service instrumentation
-// policy, through detail::serve — the one serve template, which the
-// sharded referee (sharded_referee.h) instantiates with its own source.
-// The collection loop, the inter-round broadcasts, and — most
-// importantly — the bit accounting are therefore the SAME code the
-// simulated runners execute: CommStats come from the engine's single
-// ChargeSheet site, charged from the wire payloads in vertex order, so
-// `result.comm` here and the CommStats of model::run_protocol /
-// model::run_adaptive agree bit for bit (the tests/audit cross-check).
+// serve_adaptive run engine::run_rounds with a ShardedWireSource (frames
+// from the referee shards' event loops, service/shard.h, instead of
+// in-process encodes) and the service instrumentation policy, through
+// detail::serve, the one serve template.  The collection loop, the
+// inter-round broadcasts, and — most importantly — the bit accounting
+// are therefore the SAME code the simulated runners execute: CommStats
+// come from the engine's single ChargeSheet site, charged from the wire
+// payloads in vertex order, so `result.comm` here and the CommStats of
+// model::run_protocol / model::run_adaptive agree bit for bit, at any
+// shard count (tests/audit/wire_audit_test.cpp, shard_audit_test.cpp).
 // Framing and transport overhead are reported separately in WireStats.
+//
+// Connections arrive as raw fds (TcpListener::accept_fd, or the referee
+// end of a loopback pair via wire::release_fd) and are dealt to shards
+// round-robin, so k shards serving c connections each own either
+// floor(c/k) or ceil(c/k) of them regardless of accept order.  Vertex
+// ranges stay nominal: a player may batch its whole vertex block to
+// whichever shard its connection landed on, and the combiner still
+// converges.
 #pragma once
+
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "engine/instrumentation.h"
 #include "engine/round_engine.h"
@@ -22,7 +37,8 @@
 #include "obs/obs.h"
 #include "service/output_codec.h"
 #include "service/session.h"
-#include "service/wire_source.h"
+#include "service/shard.h"
+#include "wire/tcp.h"
 
 namespace ds::service {
 
@@ -59,7 +75,7 @@ inline obs::Histogram& reply_us_histogram() {
 
 /// Engine Instrumentation policy for the service: the collect and decode
 /// spans.  The per-round frame metrics (service.sketch_bits and friends)
-/// are recorded by RoundCollector::finish (session.cpp), on either path.
+/// are recorded by RoundCollector::finish (session.cpp).
 struct ServiceInstrumentation {
   [[nodiscard]] obs::ScopedSpan collect_span() const {
     return obs::ScopedSpan("service.collect", &collect_us_histogram());
@@ -72,15 +88,16 @@ struct ServiceInstrumentation {
   void on_broadcast(unsigned, const util::BitString&) const noexcept {}
 };
 
-/// The one serve template behind every serve_* entry point: the engine's
-/// rounds over `source` (a WireSource or a ShardedWireSource), then the
-/// decoded output broadcast as the final kResult frame, stamped with the
-/// last round.  A Source provides, beside the engine's SketchSource pair
-/// collect/deliver_broadcast, protocol_id(), broadcast_frame(header,
-/// payload) (counted into its downlink), uplink() and downlink().
-template <typename Source, typename Referee>
-[[nodiscard]] auto serve(Source& source, const Referee& referee,
-                         graph::Vertex n) {
+/// The one serve template behind serve_protocol and serve_adaptive: the
+/// engine's rounds over the shards, then the decoded output broadcast as
+/// the final kResult frame, stamped with the last round.
+template <typename Referee>
+[[nodiscard]] auto serve(std::span<const std::unique_ptr<RefereeShard>> shards,
+                         const Referee& referee, graph::Vertex n,
+                         std::string_view protocol_name,
+                         std::chrono::milliseconds timeout, ShardDrive drive) {
+  ShardedWireSource source(shards, n, wire::protocol_id(protocol_name),
+                           timeout, drive);
   ServiceInstrumentation instr;
   auto run = engine::run_rounds(n, referee, source, instr);
   using Output = decltype(run.output);
@@ -100,72 +117,100 @@ template <typename Source, typename Referee>
 }  // namespace detail
 
 /// One-round service: collect, decode, broadcast the result (the engine's
-/// R = 1 case over a WireSource).
+/// R = 1 case).
 template <typename Output>
 [[nodiscard]] ServeResult<Output> serve_protocol(
-    std::span<const std::unique_ptr<wire::Link>> links,
+    std::span<const std::unique_ptr<RefereeShard>> shards,
     const model::SketchingProtocol<Output>& protocol, graph::Vertex n,
     const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  WireSource source(links, n, wire::protocol_id(protocol.name()), timeout);
-  return detail::serve(
-      source, engine::OneRoundReferee<Output>(protocol, coins), n);
+    std::chrono::milliseconds timeout = kDefaultRoundTimeout,
+    ShardDrive drive = ShardDrive::kAuto) {
+  return detail::serve(shards,
+                       engine::OneRoundReferee<Output>(protocol, coins), n,
+                       protocol.name(), timeout, drive);
 }
 
-/// Multi-round adaptive service: the same engine loop over real links,
-/// with inter-round kBroadcast frames pushed by the WireSource.
+/// Multi-round adaptive service: the same engine loop, with inter-round
+/// kBroadcast frames pushed through every shard's event loop.
 template <typename Output>
 [[nodiscard]] ServeResult<Output> serve_adaptive(
-    std::span<const std::unique_ptr<wire::Link>> links,
+    std::span<const std::unique_ptr<RefereeShard>> shards,
     const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n,
     const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  WireSource source(links, n, wire::protocol_id(protocol.name()), timeout);
-  return detail::serve(
-      source, engine::AdaptiveReferee<Output>(protocol, coins), n);
+    std::chrono::milliseconds timeout = kDefaultRoundTimeout,
+    ShardDrive drive = ShardDrive::kAuto) {
+  return detail::serve(shards,
+                       engine::AdaptiveReferee<Output>(protocol, coins), n,
+                       protocol.name(), timeout, drive);
 }
 
-/// Convenience owner: links + timeout + coins in one object, for the
-/// service binary and tests.
+/// Convenience owner: k shards + timeout + coins in one object, for the
+/// service binary, scenario trials and tests.
 class RefereeService {
  public:
+  /// `num_shards` shards (at least one) with no connections yet; add them
+  /// with adopt_fd.
+  explicit RefereeService(std::size_t num_shards, std::uint64_t coin_seed,
+                          std::chrono::milliseconds timeout =
+                              kDefaultRoundTimeout)
+      : coins_(coin_seed), timeout_(timeout) {
+    const std::size_t k = std::max<std::size_t>(num_shards, 1);
+    shards_.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      shards_.push_back(std::make_unique<RefereeShard>(i, k));
+    }
+  }
+
+  /// One shard serving `links`: each link's socket moves into the shard's
+  /// event loop (wire::release_fd, which throws for a link that is not at
+  /// a message boundary).
   RefereeService(std::vector<std::unique_ptr<wire::Link>> links,
                  std::uint64_t coin_seed,
                  std::chrono::milliseconds timeout = kDefaultRoundTimeout)
-      : links_(std::move(links)), coins_(coin_seed), timeout_(timeout) {}
+      : RefereeService(1, coin_seed, timeout) {
+    for (std::unique_ptr<wire::Link>& link : links) {
+      (void)adopt_fd(wire::release_fd(std::move(link)));
+    }
+  }
+
+  /// Adopt a connected socket (ownership passes to the chosen shard's
+  /// event loop).  Returns the shard index it landed on.
+  std::size_t adopt_fd(int fd) {
+    const std::size_t shard = next_++ % shards_.size();
+    shards_[shard]->adopt_fd(fd);
+    return shard;
+  }
 
   template <typename Output>
   [[nodiscard]] ServeResult<Output> run(
       const model::SketchingProtocol<Output>& protocol, graph::Vertex n) {
-    return serve_protocol(links_, protocol, n, coins_, timeout_);
+    return serve_protocol(shards_, protocol, n, coins_, timeout_);
   }
 
   template <typename Output>
   [[nodiscard]] ServeResult<Output> run_adaptive(
       const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n) {
-    return serve_adaptive(links_, protocol, n, coins_, timeout_);
+    return serve_adaptive(shards_, protocol, n, coins_, timeout_);
   }
 
-  [[nodiscard]] std::size_t num_links() const noexcept {
-    return links_.size();
-  }
   [[nodiscard]] const model::PublicCoins& coins() const noexcept {
     return coins_;
   }
-  /// The raw links, for callers (scenario trials) that serve with
-  /// per-trial coins via the free serve_* functions instead of coins().
-  [[nodiscard]] std::span<const std::unique_ptr<wire::Link>> links()
+  /// The shards, for callers (scenario trials) that serve with per-trial
+  /// coins via the free serve_* functions instead of coins().
+  [[nodiscard]] std::span<const std::unique_ptr<RefereeShard>> links()
       const noexcept {
-    return links_;
+    return shards_;
   }
   [[nodiscard]] std::chrono::milliseconds timeout() const noexcept {
     return timeout_;
   }
 
  private:
-  std::vector<std::unique_ptr<wire::Link>> links_;
+  std::vector<std::unique_ptr<RefereeShard>> shards_;
   model::PublicCoins coins_;
   std::chrono::milliseconds timeout_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace ds::service

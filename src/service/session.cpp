@@ -15,28 +15,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Upper bound on one link's poll slice while a round is collecting:
-/// long enough to avoid busy-spinning, short enough that a referee
-/// multiplexing many links stays responsive on all of them.  Near the
-/// deadline the slice shrinks further — see fair_poll_slice.
-constexpr std::chrono::milliseconds kPollSlice{20};
-
 /// Missing-vertex ranges a deadline diagnostic lists before eliding.
 constexpr std::size_t kListedRanges = 8;
 
-std::chrono::milliseconds slice_until(Clock::time_point deadline,
-                                      std::size_t live_links) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  return fair_poll_slice(left, live_links);
-}
-
 /// Round counters and histograms, recorded once per round by
-/// RoundCollector::finish whichever referee path collected it.  The
-/// per-sketch `sketch_bits` histogram mirrors the model accounting
-/// exactly: count == players, sum == CommStats::total_bits, max ==
-/// CommStats::max_bits for a one-round session (asserted by
-/// tests/audit/obs_audit_test.cpp).
+/// RoundCollector::finish.  The per-sketch `sketch_bits` histogram
+/// mirrors the model accounting exactly: count == players, sum ==
+/// CommStats::total_bits, max == CommStats::max_bits for a one-round
+/// session (asserted by tests/audit/obs_audit_test.cpp).
 struct ServiceMetrics {
   obs::Counter& rounds_collected =
       obs::counter("service.rounds_collected");
@@ -46,9 +32,7 @@ struct ServiceMetrics {
   obs::Histogram& sketch_bits = obs::histogram("service.sketch_bits");
   obs::Histogram& round_payload_bits =
       obs::histogram("service.round_payload_bits");
-  obs::Counter& dead_links = obs::counter("service.dead_links");
   obs::Counter& deadline_misses = obs::counter("service.deadline_misses");
-  obs::Counter& broadcasts = obs::counter("service.broadcasts");
   // Rejected frames, indexed by RejectReason (sum ==
   // WireStats::rejected_frames).
   static_assert(static_cast<std::size_t>(RejectReason::kDuplicate) + 1 ==
@@ -247,71 +231,6 @@ CollectedRound RoundCollector::finish() && {
   out.sketches = std::move(sketches_);
   out.rejects = std::move(rejects_);
   return out;
-}
-
-std::chrono::milliseconds fair_poll_slice(std::chrono::milliseconds left,
-                                          std::size_t live_links) noexcept {
-  if (left.count() <= 0) return std::chrono::milliseconds(0);
-  // The pre-fix bug: a fixed min(left, 20ms) slice let one slow link eat
-  // the whole remainder near the deadline while another link's frames
-  // sat ready.  Dividing by the live-link count makes a full pass over
-  // the links consume at most the remainder it started with, so every
-  // link is polled at least once more before the deadline.
-  const auto share = std::chrono::milliseconds(
-      left.count() / static_cast<std::int64_t>(std::max<std::size_t>(
-                         live_links, 1)));
-  return std::clamp(share, std::chrono::milliseconds(1), kPollSlice);
-}
-
-CollectedRound collect_sketch_round(
-    std::span<const std::unique_ptr<wire::Link>> links, graph::Vertex n,
-    std::uint32_t protocol_id, std::uint32_t round,
-    std::chrono::milliseconds timeout) {
-  RoundCollector collector({n, protocol_id, round});
-  std::vector<bool> link_live(links.size(), true);
-  const Clock::time_point deadline = Clock::now() + timeout;
-  while (!collector.complete()) {
-    const auto live = static_cast<std::size_t>(
-        std::count(link_live.begin(), link_live.end(), true));
-    for (std::size_t li = 0; li < links.size() && !collector.complete();
-         ++li) {
-      if (!link_live[li]) continue;
-      const wire::RecvResult msg =
-          links[li]->recv(slice_until(deadline, live));
-      if (msg.status == wire::RecvStatus::kTimeout) continue;
-      if (msg.status != wire::RecvStatus::kOk) {
-        // Links are fixed for the session, so a closed or broken one
-        // stops being polled; its players' missing sketches surface at
-        // the deadline.
-        link_live[li] = false;
-        metrics().dead_links.increment();
-        continue;
-      }
-      (void)collector.offer_message(msg.message, "link", li);
-    }
-    if (live == 0 || Clock::now() >= deadline) break;
-  }
-  return std::move(collector).finish();
-}
-
-WireStats broadcast_to_links(
-    std::span<const std::unique_ptr<wire::Link>> links,
-    const wire::FrameHeader& header, const util::BitString& payload) {
-  const obs::ScopedSpan span("service.broadcast");
-  std::vector<std::uint8_t> bytes;
-  const std::size_t framing = wire::encode_frame(header, payload, bytes);
-  WireStats stats;
-  for (const std::unique_ptr<wire::Link>& link : links) {
-    if (!link->send(bytes)) {
-      throw ServiceError("broadcast failed: a player link is gone");
-    }
-    ++stats.frames;
-    ++stats.messages;
-    stats.payload_bits += payload.bit_count();
-    stats.framing_bits += framing;
-    metrics().broadcasts.increment();
-  }
-  return stats;
 }
 
 std::size_t append_sketch_frame(std::vector<std::uint8_t>& batch,

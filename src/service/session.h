@@ -1,6 +1,6 @@
 // Wire-session vocabulary shared by the referee service and the player
-// client: separated byte accounting, the round collector both referee
-// paths drive, and the failure type.
+// client: separated byte accounting, the round collector every referee
+// shard drives, and the failure type.
 //
 // Accounting contract (docs/WIRE.md): WireStats::payload_bits counts
 // exactly the bits the model charges — BitWriter::bit_count() of each
@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -58,8 +57,8 @@ struct WireStats {
   }
 };
 
-/// Why a player frame was rejected: the one taxonomy both referee paths
-/// use, counted as service.reject.<reject_reason_name(reason)>.
+/// Why a player frame was rejected: the referee's one taxonomy, counted as
+/// service.reject.<reject_reason_name(reason)>.
 enum class RejectReason : std::uint8_t {
   kCorrupt,      // the message failed to decode; its rest is dropped
   kBadType,      // not a kSketch frame
@@ -76,7 +75,7 @@ inline constexpr std::size_t kRejectReasons = 6;
 
 struct Reject {
   RejectReason reason = RejectReason::kCorrupt;
-  std::string detail;  // which frame, from which link or connection
+  std::string detail;  // which frame, from which connection
 };
 
 /// One fully collected sketch round.
@@ -102,12 +101,11 @@ struct RoundSpec {
 };
 
 /// The round collector: the acceptance rule, the reject taxonomy, and the
-/// round's close, in one place.  The blocking loop (collect_sketch_round)
-/// feeds one collector from its links; each sharded-referee shard feeds
-/// its own, and the combiner folds them together with absorb().  Offering
-/// touches no shared state and no metrics, so a shard's thread can drive
-/// its collector alone; finish() records the round in the service.*
-/// metrics once, whichever path collected it.
+/// round's close, in one place.  Each referee shard (service/shard.h)
+/// feeds its own collector from its connections, and the combiner folds
+/// them together with absorb().  Offering touches no shared state and no
+/// metrics, so a shard's thread can drive its collector alone; finish()
+/// records the combined round in the service.* metrics once.
 class RoundCollector {
  public:
   RoundCollector() = default;
@@ -118,7 +116,8 @@ class RoundCollector {
   /// round, for a vertex below n that holds no sketch yet; anything else
   /// becomes a Reject, as does a message that fails to decode (frames
   /// before the damage still count).  `from` and `from_index` label the
-  /// sender in reject details ("link", 3).  Returns the frames accepted.
+  /// sender in reject details ("shard 0 conn", 3).  Returns the frames
+  /// accepted.
   std::size_t offer_message(std::span<const std::uint8_t> message,
                             std::string_view from, std::size_t from_index);
 
@@ -153,33 +152,6 @@ class RoundCollector {
   std::size_t messages_ = 0;
   std::vector<Reject> rejects_;
 };
-
-/// The per-link poll slice while `left` remains to the round deadline and
-/// `live_links` links are still being polled.  Dividing the remainder by
-/// the live-link count bounds how long any one slow link can be waited on
-/// before every other link is polled again: from any instant, a full
-/// pass over the links consumes at most the current remainder, so no
-/// link starves at the deadline behind a slow reader (regression:
-/// tests/service/shard_test.cpp SlowReaderCannotStarveOtherLinks).
-[[nodiscard]] std::chrono::milliseconds fair_poll_slice(
-    std::chrono::milliseconds left, std::size_t live_links) noexcept;
-
-/// The blocking referee path: poll `links` and feed every message to one
-/// RoundCollector until the round is complete, every link is dead, or
-/// `timeout` passes (players may be spread over the links arbitrarily and
-/// batch many frames per message; a rejected frame's sender can
-/// retransmit until the deadline).  Throws ServiceError if any vertex is
-/// still missing then.
-[[nodiscard]] CollectedRound collect_sketch_round(
-    std::span<const std::unique_ptr<wire::Link>> links, graph::Vertex n,
-    std::uint32_t protocol_id, std::uint32_t round,
-    std::chrono::milliseconds timeout);
-
-/// Send one referee frame (kBroadcast or kResult) to every link.
-/// Returns the per-link stats (payload counted once per link sent to).
-WireStats broadcast_to_links(
-    std::span<const std::unique_ptr<wire::Link>> links,
-    const wire::FrameHeader& header, const util::BitString& payload);
 
 /// Append one sketch frame to a player's outgoing batch; returns framing
 /// bits added.  `batch` is sent as a single Link message.

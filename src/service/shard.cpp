@@ -16,20 +16,20 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Upper bound on one shard's epoll wait while a round is open: short
-/// enough that a shard whose own links are quiet notices the shared
-/// accepted-count reaching n (set by its siblings) promptly.  This is
+/// enough that a shard whose own connections are quiet notices the
+/// shared RoundProgress ending (set by its siblings) promptly.  This is
 /// the whole round's completion lag for a shard that finished early —
 /// 1ms (the epoll_wait floor) keeps the multi-shard tail under a
 /// millisecond without busy-spinning a core away from the siblings.
 constexpr std::chrono::milliseconds kShardPollSlice{1};
 
-/// Sharded-referee counters (docs/OBSERVABILITY.md).  Frames, payload
-/// and rejects are counted once per combined round under service.*, by
-/// RoundCollector::finish; what is left here has no blocking-path
-/// sibling: out_of_range (a frame landing on a shard that does not
-/// nominally own its vertex — legal, but worth watching) and
-/// cross_shard_duplicates (the combiner-divergence failure mode in
-/// docs/WIRE.md).
+/// Shard counters (docs/OBSERVABILITY.md).  Frames, payload and rejects
+/// are counted once per combined round under service.*, by
+/// RoundCollector::finish; what is counted here is per shard:
+/// out_of_range (a frame landing on a shard that does not nominally own
+/// its vertex — legal, but worth watching), cross_shard_duplicates (the
+/// combiner-divergence failure mode in docs/WIRE.md), connections that
+/// closed, and broadcast sends.
 struct ShardMetrics {
   obs::Counter& out_of_range = obs::counter("service.shard.out_of_range");
   obs::Counter& cross_shard_duplicates =
@@ -57,7 +57,7 @@ RefereeShard::RefereeShard(std::size_t index, std::size_t parts)
         open_.offer_message(message, conn_label_, conn);
     if (taken == 0) return;
     const graph::Vertex n = open_.spec().n;
-    const graph::Vertex before = accepted_->fetch_add(
+    const graph::Vertex before = progress_->accepted.fetch_add(
         static_cast<graph::Vertex>(taken), std::memory_order_acq_rel);
     if (before < n && before + taken >= n && wake_fd_ >= 0) {
       // Round complete: post one semaphore unit per shard so every
@@ -66,8 +66,12 @@ RefereeShard::RefereeShard(std::size_t index, std::size_t parts)
       (void)!::write(wake_fd_, &units, sizeof(units));
     }
   };
-  on_close_ = [](std::size_t, wire::RecvStatus) {
+  // A closed connection can deliver nothing more this round; once none is
+  // left on any shard the round is over (siblings notice within a poll
+  // slice).
+  on_close_ = [this](std::size_t, wire::RecvStatus) {
     metrics().dead_connections.increment();
+    progress_->open.fetch_sub(1, std::memory_order_acq_rel);
   };
 }
 
@@ -93,9 +97,9 @@ std::size_t RefereeShard::bytes_received() const noexcept {
 }
 
 void RefereeShard::begin_round(const RoundSpec& spec,
-                               std::atomic<graph::Vertex>& accepted_global) {
+                               RoundProgress& progress) {
   open_ = RoundCollector(spec);
-  accepted_ = &accepted_global;
+  progress_ = &progress;
 }
 
 std::size_t RefereeShard::poll_round(std::chrono::milliseconds timeout) {
@@ -103,23 +107,22 @@ std::size_t RefereeShard::poll_round(std::chrono::milliseconds timeout) {
 }
 
 RoundCollector RefereeShard::end_round() {
-  accepted_ = nullptr;
+  progress_ = nullptr;
   return std::move(open_);
 }
 
-RoundCollector RefereeShard::collect_round(
-    const RoundSpec& spec, Clock::time_point deadline,
-    std::atomic<graph::Vertex>& accepted_global) {
-  begin_round(spec, accepted_global);
+RoundCollector RefereeShard::collect_round(const RoundSpec& spec,
+                                           Clock::time_point deadline,
+                                           RoundProgress& progress) {
+  begin_round(spec, progress);
   const obs::ScopedSpan span("service.shard.collect",
                              &metrics().collect_us);
-  while (accepted_global.load(std::memory_order_acquire) < spec.n) {
+  while (!progress.over(spec.n)) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (left.count() <= 0) break;
-    // A shard with no live connections cannot make progress itself, but
-    // still keeps its thread alive (cheaply) so siblings own the round's
-    // fate; an early return here would be indistinguishable from one.
+    // A shard with no open connection of its own cannot make progress,
+    // but keeps polling (cheaply) while a sibling still can.
     (void)poll_round(
         std::clamp(left, std::chrono::milliseconds(1), kShardPollSlice));
   }
@@ -219,9 +222,8 @@ void ShardedWireSource::ensure_workers() {
           seen = generation_;
           task = task_;
         }
-        (*task.rounds)[s] =
-            shards_[s]->collect_round(task.spec, task.deadline,
-                                      *task.accepted);
+        (*task.rounds)[s] = shards_[s]->collect_round(
+            task.spec, task.deadline, *task.progress);
         {
           const std::lock_guard<std::mutex> lock(mu_);
           ++done_count_;
@@ -234,12 +236,11 @@ void ShardedWireSource::ensure_workers() {
 
 void ShardedWireSource::collect_threaded(
     const RoundSpec& spec, Clock::time_point deadline,
-    std::atomic<graph::Vertex>& accepted,
-    std::vector<RoundCollector>& rounds) {
+    RoundProgress& progress, std::vector<RoundCollector>& rounds) {
   ensure_workers();
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    task_ = RoundTask{spec, deadline, &accepted, &rounds};
+    task_ = RoundTask{spec, deadline, &progress, &rounds};
     done_count_ = 0;
     ++generation_;
   }
@@ -250,8 +251,7 @@ void ShardedWireSource::collect_threaded(
 
 void ShardedWireSource::collect_inline(
     const RoundSpec& spec, Clock::time_point deadline,
-    std::atomic<graph::Vertex>& accepted,
-    std::vector<RoundCollector>& rounds) {
+    RoundProgress& progress, std::vector<RoundCollector>& rounds) {
   // Consecutive empty rotations tolerated before parking in epoll_wait:
   // while senders (usually threads sharing this core) are producing,
   // yielding between rotations hands them the core with no sleep/wake
@@ -259,18 +259,17 @@ void ShardedWireSource::collect_inline(
   constexpr std::size_t kIdleRotationsBeforePark = 256;
 
   for (const std::unique_ptr<RefereeShard>& shard : shards_) {
-    shard->begin_round(spec, accepted);
+    shard->begin_round(spec, progress);
   }
   const obs::ScopedSpan span("service.shard.collect",
                              &metrics().collect_us);
   std::size_t idle_rotations = 0;
   std::size_t park_target = 0;
-  while (accepted.load(std::memory_order_acquire) < spec.n &&
-         Clock::now() < deadline) {
+  while (!progress.over(spec.n) && Clock::now() < deadline) {
     std::size_t events = 0;
     for (const std::unique_ptr<RefereeShard>& shard : shards_) {
       events += shard->poll_round(std::chrono::milliseconds(0));
-      if (accepted.load(std::memory_order_acquire) >= spec.n) break;
+      if (progress.over(spec.n)) break;
     }
     if (events > 0) {
       idle_rotations = 0;
@@ -294,15 +293,19 @@ std::vector<util::BitString> ShardedWireSource::collect(
     unsigned round, std::span<const util::BitString> /*broadcasts*/) {
   const RoundSpec spec{n_, protocol_id_, round};
   const Clock::time_point deadline = Clock::now() + timeout_;
-  std::atomic<graph::Vertex> accepted{0};
+  std::size_t open = 0;
+  for (const std::unique_ptr<RefereeShard>& shard : shards_) {
+    open += shard->open_connections();
+  }
+  RoundProgress progress(open);
   std::vector<RoundCollector> rounds(shards_.size());
 
   if (shards_.size() == 1) {
-    rounds[0] = shards_[0]->collect_round(spec, deadline, accepted);
+    rounds[0] = shards_[0]->collect_round(spec, deadline, progress);
   } else if (drive_ == ShardDrive::kThreads) {
-    collect_threaded(spec, deadline, accepted, rounds);
+    collect_threaded(spec, deadline, progress, rounds);
   } else {
-    collect_inline(spec, deadline, accepted, rounds);
+    collect_inline(spec, deadline, progress, rounds);
   }
 
   CollectedRound combined = combine_shard_rounds(rounds);

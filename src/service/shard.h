@@ -1,15 +1,15 @@
-// The sharded referee: N RefereeShards, each owning an epoll event loop
-// over its block of player connections, feeding one combiner.
+// The referee's ingestion: k >= 1 RefereeShards, each owning an epoll
+// event loop over its block of player connections, feeding one combiner.
 //
 // Sharding splits the referee's ingestion, not the model.  Each shard
 // feeds the messages its connections deliver for the current round to
-// its own RoundCollector (the blocking path's acceptance rule and reject
-// taxonomy), and combine_shard_rounds folds the collectors, in shard
-// order, into the one CollectedRound the engine decodes.  The engine
-// charges sketches in vertex order, so the sharded service and the
-// single-referee service produce bit-identical CommStats by construction
-// (ShardedWireSource is just the third implementation of the engine's
-// SketchSource seam, after LocalSource and WireSource).
+// its own RoundCollector (the one acceptance rule and reject taxonomy,
+// service/session.h), and combine_shard_rounds folds the collectors, in
+// shard order, into the one CollectedRound the engine decodes.  The
+// engine charges sketches in vertex order, so every shard count produces
+// bit-identical CommStats by construction (ShardedWireSource is the
+// engine's wire SketchSource; engine/local_source.h is the in-process
+// one).
 //
 // Vertex ownership is nominal: shard i of k nominally owns the
 // contiguous range shard_range(n, k, i), and frames landing outside it
@@ -21,10 +21,12 @@
 // duplicate rejection — so the decode never depends on thread timing
 // (docs/WIRE.md, failure-mode table).
 //
-// Round completion is coordinated through one shared atomic: every shard
-// adds the frames each message got accepted, and every shard's poll loop
-// exits once it reaches n, so no shard waits out the deadline after the
-// round is already complete elsewhere.
+// A round's end is coordinated through one RoundProgress: every shard
+// adds the frames each message got accepted and drops each connection
+// that closes, and every shard's poll loop exits once all n vertices are
+// in or no connection is left on any shard, so no shard waits out the
+// deadline after the round is complete elsewhere, or after every player
+// is gone.
 #pragma once
 
 #include <atomic>
@@ -45,9 +47,26 @@
 
 namespace ds::service {
 
+/// One round's progress, shared by every shard collecting it: the
+/// vertices accepted so far and the connections still open, summed over
+/// all shards.
+struct RoundProgress {
+  explicit RoundProgress(std::size_t open_connections) noexcept
+      : open(open_connections) {}
+
+  std::atomic<graph::Vertex> accepted{0};
+  std::atomic<std::size_t> open;
+
+  /// Every vertex is in, or no player is left who could send one.
+  [[nodiscard]] bool over(graph::Vertex n) const noexcept {
+    return accepted.load(std::memory_order_acquire) >= n ||
+           open.load(std::memory_order_acquire) == 0;
+  }
+};
+
 /// One referee shard: an event loop over this shard's connections and
-/// the round collector it feeds.  Single-threaded — the
-/// owning ShardedWireSource gives each shard its own collection thread.
+/// the round collector it feeds.  Single-threaded: one thread at a time
+/// drives it (the collecting thread, or its worker; see ShardDrive).
 class RefereeShard {
  public:
   /// `index` of `parts` shards; the nominal vertex range is
@@ -72,17 +91,17 @@ class RefereeShard {
   /// deregisters it from the loop's epoll set).
   void detach_wake() noexcept { wake_fd_ = -1; }
 
-  /// Drive the event loop until every vertex is globally accounted for
-  /// (`accepted_global` reaches spec.n, counting acceptances across all
-  /// shards) or `deadline` passes, collecting this shard's frames.
-  /// Never throws on peer misbehaviour — bad frames are rejected and
-  /// recorded, dead connections are dropped, and missing vertices are
-  /// diagnosed when the combined round is finished, not here.  Equivalent to
-  /// begin_round + poll_round until done + end_round.
+  /// Drive the event loop until `progress` is over (every vertex accepted
+  /// on some shard, or no connection open on any) or `deadline` passes,
+  /// collecting this shard's frames.  Never throws on peer misbehaviour —
+  /// bad frames are rejected and recorded, dead connections are dropped,
+  /// and missing vertices are diagnosed when the combined round is
+  /// finished, not here.  Equivalent to begin_round + poll_round until
+  /// done + end_round.
   [[nodiscard]] RoundCollector collect_round(
       const RoundSpec& spec,
       std::chrono::steady_clock::time_point deadline,
-      std::atomic<graph::Vertex>& accepted_global);
+      RoundProgress& progress);
 
   /// Incremental round API, for a driver multiplexing several shards on
   /// one thread (ShardDrive::kInline).  begin_round opens the round's
@@ -90,15 +109,14 @@ class RefereeShard {
   /// `timeout` parked in epoll_wait) and returns the number of
   /// connections that had events; end_round yields the collector.
   /// begin_round while a round is open resets it.
-  void begin_round(const RoundSpec& spec,
-                   std::atomic<graph::Vertex>& accepted_global);
+  void begin_round(const RoundSpec& spec, RoundProgress& progress);
   std::size_t poll_round(std::chrono::milliseconds timeout);
   [[nodiscard]] RoundCollector end_round();
 
   /// Queue `message` on every live connection and flush until all
   /// backlogs reach the kernel or `deadline` passes.  Throws
   /// ServiceError if a connection dies or the deadline cuts the flush
-  /// short — same contract as broadcast_to_links.
+  /// short.
   void broadcast(std::span<const std::uint8_t> message,
                  std::chrono::steady_clock::time_point deadline);
 
@@ -117,7 +135,7 @@ class RefereeShard {
   std::vector<std::size_t> conns_;  // every id ever adopted
   // The round open between begin_round and end_round.
   RoundCollector open_;
-  std::atomic<graph::Vertex>* accepted_ = nullptr;
+  RoundProgress* progress_ = nullptr;
   wire::EventLoop::MessageFn on_message_;  // bound to open_, built once
   wire::EventLoop::CloseFn on_close_;
 };
@@ -148,12 +166,12 @@ enum class ShardDrive {
   kInline,
 };
 
-/// The sharded SketchSource: collect() fans the round out across shards
-/// (one persistent parked worker thread per shard, or an inline
-/// single-thread rotation — see ShardDrive) and combines;
-/// deliver_broadcast() pushes the inter-round frame down every shard's
-/// connections.  Plugs into engine::run_rounds exactly where WireSource
-/// does.
+/// The referee's SketchSource: collect() runs the round on the calling
+/// thread for one shard, or fans it out across shards (one persistent
+/// parked worker thread per shard, or an inline single-thread rotation —
+/// see ShardDrive), and combines; deliver_broadcast() pushes the
+/// inter-round frame down every shard's connections.  Plugs into
+/// engine::run_rounds where LocalSource does in the simulator.
 class ShardedWireSource {
  public:
   /// Under ShardDrive::kThreads with more than one shard this also
@@ -171,7 +189,8 @@ class ShardedWireSource {
   ShardedWireSource& operator=(const ShardedWireSource&) = delete;
 
   /// One engine round across all shards.  Throws ServiceError (from the
-  /// combiner) if any vertex is missing at the deadline.
+  /// combiner) if any vertex is missing at the deadline, or once every
+  /// connection has closed without delivering it.
   [[nodiscard]] std::vector<util::BitString> collect(
       unsigned round, std::span<const util::BitString> /*broadcasts*/);
 
@@ -198,18 +217,18 @@ class ShardedWireSource {
   struct RoundTask {
     RoundSpec spec;
     std::chrono::steady_clock::time_point deadline;
-    std::atomic<graph::Vertex>* accepted = nullptr;
+    RoundProgress* progress = nullptr;
     std::vector<RoundCollector>* rounds = nullptr;
   };
 
   void ensure_workers();
   void collect_threaded(const RoundSpec& spec,
                         std::chrono::steady_clock::time_point deadline,
-                        std::atomic<graph::Vertex>& accepted,
+                        RoundProgress& progress,
                         std::vector<RoundCollector>& rounds);
   void collect_inline(const RoundSpec& spec,
                       std::chrono::steady_clock::time_point deadline,
-                      std::atomic<graph::Vertex>& accepted,
+                      RoundProgress& progress,
                       std::vector<RoundCollector>& rounds);
 
   std::span<const std::unique_ptr<RefereeShard>> shards_;

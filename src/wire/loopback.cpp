@@ -1,144 +1,17 @@
 #include "wire/loopback.h"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <sys/socket.h>
 
-#include "obs/obs.h"
+#include "wire/tcp.h"
 
 namespace ds::wire {
 
-namespace {
-
-struct LoopbackMetrics {
-  obs::Counter& messages_sent = obs::counter("wire.loopback.messages_sent");
-  obs::Counter& messages_received =
-      obs::counter("wire.loopback.messages_received");
-  obs::Counter& bytes_sent = obs::counter("wire.loopback.bytes_sent");
-  obs::Counter& bytes_received =
-      obs::counter("wire.loopback.bytes_received");
-  obs::Histogram& message_bytes =
-      obs::histogram("wire.loopback.message_bytes");
-  obs::Counter& recv_timeouts = obs::counter("wire.loopback.recv_timeouts");
-  obs::Counter& clean_closes = obs::counter("wire.loopback.clean_closes");
-  obs::Counter& send_failures = obs::counter("wire.loopback.send_failures");
-};
-
-LoopbackMetrics& metrics() {
-  static LoopbackMetrics m;
-  return m;
-}
-
-/// One direction of the pair: a queue of whole messages.
-struct Channel {
-  std::mutex mutex;
-  std::condition_variable ready;
-  std::deque<std::vector<std::uint8_t>> queue;
-  bool closed = false;
-
-  void push(std::span<const std::uint8_t> message) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      queue.emplace_back(message.begin(), message.end());
-    }
-    ready.notify_one();
-  }
-
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      closed = true;
-    }
-    ready.notify_all();
-  }
-
-  RecvResult pop(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex);
-    ready.wait_for(lock, timeout,
-                   [this] { return !queue.empty() || closed; });
-    if (!queue.empty()) {
-      RecvResult result{RecvStatus::kOk, std::move(queue.front())};
-      queue.pop_front();
-      return result;
-    }
-    return {closed ? RecvStatus::kClosed : RecvStatus::kTimeout, {}};
-  }
-
-  [[nodiscard]] bool is_closed() {
-    const std::lock_guard<std::mutex> lock(mutex);
-    return closed;
-  }
-};
-
-struct Shared {
-  Channel to_referee;
-  Channel to_player;
-};
-
-class LoopbackLink final : public Link {
- public:
-  LoopbackLink(std::shared_ptr<Shared> shared, Channel* out, Channel* in)
-      : shared_(std::move(shared)), out_(out), in_(in) {}
-
-  ~LoopbackLink() override {
-    // Closing our outbound side lets the peer drain and then see kClosed;
-    // closing inbound unblocks any concurrent recv.
-    out_->close();
-    in_->close();
-  }
-
-  bool send(std::span<const std::uint8_t> message) override {
-    if (out_->is_closed()) {
-      metrics().send_failures.increment();
-      return false;
-    }
-    out_->push(message);
-    sent_ += message.size();
-    metrics().messages_sent.increment();
-    metrics().bytes_sent.add(message.size());
-    metrics().message_bytes.record(message.size());
-    return true;
-  }
-
-  RecvResult recv(std::chrono::milliseconds timeout) override {
-    RecvResult result = in_->pop(timeout);
-    if (result.status == RecvStatus::kOk) {
-      received_ += result.message.size();
-      metrics().messages_received.increment();
-      metrics().bytes_received.add(result.message.size());
-    } else if (result.status == RecvStatus::kTimeout) {
-      metrics().recv_timeouts.increment();
-    } else if (result.status == RecvStatus::kClosed) {
-      metrics().clean_closes.increment();
-    }
-    return result;
-  }
-
-  [[nodiscard]] std::size_t bytes_sent() const noexcept override {
-    return sent_;
-  }
-  [[nodiscard]] std::size_t bytes_received() const noexcept override {
-    return received_;
-  }
-
- private:
-  std::shared_ptr<Shared> shared_;  // keeps both channels alive
-  Channel* out_;
-  Channel* in_;
-  std::size_t sent_ = 0;
-  std::size_t received_ = 0;
-};
-
-}  // namespace
-
 LoopbackPair make_loopback_pair() {
-  auto shared = std::make_shared<Shared>();
-  LoopbackPair pair;
-  pair.referee_side = std::make_unique<LoopbackLink>(
-      shared, &shared->to_player, &shared->to_referee);
-  pair.player_side = std::make_unique<LoopbackLink>(
-      shared, &shared->to_referee, &shared->to_player);
-  return pair;
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw WireError("make_loopback_pair: socketpair failed");
+  }
+  return {tcp_adopt_fd(fds[0]), tcp_adopt_fd(fds[1])};
 }
 
 }  // namespace ds::wire

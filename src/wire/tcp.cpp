@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "obs/obs.h"
 #include "wire/test_hooks.h"
@@ -91,9 +92,9 @@ std::chrono::milliseconds time_left(Clock::time_point deadline) {
 }
 
 /// Deadline expiry and a failed poll() are different events and must
-/// stay distinguishable: collapsing them (the pre-fix bug) made the
-/// session loop spin on a dead fd until the round deadline, reporting
-/// kTimeout the whole way.
+/// stay distinguishable: collapsing them (the pre-fix bug) made a polling
+/// caller spin on a dead fd until its deadline, reporting kTimeout the
+/// whole way.
 enum class PollOutcome : std::uint8_t { kReady, kTimeout, kError };
 
 /// Wait until fd is readable, the deadline expires, or poll itself
@@ -166,9 +167,9 @@ class TcpLink final : public Link {
   }
 
   // Partial progress survives across recv() calls: a caller polling with
-  // short timeout slices (the referee's round-robin collect loop) must be
-  // able to drain a message larger than one slice delivers.  Only EOF or
-  // a socket error mid-message is unrecoverable — the boundary is lost.
+  // short timeout slices must be able to drain a message larger than one
+  // slice delivers.  Only EOF or a socket error mid-message is
+  // unrecoverable — the boundary is lost.
   RecvResult recv(std::chrono::milliseconds timeout) override {
     if (broken_) {
       metrics().broken_reuse.increment();
@@ -242,6 +243,14 @@ class TcpLink final : public Link {
   }
   [[nodiscard]] std::size_t bytes_received() const noexcept override {
     return received_;
+  }
+
+  /// Hand the fd to the caller (release_fd): only at a message boundary.
+  int release() {
+    if (broken_ || prefix_done_ > 0) {
+      throw WireError("release_fd: the link is broken or mid-message");
+    }
+    return std::exchange(fd_, -1);
   }
 
  private:
@@ -389,6 +398,12 @@ int TcpListener::accept_fd(std::chrono::milliseconds timeout) {
 
 std::unique_ptr<Link> tcp_adopt_fd(int fd) {
   return std::make_unique<TcpLink>(fd);
+}
+
+int release_fd(std::unique_ptr<Link> link) {
+  auto* tcp = dynamic_cast<TcpLink*>(link.get());
+  if (tcp == nullptr) throw WireError("release_fd: not a TCP link");
+  return tcp->release();
 }
 
 std::unique_ptr<Link> tcp_connect(const std::string& host, std::uint16_t port,

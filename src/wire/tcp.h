@@ -1,4 +1,5 @@
-// TCP transport: the referee-service deployment shape.
+// TCP transport: the player side of every session (over TCP or over the
+// socketpair loopback).
 //
 // Each Link message is sent as a 4-byte little-endian length prefix
 // followed by the body (a batch of self-delimiting frames).  The prefix is
@@ -10,11 +11,11 @@
 // tests/wire/failure_injection_test.cpp; the full cause -> RecvStatus ->
 // counter table is in docs/WIRE.md):
 //   * recv enforces a deadline via poll(); expiry -> kTimeout, with any
-//     partially received message kept pending so short polling slices
-//     (the referee's round-robin) can drain a large batch across calls,
+//     partially received message kept pending so a caller polling in
+//     short slices can drain a large batch across calls,
 //   * a poll() hard failure or POLLNVAL (a dead fd) -> kError — never
-//     kTimeout, so the session loop abandons the link instead of
-//     spinning on it until the round deadline,
+//     kTimeout, so a caller abandons the link instead of spinning on it
+//     until its deadline,
 //   * a peer closing at a message boundary -> kClosed,
 //   * EOF mid-prefix or mid-body (a short read) -> kError,
 //   * a length prefix above kMaxMessageBytes -> kError without allocating,
@@ -53,9 +54,8 @@ class TcpListener {
       std::chrono::milliseconds timeout);
 
   /// Next inbound connection as a raw fd (ownership passes to the
-  /// caller), or -1 if none arrived in time.  The sharded referee adopts
-  /// accepted fds straight into a wire::EventLoop instead of wrapping
-  /// them in a blocking Link.
+  /// caller), or -1 if none arrived in time.  The referee adopts accepted
+  /// fds straight into its event loop (service::RefereeService::adopt_fd).
   [[nodiscard]] int accept_fd(std::chrono::milliseconds timeout);
 
  private:
@@ -74,5 +74,13 @@ class TcpListener {
 /// failure-injection tests — socketpair() gives a deterministic peer —
 /// and for embedders that do their own connection establishment.
 [[nodiscard]] std::unique_ptr<Link> tcp_adopt_fd(int fd);
+
+/// The inverse of tcp_adopt_fd: destroy `link` without closing its
+/// socket and return the fd, which the caller now owns.  `link` must come
+/// from this file or from make_loopback_pair.  Throws WireError (closing
+/// the fd) if it does not, or if it holds part of an inbound message or
+/// is latched broken, since a new reader could not find the next message
+/// boundary.
+[[nodiscard]] int release_fd(std::unique_ptr<Link> link);
 
 }  // namespace ds::wire

@@ -1,20 +1,23 @@
 // Message transports for the wire layer.
 //
 // A Link moves opaque byte messages between two endpoints; each message is
-// a batch of one or more self-delimiting frames (wire/frame.h).  Two
-// implementations share this interface:
+// a batch of one or more self-delimiting frames (wire/frame.h).  There is
+// one implementation, the length-prefixed stream link of wire/tcp.h, over
+// two kinds of socket:
 //
-//   * loopback (wire/loopback.h) — an in-process queue pair, for tests,
-//     benches, and the byte-accounting audit;
-//   * TCP (wire/tcp.h) — length-prefixed messages over a socket, the
-//     referee-service deployment shape.
+//   * TCP (wire/tcp.h) — the deployment shape, one connection per player;
+//   * loopback (wire/loopback.h) — an AF_UNIX socketpair, for tests,
+//     benches, and the byte-accounting audit.
+//
+// Players drive a Link directly.  The referee does not: it moves each
+// connection's socket into its epoll event loop (wire::release_fd,
+// evloop/event_loop.h), which speaks the same framing.
 //
 // Contract: send() delivers the whole message or reports failure; recv()
 // returns whole messages in order.  Timeouts, peer shutdown, and transport
-// corruption are distinct outcomes (RecvStatus) because the referee
-// treats them differently: a timeout is retried until the round deadline,
-// a closed link stops being polled, an error is reported and the link
-// abandoned.
+// corruption are distinct outcomes (RecvStatus): a timeout may be retried,
+// a closed link has nothing more to say, an error is reported and the
+// link abandoned.
 #pragma once
 
 #include <chrono>

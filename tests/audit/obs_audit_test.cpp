@@ -2,8 +2,9 @@
 // only trustworthy if they agree with the ground truth the code already
 // computes.  With metrics enabled,
 //
-//   * wire byte counters must equal the links' own bytes_sent() /
-//     bytes_received() accounting, summed over every link in the session,
+//   * wire byte counters must equal the transport's own byte accounting:
+//     the referee's wire.evloop.* that of its shards' event loops, the
+//     players' wire.tcp.* that of their links,
 //   * the service.sketch_bits histogram must equal the session's
 //     CommStats exactly (count == num_players, sum == total_bits,
 //     max == max_bits), and service.payload_bits the uplink payload,
@@ -29,7 +30,6 @@
 #include "protocols/zoo.h"
 #include "service/player_client.h"
 #include "service/referee_service.h"
-#include "service/sharded_referee.h"
 #include "wire/loopback.h"
 #include "wire/tcp.h"
 
@@ -56,19 +56,49 @@ class ObsAudit : public ::testing::Test {
   }
 };
 
-/// Bytes both ends of every link believe they moved, for comparison
-/// against the transport counters.
-struct LinkBytes {
-  std::size_t sent = 0;
-  std::size_t received = 0;
-
-  void add(std::span<const std::unique_ptr<wire::Link>> links) {
-    for (const std::unique_ptr<wire::Link>& link : links) {
-      sent += link->bytes_sent();
-      received += link->bytes_received();
-    }
+/// The byte counters of both transports against what the referee's event
+/// loops and the players' links believe they moved; every byte one side
+/// sent, the other received.
+void expect_byte_counters_match(const service::RefereeService& referee,
+                                std::span<const std::unique_ptr<wire::Link>>
+                                    players) {
+  std::size_t referee_sent = 0;
+  std::size_t referee_received = 0;
+  for (const auto& shard : referee.links()) {
+    referee_sent += shard->bytes_sent();
+    referee_received += shard->bytes_received();
   }
-};
+  std::size_t players_sent = 0;
+  std::size_t players_received = 0;
+  for (const std::unique_ptr<wire::Link>& link : players) {
+    players_sent += link->bytes_sent();
+    players_received += link->bytes_received();
+  }
+  EXPECT_EQ(obs::counter("wire.evloop.bytes_sent").value(), referee_sent);
+  EXPECT_EQ(obs::counter("wire.evloop.bytes_received").value(),
+            referee_received);
+  EXPECT_EQ(obs::counter("wire.tcp.bytes_sent").value(), players_sent);
+  EXPECT_EQ(obs::counter("wire.tcp.bytes_received").value(),
+            players_received);
+  EXPECT_EQ(players_sent, referee_received);
+  EXPECT_EQ(referee_sent, players_received);
+  EXPECT_EQ(obs::counter("wire.tcp.messages_sent").value(),
+            obs::histogram("wire.tcp.message_bytes").count());
+}
+
+/// `players` loopback pairs: the referee ends moved into a one-shard
+/// RefereeService, the player ends appended to `player_links`.
+service::RefereeService loopback_referee(
+    std::size_t players, std::vector<std::unique_ptr<wire::Link>>&
+                             player_links) {
+  std::vector<std::unique_ptr<wire::Link>> referee_links;
+  for (std::size_t i = 0; i < players; ++i) {
+    wire::LoopbackPair pair = wire::make_loopback_pair();
+    referee_links.push_back(std::move(pair.referee_side));
+    player_links.push_back(std::move(pair.player_side));
+  }
+  return service::RefereeService(std::move(referee_links), 0, 5000ms);
+}
 
 TEST_F(ObsAudit, LoopbackByteCountersMatchLinkAccounting) {
   const Graph g = test_graph();
@@ -76,13 +106,9 @@ TEST_F(ObsAudit, LoopbackByteCountersMatchLinkAccounting) {
   const model::PublicCoins coins(71);
   constexpr std::size_t kPlayers = 3;
 
-  std::vector<std::unique_ptr<wire::Link>> referee_links;
   std::vector<std::unique_ptr<wire::Link>> player_links;
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    wire::LoopbackPair pair = wire::make_loopback_pair();
-    referee_links.push_back(std::move(pair.referee_side));
-    player_links.push_back(std::move(pair.player_side));
-  }
+  const service::RefereeService referee =
+      loopback_referee(kPlayers, player_links);
 
   std::vector<std::thread> clients;
   clients.reserve(kPlayers);
@@ -95,18 +121,10 @@ TEST_F(ObsAudit, LoopbackByteCountersMatchLinkAccounting) {
     });
   }
   const auto served = service::serve_protocol(
-      referee_links, protocol, g.num_vertices(), coins, 5000ms);
+      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 
-  LinkBytes bytes;
-  bytes.add(referee_links);
-  bytes.add(player_links);
-  EXPECT_EQ(obs::counter("wire.loopback.bytes_sent").value(), bytes.sent);
-  EXPECT_EQ(obs::counter("wire.loopback.bytes_received").value(),
-            bytes.received);
-  EXPECT_EQ(
-      obs::counter("wire.loopback.messages_sent").value(),
-      obs::histogram("wire.loopback.message_bytes").count());
+  expect_byte_counters_match(referee, player_links);
 
   // Service accounting against the session's CommStats, bit for bit.
   const obs::Histogram& sketch_bits = obs::histogram("service.sketch_bits");
@@ -135,10 +153,11 @@ TEST_F(ObsAudit, TcpByteCountersMatchLinkAccounting) {
           wire::tcp_connect("127.0.0.1", listener.port(), 5000ms));
     }
   });
-  std::vector<std::unique_ptr<wire::Link>> referee_links;
+  service::RefereeService referee(1, 0, 5000ms);
   for (std::size_t i = 0; i < kPlayers; ++i) {
-    referee_links.push_back(listener.accept(5000ms));
-    ASSERT_NE(referee_links.back(), nullptr);
+    const int fd = listener.accept_fd(5000ms);
+    ASSERT_GE(fd, 0);
+    (void)referee.adopt_fd(fd);
   }
   connector.join();
 
@@ -153,16 +172,10 @@ TEST_F(ObsAudit, TcpByteCountersMatchLinkAccounting) {
     });
   }
   const auto served = service::serve_protocol(
-      referee_links, protocol, g.num_vertices(), coins, 5000ms);
+      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 
-  LinkBytes bytes;
-  bytes.add(referee_links);
-  bytes.add(player_links);
-  EXPECT_EQ(obs::counter("wire.tcp.bytes_sent").value(), bytes.sent);
-  EXPECT_EQ(obs::counter("wire.tcp.bytes_received").value(), bytes.received);
-  // Loopback TCP delivers every byte: both directions balance.
-  EXPECT_EQ(bytes.sent, bytes.received);
+  expect_byte_counters_match(referee, player_links);
   EXPECT_EQ(obs::counter("wire.tcp.accepts").value(), kPlayers);
   EXPECT_EQ(obs::counter("wire.tcp.connects").value(), kPlayers);
   EXPECT_EQ(obs::counter("wire.tcp.send_failures").value(), 0u);
@@ -253,13 +266,9 @@ TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
   const model::PublicCoins coins(77);
   constexpr std::size_t kPlayers = 2;
 
-  std::vector<std::unique_ptr<wire::Link>> referee_links;
   std::vector<std::unique_ptr<wire::Link>> player_links;
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    wire::LoopbackPair pair = wire::make_loopback_pair();
-    referee_links.push_back(std::move(pair.referee_side));
-    player_links.push_back(std::move(pair.player_side));
-  }
+  const service::RefereeService referee =
+      loopback_referee(kPlayers, player_links);
   std::vector<std::thread> clients;
   clients.reserve(kPlayers);
   for (std::size_t i = 0; i < kPlayers; ++i) {
@@ -271,7 +280,7 @@ TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
     });
   }
   const auto served = service::serve_adaptive(
-      referee_links, protocol, g.num_vertices(), coins, 5000ms);
+      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 
   // One frame per (vertex, round); the histogram aggregates all rounds.
@@ -291,17 +300,17 @@ TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
   EXPECT_EQ(obs::histogram("service.decode_us").count(), 1u);
 }
 
-// The sharded referee closes its combined round through the same
-// RoundCollector::finish as the blocking one, so the service.* round
-// series must equal the served CommStats on that path too, and the
-// collect span must be the one serve template's.
+// A two-shard referee closes its combined round through the same
+// RoundCollector::finish as one shard, so the service.* round series
+// must equal the served CommStats there too, and the collect span must
+// be the one serve template's.
 TEST_F(ObsAudit, ShardedServiceHistogramMatchesServedCommStats) {
   const Graph g = test_graph();
   const protocols::AgmSpanningForest protocol;
   const model::PublicCoins coins(78);
   constexpr std::size_t kPlayers = 3;
 
-  service::ShardedRefereeService referee(2, 78, 5000ms);
+  service::RefereeService referee(2, 78, 5000ms);
   std::vector<std::unique_ptr<wire::Link>> player_links;
   for (std::size_t i = 0; i < kPlayers; ++i) {
     int fds[2] = {-1, -1};

@@ -1,5 +1,5 @@
 // The sharded wire/sim byte-accounting cross-check: everything the
-// single-referee audit (wire_audit_test.cpp) asserts, re-proven over a
+// one-shard audit (wire_audit_test.cpp) asserts, re-proven over a
 // two-shard epoll referee — per-player payloads BitString for BitString,
 // CommStats bit for bit, adaptive per-round breakdowns included.
 //
@@ -29,8 +29,8 @@
 #include "protocols/two_round_mis.h"
 #include "protocols/zoo.h"
 #include "service/player_client.h"
+#include "service/referee_service.h"
 #include "service/shard.h"
-#include "service/sharded_referee.h"
 #include "wire/tcp.h"
 
 namespace ds {
@@ -150,7 +150,7 @@ TEST(ShardAudit, SketchingProtocolZooPayloadsMatchSimulation) {
   expect_sharded_equals_sim(g, protocols::SampledDegeneracy{0.5}, 114);
 }
 
-/// Adaptive cross-check: the full serve_adaptive_sharded session
+/// Adaptive cross-check: the full two-shard serve_adaptive session
 /// (combiner, event-loop broadcasts) against run_adaptive, once per
 /// drive mode.
 template <typename Output>
@@ -178,9 +178,8 @@ void expect_sharded_adaptive_equals_sim(
       });
     }
     const service::ServeResult<Output> served =
-        service::serve_adaptive_sharded(cluster.shards, protocol,
-                                        g.num_vertices(), coins, 5000ms,
-                                        drive);
+        service::serve_adaptive(cluster.shards, protocol, g.num_vertices(),
+                                coins, 5000ms, drive);
     for (std::thread& t : threads) t.join();
 
     EXPECT_TRUE(served.output == sim.output) << name;

@@ -5,9 +5,11 @@
 // the CommStats computed from the wire payloads must match
 // model::run_protocol's accounting bit for bit.  Framing overhead is
 // checked to be strictly separate: payload_bits alone equals the model
-// total; framing_bits never leaks into it.
+// total; framing_bits never leaks into it.  The referee here is one shard
+// over loopback sockets; shard_audit_test.cpp repeats the audit at two.
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 
 #include "graph/generators.h"
@@ -41,19 +43,37 @@ Graph test_graph(std::uint64_t seed = 7, Vertex n = 26, double p = 0.25) {
   return graph::gnp(n, p, rng);
 }
 
+/// `players` loopback clients of a one-shard referee.
 struct LoopbackCluster {
-  std::vector<std::unique_ptr<wire::Link>> referee;
+  service::RefereeService referee;
   std::vector<std::unique_ptr<wire::Link>> players;
 };
 
 LoopbackCluster make_cluster(std::size_t players) {
-  LoopbackCluster cluster;
+  std::vector<std::unique_ptr<wire::Link>> referee_links;
+  std::vector<std::unique_ptr<wire::Link>> player_links;
   for (std::size_t i = 0; i < players; ++i) {
     wire::LoopbackPair pair = wire::make_loopback_pair();
-    cluster.referee.push_back(std::move(pair.referee_side));
-    cluster.players.push_back(std::move(pair.player_side));
+    referee_links.push_back(std::move(pair.referee_side));
+    player_links.push_back(std::move(pair.player_side));
   }
-  return cluster;
+  return {service::RefereeService(std::move(referee_links), 0),
+          std::move(player_links)};
+}
+
+/// One round of `protocol`'s frames, collected by the referee's source.
+struct Collected {
+  std::vector<util::BitString> sketches;
+  service::WireStats wire;
+};
+
+Collected collect_round(const LoopbackCluster& cluster, Vertex n,
+                        std::string_view protocol_name) {
+  service::ShardedWireSource source(cluster.referee.links(), n,
+                                    wire::protocol_id(protocol_name),
+                                    2000ms);
+  std::vector<util::BitString> sketches = source.collect(0, {});
+  return {std::move(sketches), source.uplink()};
 }
 
 void expect_same_sketches(std::span<const util::BitString> wire_sketches,
@@ -94,9 +114,8 @@ void expect_wire_equals_sim(const Graph& g,
         *cluster.players[i], g,
         service::shard_vertices(g.num_vertices(), 2, i), protocol, coins);
   }
-  const service::CollectedRound round = service::collect_sketch_round(
-      cluster.referee, g.num_vertices(), wire::protocol_id(protocol.name()),
-      0, 2000ms);
+  const Collected round =
+      collect_round(cluster, g.num_vertices(), protocol.name());
 
   expect_same_sketches(round.sketches, sim_sketches, protocol.name());
   expect_same_comm(service::comm_from_sketches(round.sketches), sim_comm,
@@ -150,9 +169,8 @@ TEST(WireAudit, WeightedProtocolPayloadsMatchSimulation) {
         *cluster.players[i], wg,
         service::shard_vertices(wg.num_vertices(), 2, i), protocol, coins);
   }
-  const service::CollectedRound round = service::collect_sketch_round(
-      cluster.referee, wg.num_vertices(),
-      wire::protocol_id(protocol.name()), 0, 2000ms);
+  const Collected round =
+      collect_round(cluster, wg.num_vertices(), protocol.name());
 
   expect_same_sketches(round.sketches, sim_sketches, protocol.name());
   expect_same_comm(service::comm_from_sketches(round.sketches), sim_comm,
@@ -182,8 +200,8 @@ void expect_adaptive_wire_equals_sim(
     });
   }
   const service::ServeResult<Output> served =
-      service::serve_adaptive(cluster.referee, protocol, g.num_vertices(),
-                              coins, 5000ms);
+      service::serve_adaptive(cluster.referee.links(), protocol,
+                              g.num_vertices(), coins, 5000ms);
   for (std::thread& t : threads) t.join();
 
   const auto sim = model::run_adaptive(g, protocol, coins);

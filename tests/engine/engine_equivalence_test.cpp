@@ -197,6 +197,8 @@ void expect_served(const graph::Graph& g,
     referee_links.push_back(std::move(pair.referee_side));
     player_links.push_back(std::move(pair.player_side));
   }
+  const service::RefereeService referee(std::move(referee_links),
+                                        want.coin_seed, 5000ms);
   std::vector<std::thread> clients;
   clients.reserve(kPlayers);
   for (std::size_t i = 0; i < kPlayers; ++i) {
@@ -208,7 +210,7 @@ void expect_served(const graph::Graph& g,
     });
   }
   const auto served = service::serve_protocol(
-      referee_links, protocol, g.num_vertices(), coins, 5000ms);
+      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 
   EXPECT_EQ(served.comm.max_bits, want.max_bits);
@@ -270,6 +272,8 @@ void expect_served_adaptive(const graph::Graph& g,
     referee_links.push_back(std::move(pair.referee_side));
     player_links.push_back(std::move(pair.player_side));
   }
+  const service::RefereeService referee(std::move(referee_links),
+                                        want.coin_seed, 5000ms);
   std::vector<std::thread> clients;
   clients.reserve(kPlayers);
   for (std::size_t i = 0; i < kPlayers; ++i) {
@@ -281,7 +285,7 @@ void expect_served_adaptive(const graph::Graph& g,
     });
   }
   const auto served = service::serve_adaptive(
-      referee_links, protocol, g.num_vertices(), coins, 5000ms);
+      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 
   EXPECT_EQ(served.comm.max_bits, want.max_bits);

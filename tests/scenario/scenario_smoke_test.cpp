@@ -1,7 +1,7 @@
 // Satellite 3's in-repo half: every registered scenario runs one trial
 // through BOTH execution paths — the in-process simulated runner
-// (LocalSource) and the wire referee/player pair over a loopback link
-// (WireSource) — and the outcomes must agree exactly: same success
+// (LocalSource) and the wire referee/player pair over a loopback socket
+// (ShardedWireSource) — and the outcomes must agree exactly: same success
 // verdict, same realized max bits, same output hash on the referee, the
 // player, and the simulation.  This is the contract that lets
 // tools/distsketch_service --scenario <id> serve any family with zero

@@ -1,12 +1,12 @@
 // The round collector: the one acceptance rule, reject taxonomy and
-// round close behind both referee paths.
+// round close behind every referee shard.
 //
 // Two layers under test: (1) RoundCollector on its own — every reject
 // reason counted under its own service.reject.* name, WireStats derived
 // from the accepted frames, the missing-vertex diagnostic; (2) the same
-// hostile message script served by the blocking referee and by the
-// sharded referee at 1 and 2 shards, which must agree on the output, the
-// CommStats, every WireStats field and every reject counter.
+// hostile message script served by the referee at 1 and at 2 shards,
+// which must agree on the output, the CommStats, every WireStats field
+// and every reject counter.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -23,7 +23,6 @@
 #include "service/player_client.h"
 #include "service/referee_service.h"
 #include "service/session.h"
-#include "service/sharded_referee.h"
 #include "wire/tcp.h"
 
 namespace ds {
@@ -165,11 +164,11 @@ TEST_F(RoundCollectorTest, LongMissingListsAreElided) {
 }
 
 // ---------------------------------------------------------------------
-// One hostile script, every referee path.
+// One hostile script, every shard count.
 // ---------------------------------------------------------------------
 
-/// What one path made of the script: the served session plus every
-/// reject counter.
+/// What one shard count made of the script: the served session plus
+/// every reject counter.
 struct PathOutcome {
   service::ServeResult<std::uint32_t> served;
   std::array<std::uint64_t, service::kRejectReasons> rejects{};
@@ -178,8 +177,8 @@ struct PathOutcome {
 /// Two players over socketpairs.  Player 0 sends a message of one good
 /// frame and five bad ones, then its batch with a byte flipped, then
 /// its clean batch; player 1 sends its clean batch.  Every frame that
-/// completes the round is in player 0's last message, so every path
-/// reads every message before it closes the round.
+/// completes the round is in player 0's last message, so every shard
+/// count reads every message before it closes the round.
 class HostileScript {
  public:
   HostileScript() {
@@ -245,22 +244,13 @@ class HostileScript {
   model::PublicCoins coins_{kCoinSeed};
 };
 
-PathOutcome blocking_path(HostileScript& script) {
+PathOutcome shard_path(HostileScript& script, std::size_t shards) {
   std::vector<int> fds;
   return script.run(fds, [&](const auto& protocol, const auto& coins) {
-    std::vector<std::unique_ptr<wire::Link>> links;
-    for (const int fd : fds) links.push_back(wire::tcp_adopt_fd(fd));
-    return service::serve_protocol(links, protocol, 12, coins, 2000ms);
-  });
-}
-
-PathOutcome sharded_path(HostileScript& script, std::size_t shards) {
-  std::vector<int> fds;
-  return script.run(fds, [&](const auto& protocol, const auto& coins) {
-    service::ShardedRefereeService referee(shards, kCoinSeed, 2000ms);
+    service::RefereeService referee(shards, kCoinSeed, 2000ms);
     for (const int fd : fds) (void)referee.adopt_fd(fd);
-    return service::serve_protocol_sharded(referee.shards(), protocol, 12,
-                                           coins, 2000ms);
+    return service::serve_protocol(referee.links(), protocol, 12, coins,
+                                   2000ms);
   });
 }
 
@@ -285,12 +275,12 @@ void expect_same_outcome(const PathOutcome& a, const PathOutcome& b,
 
 TEST_F(RoundCollectorTest, HostileScriptYieldsTheSameRoundOnEveryPath) {
   HostileScript script;
-  const PathOutcome blocking = blocking_path(script);
+  const PathOutcome one = shard_path(script, 1);
 
   // The script's bad frames, one reason each, plus the damaged batch.
   using service::RejectReason;
   const auto count = [&](RejectReason r) {
-    return blocking.rejects[static_cast<std::size_t>(r)];
+    return one.rejects[static_cast<std::size_t>(r)];
   };
   EXPECT_EQ(count(RejectReason::kCorrupt), 1u);
   EXPECT_EQ(count(RejectReason::kBadType), 1u);
@@ -299,13 +289,12 @@ TEST_F(RoundCollectorTest, HostileScriptYieldsTheSameRoundOnEveryPath) {
   EXPECT_EQ(count(RejectReason::kBadVertex), 1u);
   EXPECT_GE(count(RejectReason::kDuplicate), 2u);
   std::uint64_t total = 0;
-  for (const std::uint64_t c : blocking.rejects) total += c;
-  EXPECT_EQ(total, blocking.served.uplink.rejected_frames);
-  EXPECT_EQ(blocking.served.uplink.frames, 12u);
-  EXPECT_EQ(blocking.served.uplink.messages, 4u);
+  for (const std::uint64_t c : one.rejects) total += c;
+  EXPECT_EQ(total, one.served.uplink.rejected_frames);
+  EXPECT_EQ(one.served.uplink.frames, 12u);
+  EXPECT_EQ(one.served.uplink.messages, 4u);
 
-  expect_same_outcome(blocking, sharded_path(script, 1), "1 shard");
-  expect_same_outcome(blocking, sharded_path(script, 2), "2 shards");
+  expect_same_outcome(one, shard_path(script, 2), "2 shards");
 }
 
 }  // namespace

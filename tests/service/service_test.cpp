@@ -1,10 +1,12 @@
 // The referee service end-to-end: loopback sessions must reproduce the
 // in-process runner exactly (output AND bit accounting), the adaptive
-// multi-round loop must complete over real TCP, and a referee fed corrupt
+// multi-round loop must complete over real TCP, a referee fed corrupt
 // or duplicate frames must reject them and finish the round from the
-// retransmission instead of crashing.
+// retransmission instead of crashing, and a round whose players are all
+// gone must fail at once instead of at the deadline.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "graph/generators.h"
@@ -31,21 +33,23 @@ graph::Graph test_graph(graph::Vertex n, std::uint64_t seed,
   return graph::gnp(n, p, rng);
 }
 
-/// Wire up `players` loopback clients to one referee; returns the
-/// referee-side links and the player-side links, index-aligned.
+/// `players` loopback clients of one referee: the referee ends moved into
+/// a one-shard RefereeService, the player ends in index order.
 struct LoopbackCluster {
-  std::vector<std::unique_ptr<wire::Link>> referee;
+  service::RefereeService referee;
   std::vector<std::unique_ptr<wire::Link>> players;
 };
 
 LoopbackCluster make_cluster(std::size_t players) {
-  LoopbackCluster cluster;
+  std::vector<std::unique_ptr<wire::Link>> referee_links;
+  std::vector<std::unique_ptr<wire::Link>> player_links;
   for (std::size_t i = 0; i < players; ++i) {
     wire::LoopbackPair pair = wire::make_loopback_pair();
-    cluster.referee.push_back(std::move(pair.referee_side));
-    cluster.players.push_back(std::move(pair.player_side));
+    referee_links.push_back(std::move(pair.referee_side));
+    player_links.push_back(std::move(pair.player_side));
   }
-  return cluster;
+  return {service::RefereeService(std::move(referee_links), kCoinSeed),
+          std::move(player_links)};
 }
 
 TEST(RefereeService, LoopbackMatchesInProcessRunnerExactly) {
@@ -61,8 +65,8 @@ TEST(RefereeService, LoopbackMatchesInProcessRunnerExactly) {
                                  coins);
   }
   const service::ServeResult<model::ForestOutput> served =
-      service::serve_protocol(cluster.referee, protocol, g.num_vertices(),
-                              coins, 2000ms);
+      service::serve_protocol(cluster.referee.links(), protocol,
+                              g.num_vertices(), coins, 2000ms);
   const auto simulated = model::run_protocol(g, protocol, coins);
 
   EXPECT_EQ(served.output, simulated.output);
@@ -101,7 +105,7 @@ TEST(RefereeService, PlayerThreadsOverLoopback) {
     });
   }
   const auto served = service::serve_protocol(
-      cluster.referee, protocol, g.num_vertices(), coins, 2000ms);
+      cluster.referee.links(), protocol, g.num_vertices(), coins, 2000ms);
   for (std::thread& t : threads) t.join();
 
   const auto simulated = model::run_protocol(g, protocol, coins);
@@ -149,9 +153,10 @@ TEST(RefereeService, AdaptiveTwoRoundCompletesOverTcp) {
     ASSERT_NE(link, nullptr);
     links.push_back(std::move(link));
   }
+  const service::RefereeService referee(std::move(links), kCoinSeed, 5000ms);
   const service::ServeResult<model::MatchingOutput> served =
-      service::serve_adaptive(links, protocol, g.num_vertices(), coins,
-                              5000ms);
+      service::serve_adaptive(referee.links(), protocol, g.num_vertices(),
+                              coins, 5000ms);
   for (std::thread& t : threads) t.join();
 
   const auto simulated = model::run_adaptive(g, protocol, coins);
@@ -212,7 +217,7 @@ TEST(RefereeService, RejectsCorruptFramesAndFinishesFromRetransmission) {
   ASSERT_TRUE(cluster.players[0]->send(batch));
 
   const auto served = service::serve_protocol(
-      cluster.referee, protocol, g.num_vertices(), coins, 2000ms);
+      cluster.referee.links(), protocol, g.num_vertices(), coins, 2000ms);
   const auto simulated = model::run_protocol(g, protocol, coins);
   EXPECT_EQ(served.output, simulated.output);
   EXPECT_EQ(served.comm.total_bits, simulated.comm.total_bits);
@@ -243,7 +248,7 @@ TEST(RefereeService, WrongProtocolAndBogusVerticesAreRejected) {
                                coins);
 
   const auto served = service::serve_protocol(
-      cluster.referee, protocol, g.num_vertices(), coins, 2000ms);
+      cluster.referee.links(), protocol, g.num_vertices(), coins, 2000ms);
   const auto simulated = model::run_protocol(g, protocol, coins);
   EXPECT_EQ(served.output, simulated.output);
   EXPECT_EQ(served.uplink.rejected_frames, 3u);
@@ -260,9 +265,45 @@ TEST(RefereeService, MissingPlayerIsACleanDeadlineError) {
   const graph::Vertex v0[] = {0};
   (void)service::send_sketches(*cluster.players[0], g, v0, protocol, coins);
 
-  EXPECT_THROW((void)service::serve_protocol(cluster.referee, protocol,
-                                             g.num_vertices(), coins, 150ms),
+  EXPECT_THROW((void)service::serve_protocol(cluster.referee.links(),
+                                             protocol, g.num_vertices(),
+                                             coins, 150ms),
                service::ServiceError);
+}
+
+TEST(RefereeService, RoundEndsAtOnceWhenEveryPlayerIsGone) {
+  // Once no shard holds an open connection the round can never complete,
+  // so it closes then with the missing-vertices error, not at the
+  // deadline.
+  const graph::Graph g = test_graph(8, 6, 0.3);
+  const protocols::AgmConnectivity protocol;
+  const model::PublicCoins coins(kCoinSeed);
+
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    service::RefereeService referee(shards, kCoinSeed, 5000ms);
+    std::vector<std::unique_ptr<wire::Link>> players;
+    for (int i = 0; i < 2; ++i) {
+      wire::LoopbackPair pair = wire::make_loopback_pair();
+      (void)referee.adopt_fd(wire::release_fd(std::move(pair.referee_side)));
+      players.push_back(std::move(pair.player_side));
+    }
+    // Player 0 sends vertex 0's sketch, then both players close.
+    const graph::Vertex v0[] = {0};
+    (void)service::send_sketches(*players[0], g, v0, protocol, coins);
+    players.clear();
+
+    const auto start = std::chrono::steady_clock::now();
+    std::string what;
+    try {
+      (void)referee.run(protocol, g.num_vertices());
+      ADD_FAILURE() << "a round without players must throw";
+    } catch (const service::ServiceError& e) {
+      what = e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+    EXPECT_NE(what.find("(vertices 1-7)"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -288,6 +289,36 @@ TEST_F(EventLoopTest, BackloggedWritesDrainViaEpollout) {
   const wire::RecvResult r2 = peer->recv(2000ms);
   ASSERT_EQ(r2.status, wire::RecvStatus::kOk);
   EXPECT_EQ(r2.message, second);
+}
+
+TEST_F(EventLoopTest, SendEintrAndShortWritesAreRetried) {
+  // The loop's flush is the referee's only downlink: an EINTR must be
+  // retried and a short write must leave the rest queued, so the peer
+  // still reads the message whole.
+  g_fail_remaining.store(1);
+  wire::testhooks::set_send(
+      +[](int fd, const void* buf, std::size_t len, int flags) -> ssize_t {
+        if (g_fail_remaining.fetch_sub(1) > 0) {
+          errno = EINTR;
+          return -1;
+        }
+        return ::send(fd, buf, std::min<std::size_t>(len, 5), flags);
+      });
+  const std::vector<std::uint8_t> body{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  ASSERT_TRUE(loop_.send(conn_, body));
+  LoopEvents events;
+  ASSERT_TRUE(loop_.flush_all(std::chrono::steady_clock::now() + 2s,
+                              events.on_message(), events.on_close()));
+  EXPECT_GE(obs::counter("wire.evloop.eintr_retries").value(), 1u);
+  EXPECT_EQ(loop_.bytes_sent(), 4 + body.size());
+  EXPECT_TRUE(events.closes.empty());
+
+  wire::testhooks::reset();
+  std::unique_ptr<wire::Link> peer = wire::tcp_adopt_fd(peer_fd_);
+  peer_fd_ = -1;
+  const wire::RecvResult r = peer->recv(2000ms);
+  ASSERT_EQ(r.status, wire::RecvStatus::kOk);
+  EXPECT_EQ(r.message, body);
 }
 
 TEST_F(EventLoopTest, SketchFramesSurviveTheLoopBitForBit) {

@@ -1,7 +1,8 @@
 // Transport behavior, loopback and TCP: whole-message delivery in order,
-// timeouts, clean close vs short read, oversized-length rejection, and
-// byte counters.  The TCP cases run against a real socket pair on
-// 127.0.0.1 so the failure modes are the genuine article.
+// timeouts, clean close vs short read, oversized-length rejection, byte
+// counters, and handing a socket back (release_fd).  The TCP cases run
+// against a real socket pair on 127.0.0.1 so the failure modes are the
+// genuine article.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -42,8 +43,9 @@ TEST(Loopback, DeliversMessagesInOrderBothWays) {
   ASSERT_EQ(down.status, wire::RecvStatus::kOk);
   EXPECT_EQ(down.message, message_of({9}));
 
-  EXPECT_EQ(pair.player_side->bytes_sent(), 3u);
-  EXPECT_EQ(pair.referee_side->bytes_received(), 3u);
+  // Both ends count the 4-byte transport prefix of each message.
+  EXPECT_EQ(pair.player_side->bytes_sent(), 4u + 2u + 4u + 1u);
+  EXPECT_EQ(pair.referee_side->bytes_received(), 4u + 2u + 4u + 1u);
 }
 
 TEST(Loopback, TimesOutWhenIdle) {
@@ -63,6 +65,32 @@ TEST(Loopback, PeerDestructionDrainsThenCloses) {
   // ...then the close is visible.
   EXPECT_EQ(pair.referee_side->recv(10ms).status, wire::RecvStatus::kClosed);
   EXPECT_FALSE(pair.referee_side->send(message_of({1})));
+}
+
+TEST(Loopback, ReleasedFdReadsOnFromTheMessageBoundary) {
+  wire::LoopbackPair pair = wire::make_loopback_pair();
+  ASSERT_TRUE(pair.player_side->send(message_of({1})));
+  ASSERT_TRUE(pair.player_side->send(message_of({2, 3})));
+  ASSERT_EQ(pair.referee_side->recv(100ms).status, wire::RecvStatus::kOk);
+  const std::unique_ptr<wire::Link> again =
+      wire::tcp_adopt_fd(wire::release_fd(std::move(pair.referee_side)));
+  const wire::RecvResult r = again->recv(100ms);
+  ASSERT_EQ(r.status, wire::RecvStatus::kOk);
+  EXPECT_EQ(r.message, message_of({2, 3}));
+}
+
+TEST(Loopback, ReleaseFdRefusesALinkMidMessage) {
+  // The prefix promises 4 body bytes and 2 arrive: the link holds half a
+  // message, so no new owner could find the next boundary.
+  wire::LoopbackPair pair = wire::make_loopback_pair();
+  const int raw = wire::release_fd(std::move(pair.player_side));
+  const std::vector<std::uint8_t> half = message_of({4, 0, 0, 0, 7, 7});
+  ASSERT_EQ(::send(raw, half.data(), half.size(), 0),
+            static_cast<ssize_t>(half.size()));
+  EXPECT_EQ(pair.referee_side->recv(20ms).status, wire::RecvStatus::kTimeout);
+  EXPECT_THROW((void)wire::release_fd(std::move(pair.referee_side)),
+               wire::WireError);
+  ::close(raw);
 }
 
 TEST(Tcp, RoundTripOverARealSocket) {

@@ -1,18 +1,19 @@
 // distsketch_service — the sketching model across real process
 // boundaries, one binary with two subcommands:
 //
-//   distsketch_service serve  --players K [--port 0] [--protocol NAME]
-//                             [--n N] [--p P] [--graph-seed S] [--coin-seed C]
+//   distsketch_service serve  --players K [--port 0] [--shards S]
+//                             [--protocol NAME] [--n N] [--p P]
+//                             [--graph-seed S] [--coin-seed C]
 //   distsketch_service player --index I --players K --port PORT
 //                             [--host 127.0.0.1] [--protocol NAME]
 //                             [--n N] [--p P] [--graph-seed S] [--coin-seed C]
 //
-// The referee listens, accepts K player connections, collects all n
-// sketches (players shard [0, n) contiguously by --index), runs the
-// protocol's unmodified decode, and broadcasts the result back.  Players
-// derive their shard of a shared G(n, p) instance from --graph-seed — a
-// stand-in for each process loading its shard of a real dataset; the
-// referee never sees the graph, only the frames.
+// The referee listens, accepts K player connections into S epoll shards
+// (default 1), collects all n sketches (players shard [0, n) contiguously
+// by --index), runs the protocol's unmodified decode, and broadcasts the
+// result back.  Players derive their shard of a shared G(n, p) instance
+// from --graph-seed — a stand-in for each process loading its shard of a
+// real dataset; the referee never sees the graph, only the frames.
 //
 // Protocols: spanning-forest (default; AGM, the O(log^3 n) upper bound),
 // connectivity, two-round-matching (adaptive, exercises the multi-round
@@ -44,7 +45,6 @@
 #include "protocols/zoo.h"
 #include "service/player_client.h"
 #include "service/referee_service.h"
-#include "service/sharded_referee.h"
 #include "wire/tcp.h"
 
 namespace {
@@ -60,7 +60,7 @@ struct Options {
   std::uint64_t coin_seed = 7;
   std::size_t players = 1;
   std::size_t index = 0;
-  std::size_t shards = 0;  // 0 = blocking referee; N >= 1 = epoll shards
+  std::size_t shards = 1;  // referee epoll shards, at least 1
   std::string scenario;        // registered family id; empty = --protocol
   std::size_t budget = 0;      // 0 = the scenario grid's largest budget
   std::uint64_t trial_seed = 1;
@@ -137,8 +137,8 @@ void write_metrics_snapshot(const std::string& path) {
       << "  --list-scenarios   print the scenario registry and exit\n"
       << "  --players K        number of player processes\n"
       << "  --index I          player: this process's shard index\n"
-      << "  --shards S         serve: S epoll referee shards (default 0 ="
-         " blocking referee)\n"
+      << "  --shards S         serve: S >= 1 epoll referee shards (default"
+         " 1)\n"
       << "  --timeout-ms T     round deadline (default 10000)\n"
       << "  --metrics-out F    enable metrics; write the obs JSON snapshot"
          " to F on exit\n"
@@ -214,6 +214,10 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  if (opt.shards == 0) {
+    std::cerr << "distsketch_service: --shards must be at least 1\n";
+    usage(argv[0]);
+  }
   if (!opt.metrics_out.empty() || opt.metrics_interval.count() > 0) {
     ds::obs::set_metrics_enabled(true);
   }
@@ -221,8 +225,7 @@ Options parse(int argc, char** argv) {
 }
 
 /// Scenario-mode argument checks: unknown ids are rejected with a
-/// did-you-mean (exit 2), and modes that can't serve a scenario trial
-/// (epoll shards, an explicit --protocol) are refused up front.
+/// did-you-mean (exit 2), and an explicit --protocol is refused up front.
 const ds::scenario::Scenario* resolve_scenario(const Options& opt) {
   const ds::scenario::Scenario* s = ds::scenario::find(opt.scenario);
   if (s == nullptr) {
@@ -240,11 +243,6 @@ const ds::scenario::Scenario* resolve_scenario(const Options& opt) {
                  " mutually exclusive\n";
     std::exit(2);
   }
-  if (opt.shards > 0) {
-    std::cerr << "distsketch_service: --scenario needs the blocking"
-                 " referee (drop --shards)\n";
-    std::exit(2);
-  }
   return s;
 }
 
@@ -255,7 +253,7 @@ void print_wire(const char* label, const ds::service::WireStats& w) {
             << w.rejected_frames << " rejected)\n";
 }
 
-/// Shared tail of every serve branch: the wire accounting every
+/// Shared tail of every protocol branch: the wire accounting every
 /// ServeResult carries.
 template <typename Result>
 void print_serve_wire(const Result& r) {
@@ -263,12 +261,10 @@ void print_serve_wire(const Result& r) {
   print_wire("downlink", r.downlink);
 }
 
-/// Protocol dispatch shared by the blocking and sharded referees: both
-/// expose the same run / run_adaptive surface with identical result
-/// types, which is the point — `--shards` changes the ingestion path,
-/// never the protocol semantics.
-template <typename Service>
-int serve_protocols(Service& referee, const Options& opt) {
+/// Protocol dispatch: `--shards` changes how the referee ingests, never
+/// the protocol semantics or the result.
+int serve_protocols(ds::service::RefereeService& referee,
+                    const Options& opt) {
   if (opt.protocol == "spanning-forest") {
     const ds::protocols::AgmSpanningForest protocol;
     const auto r = referee.run(protocol, opt.n);
@@ -304,45 +300,23 @@ int run_serve(const Options& opt) {
   const MetricsReporter reporter(opt.metrics_interval);
   ds::wire::TcpListener listener(opt.port);
   std::cout << "referee: listening on 127.0.0.1:" << listener.port()
-            << ", awaiting " << opt.players << " player(s)"
-            << (opt.shards > 0
-                    ? " across " + std::to_string(opt.shards) + " shard(s)"
-                    : std::string())
-            << "\n";
+            << ", awaiting " << opt.players << " player(s) across "
+            << opt.shards << " shard(s)\n";
 
-  if (opt.shards > 0) {
-    ds::service::ShardedRefereeService referee(opt.shards, opt.coin_seed,
-                                               opt.timeout);
-    {
-      const ds::obs::ScopedSpan accept_span(
-          "service.accept", &ds::obs::histogram("service.accept_us"));
-      for (std::size_t i = 0; i < opt.players; ++i) {
-        const int fd = listener.accept_fd(opt.timeout);
-        if (fd < 0) {
-          std::cerr << "referee: player " << i << " never connected\n";
-          return 1;
-        }
-        (void)referee.adopt_fd(fd);
-      }
-    }
-    return serve_protocols(referee, opt);
-  }
-
-  std::vector<std::unique_ptr<ds::wire::Link>> links;
+  ds::service::RefereeService referee(opt.shards, opt.coin_seed,
+                                      opt.timeout);
   {
     const ds::obs::ScopedSpan accept_span(
         "service.accept", &ds::obs::histogram("service.accept_us"));
     for (std::size_t i = 0; i < opt.players; ++i) {
-      std::unique_ptr<ds::wire::Link> link = listener.accept(opt.timeout);
-      if (!link) {
+      const int fd = listener.accept_fd(opt.timeout);
+      if (fd < 0) {
         std::cerr << "referee: player " << i << " never connected\n";
         return 1;
       }
-      links.push_back(std::move(link));
+      (void)referee.adopt_fd(fd);
     }
   }
-  ds::service::RefereeService referee(std::move(links), opt.coin_seed,
-                                      opt.timeout);
   if (scenario != nullptr) {
     const std::size_t budget = opt.budget > 0
                                    ? opt.budget
