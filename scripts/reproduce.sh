@@ -3,7 +3,9 @@
 # every experiment bench, capturing outputs at the repo root.
 #
 # Always builds in its own out-of-source directory (build-reproduce) so it
-# can neither clobber nor silently depend on any other build tree.
+# can neither clobber nor silently depend on any other build tree.  The
+# benches run from inside that directory, so a bench that writes its
+# default JSON snapshot (bench_shard) leaves the committed one alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +28,7 @@ for b in "$BUILD_DIR"/bench/bench_*; do
     echo "====================================================="
     echo "== $(basename "$b")"
     echo "====================================================="
-    "$b" 2>&1
+    (cd "$BUILD_DIR" && "./bench/$(basename "$b")") 2>&1
   } | tee -a bench_output.txt
 done
 

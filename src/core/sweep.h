@@ -46,7 +46,7 @@ struct SweepResult {
 /// count, including 1 (pinned by the golden-sweep regression test).
 /// Encode buffers are pooled through an ArenaReservoir — one arena per
 /// concurrently running trial — so steady-state trials allocate no
-/// per-vertex buffers (measured by bench/bench_scenario.cpp).
+/// per-vertex buffers (counted by tests/engine/arena_alloc_test.cpp).
 [[nodiscard]] SweepResult sweep_budgets(const scenario::Scenario& scenario,
                                         std::span<const std::size_t> budgets,
                                         std::size_t trials,

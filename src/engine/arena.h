@@ -7,8 +7,8 @@
 // BitWriter (capacity preserved, contents cleared), writes the sketch,
 // and moves the words into the BitString without copying; `reclaim` moves
 // them back after the referee is done.  From the second trial on, the
-// steady state performs zero per-vertex heap allocations — measured by
-// bench/bench_engine.cpp.
+// steady state performs zero per-vertex heap allocations — counted by
+// tests/engine/arena_alloc_test.cpp.
 //
 // Thread-safety contract: `prepare` and `reclaim*` are called serially by
 // the engine between parallel regions; `take`/`put` may be called
@@ -83,7 +83,7 @@ class SketchArena {
 /// buffers.  Which arena a given trial draws is schedule-dependent and
 /// deliberately immaterial: arena identity never affects results (the
 /// engine-equivalence suite pins arena'd == arena-less bits), only
-/// allocation counts — which bench_scenario measures.
+/// allocation counts — which tests/engine/arena_alloc_test.cpp counts.
 class ArenaReservoir {
  public:
   [[nodiscard]] std::unique_ptr<SketchArena> acquire() {

@@ -19,7 +19,7 @@
 // With an arena attached, each (round, vertex) encode adopts pooled word
 // storage into its BitWriter and moves the finished words into the
 // BitString — zero per-vertex heap allocations in steady state
-// (docs/ENGINE.md, measured by bench/bench_engine.cpp).
+// (docs/ENGINE.md, counted by tests/engine/arena_alloc_test.cpp).
 #pragma once
 
 #include <cstddef>

@@ -207,7 +207,7 @@ struct Snapshot {
 
 /// The JSON schema documented in docs/OBSERVABILITY.md.  `indent` is
 /// prepended to every line so the block can be embedded in a larger
-/// document (the BENCH_*.json metrics block).
+/// document (the BENCH_shard.json metrics block).
 void write_json(std::ostream& out, const Snapshot& snap,
                 const std::string& indent = "");
 [[nodiscard]] std::string snapshot_json();

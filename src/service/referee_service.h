@@ -95,9 +95,9 @@ template <typename Referee>
 [[nodiscard]] auto serve(std::span<const std::unique_ptr<RefereeShard>> shards,
                          const Referee& referee, graph::Vertex n,
                          std::string_view protocol_name,
-                         std::chrono::milliseconds timeout, ShardDrive drive) {
+                         std::chrono::milliseconds timeout) {
   ShardedWireSource source(shards, n, wire::protocol_id(protocol_name),
-                           timeout, drive);
+                           timeout);
   ServiceInstrumentation instr;
   auto run = engine::run_rounds(n, referee, source, instr);
   using Output = decltype(run.output);
@@ -123,11 +123,10 @@ template <typename Output>
     std::span<const std::unique_ptr<RefereeShard>> shards,
     const model::SketchingProtocol<Output>& protocol, graph::Vertex n,
     const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout,
-    ShardDrive drive = ShardDrive::kAuto) {
+    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
   return detail::serve(shards,
                        engine::OneRoundReferee<Output>(protocol, coins), n,
-                       protocol.name(), timeout, drive);
+                       protocol.name(), timeout);
 }
 
 /// Multi-round adaptive service: the same engine loop, with inter-round
@@ -137,11 +136,10 @@ template <typename Output>
     std::span<const std::unique_ptr<RefereeShard>> shards,
     const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n,
     const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout,
-    ShardDrive drive = ShardDrive::kAuto) {
+    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
   return detail::serve(shards,
                        engine::AdaptiveReferee<Output>(protocol, coins), n,
-                       protocol.name(), timeout, drive);
+                       protocol.name(), timeout);
 }
 
 /// Convenience owner: k shards + timeout + coins in one object, for the

@@ -51,7 +51,7 @@ RefereeShard::RefereeShard(std::size_t index, std::size_t parts)
     : index_(index),
       parts_(std::max<std::size_t>(parts, 1)),
       conn_label_("shard " + std::to_string(index) + " conn") {
-  // Bound once so poll_round costs no std::function churn per pass.
+  // Bound once so a poll pass costs no std::function churn.
   on_message_ = [this](std::size_t conn, std::vector<std::uint8_t> message) {
     const std::size_t taken =
         open_.offer_message(message, conn_label_, conn);
@@ -96,25 +96,11 @@ std::size_t RefereeShard::bytes_received() const noexcept {
   return loop_.bytes_received();
 }
 
-void RefereeShard::begin_round(const RoundSpec& spec,
-                               RoundProgress& progress) {
-  open_ = RoundCollector(spec);
-  progress_ = &progress;
-}
-
-std::size_t RefereeShard::poll_round(std::chrono::milliseconds timeout) {
-  return loop_.poll_once(timeout, on_message_, on_close_);
-}
-
-RoundCollector RefereeShard::end_round() {
-  progress_ = nullptr;
-  return std::move(open_);
-}
-
 RoundCollector RefereeShard::collect_round(const RoundSpec& spec,
                                            Clock::time_point deadline,
                                            RoundProgress& progress) {
-  begin_round(spec, progress);
+  open_ = RoundCollector(spec);
+  progress_ = &progress;
   const obs::ScopedSpan span("service.shard.collect",
                              &metrics().collect_us);
   while (!progress.over(spec.n)) {
@@ -123,10 +109,12 @@ RoundCollector RefereeShard::collect_round(const RoundSpec& spec,
     if (left.count() <= 0) break;
     // A shard with no open connection of its own cannot make progress,
     // but keeps polling (cheaply) while a sibling still can.
-    (void)poll_round(
-        std::clamp(left, std::chrono::milliseconds(1), kShardPollSlice));
+    (void)loop_.poll_once(
+        std::clamp(left, std::chrono::milliseconds(1), kShardPollSlice),
+        on_message_, on_close_);
   }
-  return end_round();
+  progress_ = nullptr;
+  return std::move(open_);
 }
 
 void RefereeShard::broadcast(std::span<const std::uint8_t> message,
@@ -173,15 +161,11 @@ CollectedRound combine_shard_rounds(std::span<RoundCollector> rounds) {
 
 ShardedWireSource::ShardedWireSource(
     std::span<const std::unique_ptr<RefereeShard>> shards, graph::Vertex n,
-    std::uint32_t protocol_id, std::chrono::milliseconds timeout,
-    ShardDrive drive) noexcept
+    std::uint32_t protocol_id, std::chrono::milliseconds timeout) noexcept
     : shards_(shards), n_(n), protocol_id_(protocol_id), timeout_(timeout) {
-  drive_ = drive != ShardDrive::kAuto ? drive
-           : std::thread::hardware_concurrency() > 1 ? ShardDrive::kThreads
-                                                     : ShardDrive::kInline;
   // The round-completion wake only matters when shards sleep in their
-  // own threads; the inline rotation notices completion by itself.
-  if (shards_.size() < 2 || drive_ != ShardDrive::kThreads) return;
+  // own threads, which one shard never does.
+  if (shards_.size() < 2) return;
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_SEMAPHORE | EFD_CLOEXEC);
   if (wake_fd_ < 0) return;  // poll-slice fallback still completes rounds
   for (const std::unique_ptr<RefereeShard>& shard : shards_) {
@@ -249,46 +233,6 @@ void ShardedWireSource::collect_threaded(
   done_cv_.wait(lock, [&] { return done_count_ == workers_.size(); });
 }
 
-void ShardedWireSource::collect_inline(
-    const RoundSpec& spec, Clock::time_point deadline,
-    RoundProgress& progress, std::vector<RoundCollector>& rounds) {
-  // Consecutive empty rotations tolerated before parking in epoll_wait:
-  // while senders (usually threads sharing this core) are producing,
-  // yielding between rotations hands them the core with no sleep/wake
-  // churn; the epoll park is the backstop for genuinely quiet links.
-  constexpr std::size_t kIdleRotationsBeforePark = 256;
-
-  for (const std::unique_ptr<RefereeShard>& shard : shards_) {
-    shard->begin_round(spec, progress);
-  }
-  const obs::ScopedSpan span("service.shard.collect",
-                             &metrics().collect_us);
-  std::size_t idle_rotations = 0;
-  std::size_t park_target = 0;
-  while (!progress.over(spec.n) && Clock::now() < deadline) {
-    std::size_t events = 0;
-    for (const std::unique_ptr<RefereeShard>& shard : shards_) {
-      events += shard->poll_round(std::chrono::milliseconds(0));
-      if (progress.over(spec.n)) break;
-    }
-    if (events > 0) {
-      idle_rotations = 0;
-      continue;
-    }
-    if (++idle_rotations < kIdleRotationsBeforePark) {
-      std::this_thread::yield();
-      continue;
-    }
-    // Park in one shard's epoll for a slice, rotating the parked shard
-    // so no connection waits more than shards × slice for attention.
-    (void)shards_[park_target]->poll_round(kShardPollSlice);
-    park_target = (park_target + 1) % shards_.size();
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    rounds[s] = shards_[s]->end_round();
-  }
-}
-
 std::vector<util::BitString> ShardedWireSource::collect(
     unsigned round, std::span<const util::BitString> /*broadcasts*/) {
   const RoundSpec spec{n_, protocol_id_, round};
@@ -302,10 +246,8 @@ std::vector<util::BitString> ShardedWireSource::collect(
 
   if (shards_.size() == 1) {
     rounds[0] = shards_[0]->collect_round(spec, deadline, progress);
-  } else if (drive_ == ShardDrive::kThreads) {
-    collect_threaded(spec, deadline, progress, rounds);
   } else {
-    collect_inline(spec, deadline, progress, rounds);
+    collect_threaded(spec, deadline, progress, rounds);
   }
 
   CollectedRound combined = combine_shard_rounds(rounds);

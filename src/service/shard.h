@@ -66,7 +66,7 @@ struct RoundProgress {
 
 /// One referee shard: an event loop over this shard's connections and
 /// the round collector it feeds.  Single-threaded: one thread at a time
-/// drives it (the collecting thread, or its worker; see ShardDrive).
+/// drives it (the collecting thread, or its ShardedWireSource worker).
 class RefereeShard {
  public:
   /// `index` of `parts` shards; the nominal vertex range is
@@ -96,22 +96,11 @@ class RefereeShard {
   /// collecting this shard's frames.  Never throws on peer misbehaviour —
   /// bad frames are rejected and recorded, dead connections are dropped,
   /// and missing vertices are diagnosed when the combined round is
-  /// finished, not here.  Equivalent to begin_round + poll_round until
-  /// done + end_round.
+  /// finished, not here.
   [[nodiscard]] RoundCollector collect_round(
       const RoundSpec& spec,
       std::chrono::steady_clock::time_point deadline,
       RoundProgress& progress);
-
-  /// Incremental round API, for a driver multiplexing several shards on
-  /// one thread (ShardDrive::kInline).  begin_round opens the round's
-  /// collector; each poll_round runs one event-loop pass (at most
-  /// `timeout` parked in epoll_wait) and returns the number of
-  /// connections that had events; end_round yields the collector.
-  /// begin_round while a round is open resets it.
-  void begin_round(const RoundSpec& spec, RoundProgress& progress);
-  std::size_t poll_round(std::chrono::milliseconds timeout);
-  [[nodiscard]] RoundCollector end_round();
 
   /// Queue `message` on every live connection and flush until all
   /// backlogs reach the kernel or `deadline` passes.  Throws
@@ -133,7 +122,7 @@ class RefereeShard {
   int wake_fd_ = -1;  // not owned; -1 until attach_wake
   wire::EventLoop loop_;
   std::vector<std::size_t> conns_;  // every id ever adopted
-  // The round open between begin_round and end_round.
+  // The round collect_round has open.
   RoundCollector open_;
   RoundProgress* progress_ = nullptr;
   wire::EventLoop::MessageFn on_message_;  // bound to open_, built once
@@ -149,41 +138,21 @@ class RefereeShard {
 [[nodiscard]] CollectedRound combine_shard_rounds(
     std::span<RoundCollector> rounds);
 
-/// How ShardedWireSource drives a multi-shard round.
-enum class ShardDrive {
-  /// kThreads when the host reports more than one hardware thread,
-  /// kInline otherwise: threads only buy anything when shards can
-  /// actually run in parallel — on a single core they add nothing but
-  /// context-switch and wakeup churn to every round.
-  kAuto,
-  /// One persistent worker thread per shard, parked on a condition
-  /// variable between rounds.
-  kThreads,
-  /// All shard loops multiplexed on the collecting thread: rotate
-  /// non-blocking polls while data flows, yield briefly when dry, and
-  /// only park in (a rotating) shard's epoll_wait after a sustained
-  /// idle stretch.
-  kInline,
-};
-
 /// The referee's SketchSource: collect() runs the round on the calling
-/// thread for one shard, or fans it out across shards (one persistent
-/// parked worker thread per shard, or an inline single-thread rotation —
-/// see ShardDrive), and combines; deliver_broadcast() pushes the
-/// inter-round frame down every shard's connections.  Plugs into
-/// engine::run_rounds where LocalSource does in the simulator.
+/// thread for one shard, or fans it out to one persistent worker thread
+/// per shard (parked on a condition variable between rounds), and
+/// combines; deliver_broadcast() pushes the inter-round frame down every
+/// shard's connections.  Plugs into engine::run_rounds where LocalSource
+/// does in the simulator.
 class ShardedWireSource {
  public:
-  /// Under ShardDrive::kThreads with more than one shard this also
-  /// creates the shared round-completion eventfd and attaches it to
-  /// every shard's loop (see RefereeShard::attach_wake); if the eventfd
-  /// cannot be created, collection silently falls back to
-  /// poll-slice-granularity wakeups.  (The inline drive needs no wake:
-  /// the one driving thread notices completion on its next rotation.)
+  /// With more than one shard this also creates the shared
+  /// round-completion eventfd and attaches it to every shard's loop (see
+  /// RefereeShard::attach_wake); if the eventfd cannot be created,
+  /// collection silently falls back to poll-slice-granularity wakeups.
   ShardedWireSource(std::span<const std::unique_ptr<RefereeShard>> shards,
                     graph::Vertex n, std::uint32_t protocol_id,
-                    std::chrono::milliseconds timeout,
-                    ShardDrive drive = ShardDrive::kAuto) noexcept;
+                    std::chrono::milliseconds timeout) noexcept;
   ~ShardedWireSource();
   ShardedWireSource(const ShardedWireSource&) = delete;
   ShardedWireSource& operator=(const ShardedWireSource&) = delete;
@@ -226,16 +195,11 @@ class ShardedWireSource {
                         std::chrono::steady_clock::time_point deadline,
                         RoundProgress& progress,
                         std::vector<RoundCollector>& rounds);
-  void collect_inline(const RoundSpec& spec,
-                      std::chrono::steady_clock::time_point deadline,
-                      RoundProgress& progress,
-                      std::vector<RoundCollector>& rounds);
 
   std::span<const std::unique_ptr<RefereeShard>> shards_;
   graph::Vertex n_;
   std::uint32_t protocol_id_;
   std::chrono::milliseconds timeout_;
-  ShardDrive drive_ = ShardDrive::kThreads;  // kAuto resolved in the ctor
   int wake_fd_ = -1;  // owned; shared with every shard's loop
   WireStats uplink_;
   WireStats downlink_;

@@ -185,6 +185,12 @@ TEST_F(ObsAudit, TcpByteCountersMatchLinkAccounting) {
   EXPECT_EQ(sketch_bits.count(), served.comm.num_players);
   EXPECT_EQ(sketch_bits.sum(), served.comm.total_bits);
   EXPECT_EQ(sketch_bits.max(), served.comm.max_bits);
+
+  // Over a real TCP socket the payload is still exactly what the
+  // simulation charges.
+  const auto simulated = model::run_protocol(g, protocol, coins);
+  EXPECT_EQ(served.uplink.payload_bits, simulated.comm.total_bits);
+  EXPECT_EQ(served.output, simulated.output);
 }
 
 TEST_F(ObsAudit, ModelHistogramMatchesSimulatedCommStats) {

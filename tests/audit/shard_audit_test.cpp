@@ -93,10 +93,9 @@ void expect_same_comm(const model::CommStats& wire_comm,
 }
 
 /// One-round cross-check: players send through blocking links into the
-/// shard loops; the ShardedWireSource's combined round must reproduce
-/// the simulated collection exactly.  Runs once per drive mode so both
-/// the worker-thread and the inline single-thread multiplexer are
-/// exercised regardless of what kAuto resolves to on this host.
+/// shard loops; the ShardedWireSource's combined round, collected by the
+/// shards' worker threads, must reproduce the simulated collection
+/// exactly.
 template <typename Output>
 void expect_sharded_equals_sim(
     const Graph& g, const model::SketchingProtocol<Output>& protocol,
@@ -106,29 +105,24 @@ void expect_sharded_equals_sim(
   const std::vector<util::BitString> sim_sketches =
       model::collect_sketches(g, protocol, coins, sim_comm);
 
-  for (const service::ShardDrive drive :
-       {service::ShardDrive::kThreads, service::ShardDrive::kInline}) {
-    const std::string name =
-        protocol.name() +
-        (drive == service::ShardDrive::kThreads ? " [threads]" : " [inline]");
-    ShardedCluster cluster = make_cluster();
-    for (std::size_t i = 0; i < kPlayers; ++i) {
-      (void)service::send_sketches(
-          *cluster.players[i], g,
-          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-          coins);
-    }
-    service::ShardedWireSource source(cluster.shards, g.num_vertices(),
-                                      wire::protocol_id(protocol.name()),
-                                      2000ms, drive);
-    const std::vector<util::BitString> collected = source.collect(0, {});
-
-    expect_same_sketches(collected, sim_sketches, name);
-    expect_same_comm(service::comm_from_sketches(collected), sim_comm, name);
-    EXPECT_EQ(source.uplink().payload_bits, sim_comm.total_bits) << name;
-    EXPECT_EQ(source.uplink().rejected_frames, 0u) << name;
-    EXPECT_GT(source.uplink().framing_bits, 0u) << name;
+  const std::string name = protocol.name();
+  ShardedCluster cluster = make_cluster();
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    (void)service::send_sketches(
+        *cluster.players[i], g,
+        service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
+        coins);
   }
+  service::ShardedWireSource source(cluster.shards, g.num_vertices(),
+                                    wire::protocol_id(protocol.name()),
+                                    2000ms);
+  const std::vector<util::BitString> collected = source.collect(0, {});
+
+  expect_same_sketches(collected, sim_sketches, name);
+  expect_same_comm(service::comm_from_sketches(collected), sim_comm, name);
+  EXPECT_EQ(source.uplink().payload_bits, sim_comm.total_bits) << name;
+  EXPECT_EQ(source.uplink().rejected_frames, 0u) << name;
+  EXPECT_GT(source.uplink().framing_bits, 0u) << name;
 }
 
 TEST(ShardAudit, SketchingProtocolZooPayloadsMatchSimulation) {
@@ -151,8 +145,7 @@ TEST(ShardAudit, SketchingProtocolZooPayloadsMatchSimulation) {
 }
 
 /// Adaptive cross-check: the full two-shard serve_adaptive session
-/// (combiner, event-loop broadcasts) against run_adaptive, once per
-/// drive mode.
+/// (combiner, event-loop broadcasts) against run_adaptive.
 template <typename Output>
 void expect_sharded_adaptive_equals_sim(
     const Graph& g, const model::AdaptiveProtocol<Output>& protocol,
@@ -160,40 +153,34 @@ void expect_sharded_adaptive_equals_sim(
   const model::PublicCoins coins(seed);
   const auto sim = model::run_adaptive(g, protocol, coins);
 
-  for (const service::ShardDrive drive :
-       {service::ShardDrive::kThreads, service::ShardDrive::kInline}) {
-    const std::string name =
-        protocol.name() +
-        (drive == service::ShardDrive::kThreads ? " [threads]" : " [inline]");
-    ShardedCluster cluster = make_cluster();
-    std::vector<std::thread> threads;
-    std::vector<Output> player_results(kPlayers);
-    threads.reserve(kPlayers);
-    for (std::size_t i = 0; i < kPlayers; ++i) {
-      threads.emplace_back([&, i] {
-        player_results[i] = service::play_adaptive(
-            *cluster.players[i], g,
-            service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-            coins, 5000ms);
-      });
-    }
-    const service::ServeResult<Output> served =
-        service::serve_adaptive(cluster.shards, protocol, g.num_vertices(),
-                                coins, 5000ms, drive);
-    for (std::thread& t : threads) t.join();
+  const std::string name = protocol.name();
+  ShardedCluster cluster = make_cluster();
+  std::vector<std::thread> threads;
+  std::vector<Output> player_results(kPlayers);
+  threads.reserve(kPlayers);
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    threads.emplace_back([&, i] {
+      player_results[i] = service::play_adaptive(
+          *cluster.players[i], g,
+          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
+          coins, 5000ms);
+    });
+  }
+  const service::ServeResult<Output> served = service::serve_adaptive(
+      cluster.shards, protocol, g.num_vertices(), coins, 5000ms);
+  for (std::thread& t : threads) t.join();
 
-    EXPECT_TRUE(served.output == sim.output) << name;
-    expect_same_comm(served.comm, sim.comm, name);
-    EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << name;
-    ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << name;
-    for (std::size_t r = 0; r < served.by_round.size(); ++r) {
-      expect_same_comm(served.by_round[r], sim.by_round[r],
-                       name + " round " + std::to_string(r));
-    }
-    EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits) << name;
-    for (const Output& result : player_results) {
-      EXPECT_TRUE(result == sim.output) << name;
-    }
+  EXPECT_TRUE(served.output == sim.output) << name;
+  expect_same_comm(served.comm, sim.comm, name);
+  EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << name;
+  ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << name;
+  for (std::size_t r = 0; r < served.by_round.size(); ++r) {
+    expect_same_comm(served.by_round[r], sim.by_round[r],
+                     name + " round " + std::to_string(r));
+  }
+  EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits) << name;
+  for (const Output& result : player_results) {
+    EXPECT_TRUE(result == sim.output) << name;
   }
 }
 

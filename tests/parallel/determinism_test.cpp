@@ -1,11 +1,14 @@
 // The determinism contract of docs/PARALLELISM.md, asserted end to end:
 // every harness that fans out across the thread pool — sketch collection,
-// budget sweeps, the audited runner, the exhaustive protocol search —
-// must produce BIT-identical outputs and identical CommStats at 1, 2, and
-// 8 threads.  These tests are also the payload of the CI tsan job.
+// budget sweeps (of every registered scenario), the audited runner, the
+// exhaustive protocol search — must produce BIT-identical outputs and
+// identical CommStats at 1, 2, and 8 threads.  These tests are also the
+// payload of the CI tsan job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "audit/audited_runner.h"
@@ -81,13 +84,15 @@ TEST(ParallelDeterminism, RunProtocolOutputIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, SweepBitIdenticalAcrossThreadCounts) {
-  const std::vector<std::size_t> budgets{1, 64, 2048};
-  const scenario::Scenario* gnp_matching = scenario::find("gnp-matching");
-  ASSERT_NE(gnp_matching, nullptr);
+/// One budget sweep of `s` at every thread count against the same sweep
+/// on a one-thread pool.
+void expect_sweep_identical(const scenario::Scenario& s,
+                            const std::vector<std::size_t>& budgets,
+                            std::size_t trials, std::uint64_t seed,
+                            double target_rate) {
+  SCOPED_TRACE(std::string(s.id()));
   const auto run_sweep = [&](parallel::ThreadPool* pool) {
-    return core::sweep_budgets(*gnp_matching, budgets, /*trials=*/16,
-                               /*seed=*/7, /*target_rate=*/0.99, pool);
+    return core::sweep_budgets(s, budgets, trials, seed, target_rate, pool);
   };
 
   parallel::ThreadPool serial(1);
@@ -109,6 +114,21 @@ TEST(ParallelDeterminism, SweepBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(result.points[p].ci.lo, reference.points[p].ci.lo);
       EXPECT_EQ(result.points[p].ci.hi, reference.points[p].ci.hi);
     }
+  }
+}
+
+TEST(ParallelDeterminism, SweepBitIdenticalAcrossThreadCounts) {
+  const scenario::Scenario* gnp_matching = scenario::find("gnp-matching");
+  ASSERT_NE(gnp_matching, nullptr);
+  expect_sweep_identical(*gnp_matching, {1, 64, 2048}, /*trials=*/16,
+                         /*seed=*/7, /*target_rate=*/0.99);
+  // Every registered scenario on its own default grid, trials capped at
+  // 8 to keep the whole registry test-sized.
+  for (const scenario::Scenario* s : scenario::all()) {
+    const scenario::Grid& grid = s->default_grid();
+    expect_sweep_identical(*s, grid.budgets,
+                           std::min<std::size_t>(grid.trials, 8), grid.seed,
+                           grid.target_rate);
   }
 }
 

@@ -163,6 +163,7 @@ TEST(RefereeService, AdaptiveTwoRoundCompletesOverTcp) {
   EXPECT_EQ(served.output, simulated.output);
   EXPECT_EQ(served.comm.max_bits, simulated.comm.max_bits);
   EXPECT_EQ(served.comm.total_bits, simulated.comm.total_bits);
+  EXPECT_EQ(served.uplink.payload_bits, simulated.comm.total_bits);
   EXPECT_EQ(served.broadcast_bits, simulated.broadcast_bits);
   ASSERT_EQ(served.by_round.size(), simulated.by_round.size());
   for (std::size_t r = 0; r < served.by_round.size(); ++r) {
