@@ -9,7 +9,10 @@
 // The values were captured from the copying referee (one sampler copy
 // per component root, members merged in vertex order, Fermat inverses
 // and square-and-multiply fingerprints).  The in-place referee must
-// reproduce every forest edge in the same order.
+// reproduce every forest edge in the same order.  The stream's
+// state_hash pins were captured from per-vertex sketch objects, before
+// the state moved into one table; any layout must serialize the same
+// words in the same order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,26 +82,43 @@ Pin query_pin(const stream::DynamicConnectivity& state) {
   return pin_of(d.forest, d.components);
 }
 
-void expect_stream_pins(unsigned rounds, const Pin& half, const Pin& full) {
+/// The stream's pins at 50% and 100%: each query's Pin and the state's
+/// serialized-word digest, so a change to the layout or order of the
+/// sketch words moves a value here even when every query still agrees.
+void expect_stream_pins(unsigned rounds, const Pin& half,
+                        std::uint64_t half_hash, const Pin& full,
+                        std::uint64_t full_hash) {
   const std::vector<stream::EdgeUpdate> updates = rmat_stream();
   stream::DynamicConnectivity state(Vertex{1} << 12, /*seed=*/0xA6E, rounds);
   const std::size_t mid = updates.size() / 2;
   for (std::size_t i = 0; i < mid; ++i) state.apply(updates[i]);
   EXPECT_EQ(query_pin(state), half) << "rounds=" << rounds << " at 50%";
+  EXPECT_EQ(state.state_hash(), half_hash) << "rounds=" << rounds << " at 50%";
+  // A snapshot owns its state: the original absorbing the rest of the
+  // stream must not move the copy.
+  const stream::DynamicConnectivity snapshot = state;
   for (std::size_t i = mid; i < updates.size(); ++i) state.apply(updates[i]);
   EXPECT_EQ(query_pin(state), full) << "rounds=" << rounds << " at 100%";
+  EXPECT_EQ(state.state_hash(), full_hash)
+      << "rounds=" << rounds << " at 100%";
   // A query must leave the state able to answer the same again.
   EXPECT_EQ(query_pin(state), full) << "rounds=" << rounds << " repeated";
+  EXPECT_EQ(query_pin(snapshot), half) << "rounds=" << rounds << " copy";
+  EXPECT_EQ(snapshot.state_hash(), half_hash) << "rounds=" << rounds << " copy";
 }
 
 TEST(BoruvkaGolden, DeletingRmatStreamTwoRounds) {
   expect_stream_pins(2, {1889, 0x218e14461a75cb0bull, 2207},
-                     {2159, 0x462530d13b472886ull, 1937});
+                     0x9ef718a0b04ddde8ull,
+                     {2159, 0x462530d13b472886ull, 1937},
+                     0x3887d4b65592eda9ull);
 }
 
 TEST(BoruvkaGolden, DeletingRmatStreamDefaultRounds) {
   expect_stream_pins(0, {2124, 0xfa76b910473b44b1ull, 1972},
-                     {2448, 0xc91b7b1513bf5e5full, 1648});
+                     0x3b8fcca54cf8e299ull,
+                     {2448, 0xc91b7b1513bf5e5full, 1648},
+                     0x4f58d102725103bbull);
 }
 
 // ------------------------------------- AGM protocols on Yu's instance
