@@ -1,7 +1,5 @@
 #include "audit/audit.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "model/coins.h"
@@ -90,14 +88,7 @@ AuditError::AuditError(Invariant inv, const std::string& detail)
       invariant_(inv) {}
 
 void fail(Invariant inv, const std::string& detail) {
-#ifdef DISTSKETCH_AUDIT_ABORT
-  std::fprintf(stderr, "[ds_audit] %.*s violation: %s\n",
-               static_cast<int>(invariant_name(inv).size()),
-               invariant_name(inv).data(), detail.c_str());
-  std::abort();
-#else
   throw AuditError(inv, detail);
-#endif
 }
 
 bool same_message(const util::BitString& a,

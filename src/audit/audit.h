@@ -19,8 +19,8 @@
 //                         encoder to referee through protocol-object state).
 //
 // This header defines the invariant vocabulary, the failure path
-// (AuditError or abort, per DISTSKETCH_AUDIT_ABORT), and the non-template
-// core checks; audited_runner.h builds the instrumented runners on top.
+// (AuditError), and the non-template core checks; audited_runner.h
+// builds the instrumented runners on top.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,7 @@ enum class Invariant : std::uint8_t {
 
 [[nodiscard]] std::string_view invariant_name(Invariant inv) noexcept;
 
-/// Raised (or reported just before abort, with DISTSKETCH_AUDIT_ABORT) when
-/// a protocol violates a model invariant under audit.
+/// Raised when a protocol violates a model invariant under audit.
 class AuditError : public std::runtime_error {
  public:
   AuditError(Invariant inv, const std::string& detail);
@@ -55,8 +54,7 @@ class AuditError : public std::runtime_error {
   Invariant invariant_;
 };
 
-/// Report the violation and fail: throws AuditError, or prints the
-/// diagnostic and aborts when built with -DDISTSKETCH_AUDIT_ABORT=ON.
+/// Report the violation and fail: throws AuditError.
 [[noreturn]] void fail(Invariant inv, const std::string& detail);
 
 struct AuditConfig {

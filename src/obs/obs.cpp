@@ -25,7 +25,6 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-#if !defined(DISTSKETCH_OBS_DISABLED)
 bool env_truthy(const char* value) noexcept {
   return value != nullptr && *value != '\0' &&
          !(value[0] == '0' && value[1] == '\0');
@@ -48,7 +47,6 @@ Gates& gates() noexcept {
   static Gates g;
   return g;
 }
-#endif
 
 struct SpanAggregate {
   std::atomic<std::uint64_t> count{0};
@@ -108,7 +106,6 @@ void record_span(const char* name, std::uint64_t start_ns,
 
 }  // namespace
 
-#if !defined(DISTSKETCH_OBS_DISABLED)
 bool metrics_enabled() noexcept {
   return gates().metrics.load(std::memory_order_relaxed);
 }
@@ -124,7 +121,6 @@ void set_metrics_enabled(bool on) noexcept {
 void set_trace_enabled(bool on) noexcept {
   gates().trace.store(on, std::memory_order_relaxed);
 }
-#endif
 
 // ---------------------------------------------------------------------
 // Histogram.

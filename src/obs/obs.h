@@ -8,11 +8,9 @@
 //     bytes, durations, queue depths — and are forbidden from feeding
 //     anything back into protocol execution, so bit-identical results at
 //     any thread count (docs/PARALLELISM.md) hold with metrics on or off.
-//   * Zero overhead when disabled.  Every record is gated on one relaxed
-//     atomic-bool load (runtime toggles DISTSKETCH_METRICS /
-//     DISTSKETCH_TRACE, or the programmatic setters); compiling with
-//     DISTSKETCH_OBS_DISABLED makes the gates constexpr-false so the
-//     instrumentation folds away entirely.
+//   * Near-zero overhead when disabled.  Every record is gated on one
+//     relaxed atomic-bool load (runtime toggles DISTSKETCH_METRICS /
+//     DISTSKETCH_TRACE, or the programmatic setters).
 //   * TSan-clean.  Counters and histogram cells are relaxed atomics; the
 //     registry and the trace ring are mutex-guarded.  The CI tsan job
 //     runs the Obs* suites with metrics forced on.
@@ -37,14 +35,6 @@ namespace ds::obs {
 // ---------------------------------------------------------------------
 // Enable gates.
 // ---------------------------------------------------------------------
-#if defined(DISTSKETCH_OBS_DISABLED)
-// Compile-time no-op sink: the gates are constexpr false, so every
-// record call below folds to nothing.
-[[nodiscard]] constexpr bool metrics_enabled() noexcept { return false; }
-[[nodiscard]] constexpr bool trace_enabled() noexcept { return false; }
-inline void set_metrics_enabled(bool) noexcept {}
-inline void set_trace_enabled(bool) noexcept {}
-#else
 /// True when DISTSKETCH_METRICS is set to a truthy value in the
 /// environment, or set_metrics_enabled(true) was called.  One relaxed
 /// atomic load — safe (and cheap) on any hot path.
@@ -53,7 +43,6 @@ inline void set_trace_enabled(bool) noexcept {}
 [[nodiscard]] bool trace_enabled() noexcept;
 void set_metrics_enabled(bool on) noexcept;
 void set_trace_enabled(bool on) noexcept;
-#endif
 
 // ---------------------------------------------------------------------
 // Instruments.

@@ -140,13 +140,9 @@ ConnectivityYuHardScenario::ConnectivityYuHardScenario(graph::Vertex levels,
                                                        graph::Vertex width)
     : levels_(levels), width_(width) {
   const graph::Vertex n = levels_ * width_;
-  // One Boruvka round's sketch cost is shape-deterministic: probe it once
-  // with throwaway coins.  The budget buys floor(budget / per_round)
-  // rounds, capped at the Boruvka default.
-  per_round_bits_ =
-      sketch::AgmVertexSketch::make(model::PublicCoins(0x9A0), n,
-                                    /*rounds=*/1)
-          .state_bits();
+  // One Boruvka round's sketch cost depends on n alone.  The budget buys
+  // floor(budget / per_round) rounds, capped at the Boruvka default.
+  per_round_bits_ = sketch::agm_state_bits(n, /*rounds=*/1);
   max_rounds_ = sketch::agm_default_rounds(n);
   grid_ = {geometric_ladder(per_round_bits_, per_round_bits_ * max_rounds_,
                             2.0),

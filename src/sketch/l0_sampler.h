@@ -7,16 +7,17 @@
 // probability; callers needing high probability keep several independent
 // samplers (the AGM sketch keeps one per Boruvka round anyway).
 //
-// The level table is a OneSparseBank (structure-of-arrays, one contiguous
-// allocation), and add_batch hashes a whole span of indices per call
-// through util::sample_level_batch — the word-at-a-time/batched hot path
-// of docs/ENGINE.md.  Both are bit-identical to the scalar per-edge path.
+// An L0Sampler is a shape (the level hash and a OneSparseBank of levels);
+// its state is the levels' states, in words the caller owns (written,
+// read and merged by the one_sparse.h state functions).  add_batch hashes a
+// whole span of indices per call through util::sample_level_batch — the
+// batched hot path of docs/ENGINE.md, bit-identical to per-index add().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "model/coins.h"
 #include "sketch/one_sparse.h"
@@ -29,39 +30,43 @@ class L0Sampler {
   static L0Sampler make(const model::PublicCoins& coins, std::uint64_t tag,
                         std::uint64_t universe);
 
-  void add(std::uint64_t index, std::int64_t delta);
+  /// Levels of a sampler over [0, universe).
+  [[nodiscard]] static unsigned levels_for(std::uint64_t universe) noexcept;
 
-  /// Batched add: equivalent to add(indices[i], deltas[i]) for every i
-  /// in order, but evaluates the level hash over the whole span per call.
-  void add_batch(std::span<const std::uint64_t> indices,
-                 std::span<const std::int64_t> deltas);
+  void add(std::span<std::uint64_t> state, std::uint64_t index,
+           std::int64_t delta) const;
 
-  void merge(const L0Sampler& other);
+  /// Batched add: add(state, indices[i], deltas[i]) for every i in
+  /// order, evaluating the level hash over the whole span per call.
+  void add_batch(std::span<std::uint64_t> state,
+                 std::span<const std::uint64_t> indices,
+                 std::span<const std::int64_t> deltas) const;
 
   /// A nonzero coordinate, or nullopt (vector zero at every level, or all
   /// levels failed to be 1-sparse).
-  [[nodiscard]] std::optional<Recovered> decode() const;
+  [[nodiscard]] std::optional<Recovered> decode(
+      std::span<const std::uint64_t> state) const;
 
   /// True iff every level decodes to zero — evidence (not proof) that the
   /// summarized vector is zero.
-  [[nodiscard]] bool looks_zero() const;
+  [[nodiscard]] bool looks_zero(std::span<const std::uint64_t> state) const;
 
-  /// Start loading the level table into cache (OneSparseBank::prefetch).
-  void prefetch() const noexcept { levels_.prefetch(); }
-
-  void write(util::BitWriter& out) const;
-  void read(util::BitReader& in);
-  [[nodiscard]] std::size_t state_bits() const;
+  [[nodiscard]] std::size_t state_words() const noexcept {
+    return levels_.state_words();
+  }
+  [[nodiscard]] std::size_t state_bits() const noexcept {
+    return levels_.state_bits();
+  }
 
   [[nodiscard]] unsigned num_levels() const noexcept {
     return static_cast<unsigned>(levels_.size());
   }
 
  private:
-  L0Sampler() = default;
+  L0Sampler(const util::KWiseHash& level_hash, OneSparseBank levels)
+      : level_hash_(level_hash), levels_(std::move(levels)) {}
 
-  std::uint64_t universe_ = 0;
-  std::optional<util::KWiseHash> level_hash_;
+  util::KWiseHash level_hash_;
   OneSparseBank levels_;
 };
 

@@ -104,24 +104,17 @@ OneSparseBank OneSparseBank::make(const model::PublicCoins& coins,
   OneSparseBank bank;
   bank.universe_ = universe;
   bank.slots_ = tags.size();
-  bank.data_.assign(3 * bank.slots_, 0);
-
-  auto shape = std::make_shared<Shape>();
-  shape->z.reserve(bank.slots_);
-  for (std::uint64_t tag : tags) shape->z.push_back(draw_z(coins, tag));
   // Fixed-base windowed tables over the exponent range actually used:
   // add() exponents are indices < universe, so ceil(bits/8) 8-bit windows
   // cover every z^index ever computed.
   const unsigned bits =
       universe > 1 ? static_cast<unsigned>(std::bit_width(universe - 1)) : 1;
-  shape->windows = (bits + 7) / 8;
-  shape->pow.assign(static_cast<std::size_t>(bank.slots_) * shape->windows *
-                        256,
-                    0);
-  for (std::size_t s = 0; s < bank.slots_; ++s) {
-    std::uint64_t base = shape->z[s];  // z^(1 << 8w) at window w
-    std::uint64_t* table = shape->pow.data() + s * shape->windows * 256;
-    for (unsigned w = 0; w < shape->windows; ++w, table += 256) {
+  bank.windows_ = (bits + 7) / 8;
+  bank.pow_.assign(bank.slots_ * bank.windows_ * 256, 0);
+  std::uint64_t* table = bank.pow_.data();
+  for (std::uint64_t tag : tags) {
+    std::uint64_t base = draw_z(coins, tag);  // z^(1 << 8w) at window w
+    for (unsigned w = 0; w < bank.windows_; ++w, table += 256) {
       table[0] = 1;
       for (unsigned j = 1; j < 256; ++j) {
         table[j] = util::mul_mod(table[j - 1], base, kP);
@@ -129,16 +122,14 @@ OneSparseBank OneSparseBank::make(const model::PublicCoins& coins,
       base = util::mul_mod(table[255], base, kP);
     }
   }
-  bank.shape_ = std::move(shape);
   return bank;
 }
 
 std::uint64_t OneSparseBank::z_pow(std::size_t slot,
                                    std::uint64_t index) const noexcept {
-  const Shape& shape = *shape_;
-  const std::uint64_t* table = shape.pow.data() + slot * shape.windows * 256;
+  const std::uint64_t* table = pow_.data() + slot * windows_ * 256;
   std::uint64_t r = table[index & 255];
-  for (unsigned w = 1; w < shape.windows; ++w) {
+  for (unsigned w = 1; w < windows_; ++w) {
     table += 256;
     const std::uint64_t chunk = (index >> (8 * w)) & 255;
     if (chunk != 0) r = util::mul_mod(r, table[chunk], kP);
@@ -146,88 +137,70 @@ std::uint64_t OneSparseBank::z_pow(std::size_t slot,
   return r;
 }
 
-void OneSparseBank::add(std::size_t slot, std::uint64_t index,
-                        std::int64_t delta) {
-  assert(slot < slots_);
+void OneSparseBank::add(std::span<std::uint64_t> state, std::size_t slot,
+                        std::uint64_t index, std::int64_t delta) const {
+  assert(state.size() == state_words() && slot < slots_);
   assert(index < universe_);
   if (delta == 0) return;
   const std::uint64_t d = to_field(delta);
-  ell0()[slot] += static_cast<std::uint64_t>(delta);  // two's-complement sum
-  ell1()[slot] =
-      util::add_mod(ell1()[slot], util::mul_mod(d, index % kP, kP), kP);
-  fp()[slot] = util::add_mod(
-      fp()[slot], util::mul_mod(d, z_pow(slot, index), kP), kP);
+  std::uint64_t* s = state.data() + kStateWords * slot;
+  s[0] += static_cast<std::uint64_t>(delta);  // two's-complement sum
+  s[1] = util::add_mod(s[1], util::mul_mod(d, index % kP, kP), kP);
+  s[2] = util::add_mod(s[2], util::mul_mod(d, z_pow(slot, index), kP), kP);
 }
 
-void OneSparseBank::add_prefix(std::size_t upto, std::uint64_t index,
-                               std::int64_t delta) {
-  assert(upto < slots_);
+void OneSparseBank::add_prefix(std::span<std::uint64_t> state,
+                               std::size_t upto, std::uint64_t index,
+                               std::int64_t delta) const {
+  assert(state.size() == state_words() && upto < slots_);
   assert(index < universe_);
   if (delta == 0) return;
   const std::uint64_t d = to_field(delta);
-  const std::uint64_t delta_raw = static_cast<std::uint64_t>(delta);
   const std::uint64_t ell1_term = util::mul_mod(d, index % kP, kP);
-  std::uint64_t* e0 = ell0();
-  std::uint64_t* e1 = ell1();
-  std::uint64_t* f = fp();
-  for (std::size_t l = 0; l <= upto; ++l) {
-    e0[l] += delta_raw;
-    e1[l] = util::add_mod(e1[l], ell1_term, kP);
-    f[l] = util::add_mod(f[l], util::mul_mod(d, z_pow(l, index), kP), kP);
+  std::uint64_t* s = state.data();
+  for (std::size_t l = 0; l <= upto; ++l, s += kStateWords) {
+    s[0] += static_cast<std::uint64_t>(delta);
+    s[1] = util::add_mod(s[1], ell1_term, kP);
+    s[2] = util::add_mod(s[2], util::mul_mod(d, z_pow(l, index), kP), kP);
   }
 }
 
-void OneSparseBank::merge(const OneSparseBank& other) {
-  assert(universe_ == other.universe_ && slots_ == other.slots_);
-  std::uint64_t* e0 = ell0();
-  std::uint64_t* e1 = ell1();
-  std::uint64_t* f = fp();
-  const std::uint64_t* o0 = other.ell0();
-  const std::uint64_t* o1 = other.ell1();
-  const std::uint64_t* of = other.fp();
-  for (std::size_t i = 0; i < slots_; ++i) {
-    assert(z(i) == other.z(i) &&
-           "sketches with different shapes cannot merge");
-    e0[i] += o0[i];
-    e1[i] = util::add_mod(e1[i], o1[i], kP);
-    f[i] = util::add_mod(f[i], of[i], kP);
+DecodeResult OneSparseBank::decode(std::span<const std::uint64_t> state,
+                                   std::size_t slot) const {
+  assert(state.size() == state_words() && slot < slots_);
+  const std::uint64_t* s = state.data() + kStateWords * slot;
+  return decode_state(universe_, static_cast<std::int64_t>(s[0]), s[1], s[2],
+                      [this, slot](std::uint64_t i) { return z_pow(slot, i); });
+}
+
+void write_states(std::span<const std::uint64_t> states,
+                  util::BitWriter& out) {
+  assert(states.size() % kStateWords == 0);
+  out.reserve_bits(out.bit_count() +
+                   states.size() / kStateWords * OneSparse::state_bits());
+  for (std::size_t i = 0; i < states.size(); i += kStateWords) {
+    out.put_bits(states[i], kCounterBits);
+    out.put_bits(states[i + 1], kFieldBits);
+    out.put_bits(states[i + 2], kFieldBits);
   }
 }
 
-DecodeResult OneSparseBank::decode(std::size_t slot) const {
-  assert(slot < slots_);
-  return decode_state(
-      universe_, static_cast<std::int64_t>(ell0()[slot]), ell1()[slot],
-      fp()[slot], [this, slot](std::uint64_t i) { return z_pow(slot, i); });
-}
-
-void OneSparseBank::prefetch() const noexcept {
-  constexpr std::size_t kWordsPerLine = 64 / sizeof(std::uint64_t);
-  for (std::size_t i = 0; i < data_.size(); i += kWordsPerLine) {
-    __builtin_prefetch(data_.data() + i);
+void read_states(std::span<std::uint64_t> states, util::BitReader& in) {
+  assert(states.size() % kStateWords == 0);
+  for (std::size_t i = 0; i < states.size(); i += kStateWords) {
+    states[i] = in.get_bits(kCounterBits);
+    states[i + 1] = in.get_bits(kFieldBits);
+    states[i + 2] = in.get_bits(kFieldBits);
   }
 }
 
-void OneSparseBank::write(util::BitWriter& out) const {
-  out.reserve_bits(out.bit_count() + state_bits());
-  const std::uint64_t* e0 = ell0();
-  const std::uint64_t* e1 = ell1();
-  const std::uint64_t* f = fp();
-  for (std::size_t i = 0; i < slots_; ++i) {
-    out.put_bits(e0[i], kCounterBits);
-    out.put_bits(e1[i], kFieldBits);
-    out.put_bits(f[i], kFieldBits);
-  }
-}
-
-void OneSparseBank::read(util::BitReader& in) {
-  std::uint64_t* e0 = ell0();
-  std::uint64_t* e1 = ell1();
-  std::uint64_t* f = fp();
-  for (std::size_t i = 0; i < slots_; ++i) {
-    e0[i] = in.get_bits(kCounterBits);
-    e1[i] = in.get_bits(kFieldBits);
-    f[i] = in.get_bits(kFieldBits);
+void merge_states(std::span<std::uint64_t> states,
+                  std::span<const std::uint64_t> other) {
+  assert(states.size() == other.size() && states.size() % kStateWords == 0);
+  for (std::size_t i = 0; i < states.size(); i += kStateWords) {
+    states[i] += other[i];
+    states[i + 1] = util::add_mod(states[i + 1], other[i + 1], kP);
+    states[i + 2] = util::add_mod(states[i + 2], other[i + 2], kP);
   }
 }
 

@@ -15,22 +15,19 @@
 // players and referee agree on it without communication; only the *state*
 // (three field words and a counter) is serialized into messages.
 //
-// Two containers share the arithmetic:
-//   * OneSparse — a single standalone summary.
-//   * OneSparseBank — N summaries in one structure-of-arrays buffer (all
-//     z values, then all counters, then all ell1, then all fp, in one
-//     contiguous allocation).  The L0 sampler's level table and the
-//     s-sparse cell grid are banks, so the encode/decode hot path walks
-//     contiguous memory and a bank copy is a single allocation
-//     (docs/ENGINE.md "hot path").  Slot i of a bank built from tag t_i
-//     is bit-identical in shape and state to OneSparse::make(coins, t_i,
+// Two types share the arithmetic:
+//   * OneSparse — a standalone summary owning its state; the tests'
+//     reference.
+//   * OneSparseBank — the shape of N summaries whose states the caller
+//     owns.  The L0 sampler's level table and the s-sparse cell
+//     grid are banks (docs/ENGINE.md "hot path").  Slot i of a bank built
+//     from tag t_i is
+//     bit-identical in shape and state to OneSparse::make(coins, t_i,
 //     universe) fed the same updates — pinned by
-//     tests/sketch/one_sparse_test.cpp.
+//     tests/sketch/batch_equivalence_test.cpp.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -84,17 +81,22 @@ class OneSparse {
   std::uint64_t fp_ = 0;     // fingerprint mod p
 };
 
-/// Structure-of-arrays bank of OneSparse summaries over one universe.
+/// A summary's state is three words (ell0, ell1, fp), ell0 holding the
+/// counter's two's-complement bits, in OneSparse::write's order.  These
+/// act on any run of states, whatever shapes they belong to.
+inline constexpr std::size_t kStateWords = 3;
+void write_states(std::span<const std::uint64_t> states,
+                  util::BitWriter& out);
+void read_states(std::span<std::uint64_t> states, util::BitReader& in);
+/// states += other, summary by summary (both of the same shapes).
+void merge_states(std::span<std::uint64_t> states,
+                  std::span<const std::uint64_t> other);
+
+/// The shape of N OneSparse summaries over one universe, whose states
+/// (N consecutive three-word states, slot order) the caller owns.
 ///
-/// The bank separates *shape* from *state*.  Shape — the per-slot
-/// fingerprint bases z and their fixed-base power tables — is immutable,
-/// derived only from (coins, tags, universe), and held by shared_ptr: a
-/// bank copy shares it, so copying a cached sketch template copies only
-/// state.  State is one allocation laid out
-/// [ ell0[0..N) | ell1[0..N) | fp[0..N) ]; ell0 is stored as the
-/// two's-complement bit pattern of the signed counter (exactly the bits
-/// write() emits).
-///
+/// The shape — per-slot fingerprint bases z and their fixed-base power
+/// tables — is immutable and derived only from (coins, tags, universe).
 /// The power tables turn the per-update z^index into a product of
 /// ceil(bit_width(universe-1)/8) table entries (windowed fixed-base
 /// exponentiation) instead of a ~2*log2(index)-multiply square-and-chain
@@ -115,69 +117,36 @@ class OneSparseBank {
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_; }
   [[nodiscard]] std::uint64_t universe() const noexcept { return universe_; }
-
-  void add(std::size_t slot, std::uint64_t index, std::int64_t delta);
-
-  /// Add (index, delta) to every slot in [0, upto] — the L0 sampler's
-  /// nested-subsampling walk.  The shared ell1 term is computed once;
-  /// only the per-slot fingerprint power differs.
-  void add_prefix(std::size_t upto, std::uint64_t index, std::int64_t delta);
-
-  void merge(const OneSparseBank& other);
-
-  [[nodiscard]] DecodeResult decode(std::size_t slot) const;
-
-  /// Ask the CPU to start loading the state words.  A hint only: it
-  /// changes no value, and lets a referee walking many banks overlap the
-  /// next bank's cache misses with work on the current one.
-  void prefetch() const noexcept;
-
-  /// Serialize / deserialize every slot's state in slot order (identical
-  /// bit stream to calling OneSparse::write per slot).
-  void write(util::BitWriter& out) const;
-  void read(util::BitReader& in);
-
+  [[nodiscard]] std::size_t state_words() const noexcept {
+    return kStateWords * slots_;
+  }
   [[nodiscard]] std::size_t state_bits() const noexcept {
     return slots_ * OneSparse::state_bits();
   }
 
- private:
-  /// Immutable per-shape data, shared between copies of a bank.
-  struct Shape {
-    std::vector<std::uint64_t> z;  // slots_ fingerprint bases
-    /// Fixed-base tables: for slot s and window w < windows,
-    /// pow[(s * windows + w) * 256 + j] = z[s]^(j << (8w)) mod p.
-    std::vector<std::uint64_t> pow;
-    unsigned windows = 1;
-  };
+  void add(std::span<std::uint64_t> state, std::size_t slot,
+           std::uint64_t index, std::int64_t delta) const;
 
-  [[nodiscard]] std::uint64_t z(std::size_t i) const noexcept {
-    return shape_->z[i];
-  }
+  /// Add (index, delta) to every slot in [0, upto] — the L0 sampler's
+  /// nested-subsampling walk.  The shared ell1 term is computed once;
+  /// only the per-slot fingerprint power differs.
+  void add_prefix(std::span<std::uint64_t> state, std::size_t upto,
+                  std::uint64_t index, std::int64_t delta) const;
+
+  [[nodiscard]] DecodeResult decode(std::span<const std::uint64_t> state,
+                                    std::size_t slot) const;
+
+ private:
   /// z[slot]^index mod p via the windowed tables.
   [[nodiscard]] std::uint64_t z_pow(std::size_t slot,
                                     std::uint64_t index) const noexcept;
-  [[nodiscard]] std::uint64_t* ell0() noexcept { return data_.data(); }
-  [[nodiscard]] const std::uint64_t* ell0() const noexcept {
-    return data_.data();
-  }
-  [[nodiscard]] std::uint64_t* ell1() noexcept {
-    return data_.data() + slots_;
-  }
-  [[nodiscard]] const std::uint64_t* ell1() const noexcept {
-    return data_.data() + slots_;
-  }
-  [[nodiscard]] std::uint64_t* fp() noexcept {
-    return data_.data() + 2 * slots_;
-  }
-  [[nodiscard]] const std::uint64_t* fp() const noexcept {
-    return data_.data() + 2 * slots_;
-  }
 
   std::uint64_t universe_ = 0;
   std::size_t slots_ = 0;
-  std::shared_ptr<const Shape> shape_;
-  std::vector<std::uint64_t> data_;  // 3 * slots_ words of state
+  unsigned windows_ = 1;
+  /// Fixed-base tables: for slot s and window w < windows_,
+  /// pow_[(s * windows_ + w) * 256 + j] = z[s]^(j << (8w)) mod p.
+  std::vector<std::uint64_t> pow_;
 };
 
 }  // namespace ds::sketch

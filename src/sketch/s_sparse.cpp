@@ -26,14 +26,17 @@ SSparse SSparse::make(const model::PublicCoins& coins, std::uint64_t tag,
     }
   }
   s.cells_ = OneSparseBank::make(coins, tags, universe);
+  s.state_.assign(s.cells_.state_words(), 0);
   return s;
 }
 
-void SSparse::add(std::uint64_t index, std::int64_t delta) {
+void SSparse::add_to(std::span<std::uint64_t> state, std::uint64_t index,
+                     std::int64_t delta) const {
   assert(index < universe_);
   for (std::uint32_t row = 0; row < rows_; ++row) {
     const std::uint64_t col = row_hash_[row].bounded(index, cols_);
-    cells_.add(static_cast<std::size_t>(row) * cols_ + col, index, delta);
+    cells_.add(state, static_cast<std::size_t>(row) * cols_ + col, index,
+               delta);
   }
 }
 
@@ -45,7 +48,7 @@ void SSparse::add_batch(std::span<const std::uint64_t> indices,
     row_hash_[row].bounded_batch(indices, cols_, col_scratch);
     const std::size_t base = static_cast<std::size_t>(row) * cols_;
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      cells_.add(base + col_scratch[i], indices[i], delta);
+      cells_.add(state_, base + col_scratch[i], indices[i], delta);
     }
   }
 }
@@ -53,29 +56,29 @@ void SSparse::add_batch(std::span<const std::uint64_t> indices,
 void SSparse::merge(const SSparse& other) {
   assert(universe_ == other.universe_ && rows_ == other.rows_ &&
          cols_ == other.cols_);
-  cells_.merge(other.cells_);
+  merge_states(state_, other.state_);
 }
 
 std::optional<std::vector<Recovered>> SSparse::decode() const {
   // Peeling: repeatedly recover a 1-sparse cell and subtract the recovered
   // element everywhere, until the residual is zero (success) or no cell
   // decodes (over-sparse or hash-unlucky: fail).
-  SSparse work = *this;
+  std::vector<std::uint64_t> work = state_;
   std::vector<Recovered> found;
   bool progress = true;
   while (progress) {
     progress = false;
-    for (std::size_t cell = 0; cell < work.cells_.size(); ++cell) {
-      const DecodeResult r = work.cells_.decode(cell);
+    for (std::size_t cell = 0; cell < cells_.size(); ++cell) {
+      const DecodeResult r = cells_.decode(work, cell);
       if (r.status != DecodeStatus::kOne) continue;
       found.push_back(r.value);
       if (found.size() > sparsity_) return std::nullopt;
-      work.add(r.value.index, -r.value.count);
+      add_to(work, r.value.index, -r.value.count);
       progress = true;
     }
   }
-  for (std::size_t cell = 0; cell < work.cells_.size(); ++cell) {
-    if (work.cells_.decode(cell).status != DecodeStatus::kZero) {
+  for (std::size_t cell = 0; cell < cells_.size(); ++cell) {
+    if (cells_.decode(work, cell).status != DecodeStatus::kZero) {
       return std::nullopt;
     }
   }
@@ -86,9 +89,9 @@ std::optional<std::vector<Recovered>> SSparse::decode() const {
   return found;
 }
 
-void SSparse::write(util::BitWriter& out) const { cells_.write(out); }
+void SSparse::write(util::BitWriter& out) const { write_states(state_, out); }
 
-void SSparse::read(util::BitReader& in) { cells_.read(in); }
+void SSparse::read(util::BitReader& in) { read_states(state_, in); }
 
 std::size_t SSparse::state_bits() const { return cells_.state_bits(); }
 

@@ -7,9 +7,9 @@
 // compressed", and as a building block everywhere a constant-failure
 // recovery is enough.
 //
-// The cell grid is a OneSparseBank (structure-of-arrays, row-major), and
-// add_batch hashes a whole span of indices per row hash per call — same
-// bit-identity contract as the L0 sampler (docs/ENGINE.md "hot path").
+// The cell grid is a OneSparseBank (row-major) over the SSparse's own
+// state words, and add_batch hashes a whole span of indices per row hash
+// per call — same bit-identity contract as the L0 sampler.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,9 @@ class SSparse {
                       std::uint64_t universe, std::uint32_t sparsity,
                       std::uint32_t rows = 6);
 
-  void add(std::uint64_t index, std::int64_t delta);
+  void add(std::uint64_t index, std::int64_t delta) {
+    add_to(state_, index, delta);
+  }
 
   /// Batched add of a whole index row at one delta: equivalent to
   /// add(indices[i], delta) for every i in order, but each row hash is
@@ -53,12 +55,16 @@ class SSparse {
  private:
   SSparse() = default;
 
+  void add_to(std::span<std::uint64_t> state, std::uint64_t index,
+              std::int64_t delta) const;
+
   std::uint64_t universe_ = 0;
   std::uint32_t sparsity_ = 0;
   std::uint32_t rows_ = 0;
   std::uint32_t cols_ = 0;
   std::vector<util::KWiseHash> row_hash_;  // one per row
   OneSparseBank cells_;                    // rows_ * cols_, row-major
+  std::vector<std::uint64_t> state_;       // cells_.state_words() words
 };
 
 }  // namespace ds::sketch

@@ -1,8 +1,15 @@
 #include "stream/dynamic_stream.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <memory>
+#include <span>
 
+#include "model/coins.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 
@@ -11,19 +18,40 @@ namespace ds::stream {
 using graph::Edge;
 using graph::Vertex;
 
+namespace {
+
+/// A table of `words` words, `from` followed by zeros, on transparent
+/// huge pages where the kernel grants them.  glibc maps a table of stream
+/// size (~100 MB at n = 2^16) afresh on every allocation, and faulting it
+/// in 4 KiB pages made a fresh state and a snapshot copy ~2x slower.
+std::vector<std::uint64_t> fresh_table(std::size_t words,
+                                       std::span<const std::uint64_t> from) {
+  std::vector<std::uint64_t> table;
+  table.reserve(words);
+  // Advise the whole pages inside the allocation before any is touched.
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* start = table.data();
+  std::size_t bytes = words * sizeof(std::uint64_t);
+  if (std::align(page, page, start, bytes) != nullptr) {
+    madvise(start, bytes & ~(page - 1), MADV_HUGEPAGE);
+  }
+  table.assign(from.begin(), from.end());
+  table.resize(words);
+  return table;
+}
+
+}  // namespace
+
 DynamicConnectivity::DynamicConnectivity(Vertex n, std::uint64_t seed,
                                          unsigned rounds)
-    : coins_(seed) {
-  // Every vertex shares one sketch shape (same hash families and
-  // fingerprint bases — AGM merging requires it), so build the shape
-  // once and copy: at n >= 10^6 this replaces ~10^8 coin-stream
-  // constructions with plain memcpys of zeroed state.
-  sketches_.reserve(n);
-  if (n > 0) {
-    const auto shape = sketch::AgmVertexSketch::make(coins_, n, rounds);
-    for (Vertex v = 0; v < n; ++v) sketches_.push_back(shape);
-  }
-}
+    : shape_(n > 0 ? sketch::AgmSketch::make(model::PublicCoins(seed), n,
+                                             rounds)
+                   : sketch::AgmSketch()),
+      table_(fresh_table(std::size_t{n} * shape_.row_words(), {})) {}
+
+DynamicConnectivity::DynamicConnectivity(const DynamicConnectivity& other)
+    : shape_(other.shape_),
+      table_(fresh_table(other.table_.size(), other.table_)) {}
 
 void DynamicConnectivity::apply(const EdgeUpdate& update) {
   const Edge e = update.edge;
@@ -35,11 +63,11 @@ void DynamicConnectivity::apply(const EdgeUpdate& update) {
 void DynamicConnectivity::add_half_edge(Vertex v, Vertex w,
                                         std::int64_t scale) {
   assert(v != w && v < num_vertices() && w < num_vertices());
-  sketches_[v].add_single_edge(v, w, scale);
+  shape_.add_single_edge(shape_.row(table_, v), v, w, scale);
 }
 
 sketch::SpanningForestDecode DynamicConnectivity::query_forest() const {
-  return sketch::agm_spanning_forest(num_vertices(), sketches_);
+  return sketch::agm_spanning_forest(shape_, table_);
 }
 
 std::uint32_t DynamicConnectivity::query_components() const {
@@ -47,13 +75,7 @@ std::uint32_t DynamicConnectivity::query_components() const {
 }
 
 std::size_t DynamicConnectivity::state_bits() const {
-  std::size_t bits = 0;
-  for (const auto& s : sketches_) bits += s.state_bits();
-  return bits;
-}
-
-unsigned DynamicConnectivity::rounds() const noexcept {
-  return sketches_.empty() ? 0 : sketches_.front().rounds();
+  return std::size_t{num_vertices()} * shape_.state_bits();
 }
 
 std::uint64_t DynamicConnectivity::state_hash() const {
@@ -61,9 +83,9 @@ std::uint64_t DynamicConnectivity::state_hash() const {
   // chain value, so both the word values and their order are pinned.
   std::uint64_t h = util::mix64(0x5354484153480001ULL, num_vertices());
   util::BitWriter w;
-  for (const auto& s : sketches_) {
+  for (Vertex v = 0; v < num_vertices(); ++v) {
     w.clear();
-    s.write(w);
+    sketch::write_states(shape_.row(table_, v), w);
     h = util::mix64(h, w.bit_count());
     for (const std::uint64_t word : w.words()) h = util::mix64(h, word);
   }

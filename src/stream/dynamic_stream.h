@@ -21,7 +21,6 @@
 
 #include "graph/graph.h"
 #include "graph/matching.h"
-#include "model/coins.h"
 #include "sketch/agm.h"
 
 namespace ds::stream {
@@ -32,7 +31,8 @@ struct EdgeUpdate {
 };
 
 /// Turnstile connectivity: per-vertex AGM sketches updated in O(log^2 n)
-/// field operations per stream element.
+/// field operations per stream element.  The state is one AGM shape and
+/// one table of n rows (sketch/agm.h).
 class DynamicConnectivity {
  public:
   /// `seed` keys the sketch randomness (a stream algorithm's private
@@ -44,6 +44,12 @@ class DynamicConnectivity {
   /// workloads hold n >= 10^6 vertices resident (docs/STREAMING.md).
   DynamicConnectivity(graph::Vertex n, std::uint64_t seed,
                       unsigned rounds = 0);
+
+  /// A snapshot: the shape and one copy of the table.
+  DynamicConnectivity(const DynamicConnectivity& other);
+  DynamicConnectivity(DynamicConnectivity&&) noexcept = default;
+  DynamicConnectivity& operator=(const DynamicConnectivity&) = default;
+  DynamicConnectivity& operator=(DynamicConnectivity&&) noexcept = default;
 
   void apply(const EdgeUpdate& update);
   void insert(graph::Vertex u, graph::Vertex v) { apply({{u, v}, true}); }
@@ -58,20 +64,20 @@ class DynamicConnectivity {
   void add_half_edge(graph::Vertex v, graph::Vertex w, std::int64_t scale);
 
   /// Decode a spanning forest of the current graph.  The decode reads the
-  /// sketches in place and allocates only O(n) words of bookkeeping plus
-  /// one sampler, so a query adds no copy of the state; the state is
+  /// table in place and allocates only O(n) words of bookkeeping plus one
+  /// sampler state, so a query adds no copy of the state; the state is
   /// untouched and can keep absorbing updates.
   [[nodiscard]] sketch::SpanningForestDecode query_forest() const;
   [[nodiscard]] std::uint32_t query_components() const;
 
   [[nodiscard]] graph::Vertex num_vertices() const noexcept {
-    return static_cast<graph::Vertex>(sketches_.size());
+    return shape_.n();
   }
   /// Total sketch state in bits (the algorithm's memory footprint).
   [[nodiscard]] std::size_t state_bits() const;
 
   /// Samplers per vertex (the Boruvka depth queries can reach).
-  [[nodiscard]] unsigned rounds() const noexcept;
+  [[nodiscard]] unsigned rounds() const noexcept { return shape_.rounds(); }
 
   /// Order-sensitive 64-bit digest of the serialized sketch state, the
   /// equality witness for the parallel-ingestion audits: two runs with
@@ -80,8 +86,8 @@ class DynamicConnectivity {
   [[nodiscard]] std::uint64_t state_hash() const;
 
  private:
-  model::PublicCoins coins_;
-  std::vector<sketch::AgmVertexSketch> sketches_;
+  sketch::AgmSketch shape_;
+  std::vector<std::uint64_t> table_;  // n rows of shape_.row_words()
 };
 
 /// Insertion-only greedy maximal matching (one pass, O(n log n) bits).

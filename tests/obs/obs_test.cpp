@@ -17,19 +17,13 @@
 namespace ds {
 namespace {
 
-/// Pin the gates for one test and restore defaults afterwards.  Skips
-/// the test body when the library was compiled out
-/// (DISTSKETCH_OBS_DISABLED): the setters are no-ops there, and that IS
-/// the contract being honored.
+/// Pin the gates for one test and restore defaults afterwards.
 class ObsFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_metrics_enabled(true);
     obs::set_trace_enabled(false);
     obs::reset();
-    if (!obs::metrics_enabled()) {
-      GTEST_SKIP() << "observability compiled out (DISTSKETCH_OBS=OFF)";
-    }
   }
   void TearDown() override {
     obs::set_metrics_enabled(false);

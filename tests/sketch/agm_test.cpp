@@ -11,15 +11,25 @@ namespace {
 using graph::Graph;
 using graph::Vertex;
 
-std::vector<AgmVertexSketch> sketch_all(const Graph& g,
-                                        const model::PublicCoins& coins) {
-  std::vector<AgmVertexSketch> sketches;
+/// Every vertex's sketch of g, in one table of n rows.
+struct Sketched {
+  AgmSketch shape;
+  std::vector<std::uint64_t> table;
+};
+
+Sketched sketch_all(const Graph& g, const model::PublicCoins& coins) {
+  Sketched s{AgmSketch::make(coins, g.num_vertices()), {}};
+  s.table.assign(g.num_vertices() * s.shape.row_words(), 0);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    AgmVertexSketch s = AgmVertexSketch::make(coins, g.num_vertices());
-    s.add_vertex_edges(v, g.neighbors(v));
-    sketches.push_back(std::move(s));
+    s.shape.add_vertex_edges(s.shape.row(s.table, v), v, g.neighbors(v));
   }
-  return sketches;
+  return s;
+}
+
+SpanningForestDecode forest_of(const Graph& g,
+                               const model::PublicCoins& coins) {
+  const Sketched s = sketch_all(g, coins);
+  return agm_spanning_forest(s.shape, s.table);
 }
 
 TEST(Agm, MergedPairSketchIsBoundary) {
@@ -28,9 +38,11 @@ TEST(Agm, MergedPairSketchIsBoundary) {
   // sketch should decode the boundary edge (v,w).
   const model::PublicCoins coins(1);
   const Graph g = graph::path(3);  // 0-1-2
-  auto sketches = sketch_all(g, coins);
-  sketches[0].merge(sketches[1]);
-  const auto sample = sketches[0].sampler(0).decode();
+  Sketched s = sketch_all(g, coins);
+  const L0Sampler& sampler = s.shape.sampler(0);
+  const auto state0 = s.shape.sampler_state(s.shape.row(s.table, 0), 0);
+  merge_states(state0, s.shape.sampler_state(s.shape.row(s.table, 1), 0));
+  const auto sample = sampler.decode(state0);
   ASSERT_TRUE(sample.has_value());
   const graph::Edge e = graph::pair_from_id(3, sample->index);
   EXPECT_EQ(e.normalized(), (graph::Edge{1, 2}));
@@ -41,12 +53,14 @@ TEST(Agm, WholeGraphMergeIsZero) {
   const model::PublicCoins coins(2);
   util::Rng rng(3);
   const Graph g = graph::gnp(30, 0.2, rng);
-  auto sketches = sketch_all(g, coins);
-  for (Vertex v = 1; v < g.num_vertices(); ++v) {
-    sketches[0].merge(sketches[v]);
-  }
-  for (unsigned round = 0; round < sketches[0].rounds(); ++round) {
-    EXPECT_TRUE(sketches[0].sampler(round).looks_zero());
+  Sketched s = sketch_all(g, coins);
+  for (unsigned round = 0; round < s.shape.rounds(); ++round) {
+    const L0Sampler& sampler = s.shape.sampler(round);
+    const auto sum = s.shape.sampler_state(s.shape.row(s.table, 0), round);
+    for (Vertex v = 1; v < g.num_vertices(); ++v) {
+      merge_states(sum, s.shape.sampler_state(s.shape.row(s.table, v), round));
+    }
+    EXPECT_TRUE(sampler.looks_zero(sum));
   }
 }
 
@@ -57,8 +71,7 @@ TEST(Agm, SpanningForestOnConnectedGraphs) {
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     const model::PublicCoins coins(100 + rep);
     const Graph g = graph::gnp(40, 0.2, rng);
-    const auto decode =
-        agm_spanning_forest(g.num_vertices(), sketch_all(g, coins));
+    const auto decode = forest_of(g, coins);
     if (graph::is_spanning_forest(g, decode.forest)) ++successes;
   }
   EXPECT_GE(successes, kReps - 2);  // w.h.p., small slack for sampler luck
@@ -74,7 +87,7 @@ TEST(Agm, SpanningForestOnDisconnectedGraph) {
   for (Vertex u = 10; u < 20; ++u)
     for (Vertex v = u + 1; v < 20; ++v) edges.push_back({u, v});
   const Graph g = Graph::from_edges(20, edges);
-  const auto decode = agm_spanning_forest(20, sketch_all(g, coins));
+  const auto decode = forest_of(g, coins);
   EXPECT_TRUE(graph::is_spanning_forest(g, decode.forest));
   EXPECT_EQ(decode.components, 2u);
   EXPECT_EQ(decode.forest.size(), 18u);
@@ -93,8 +106,7 @@ TEST(Agm, PathAndCycleAndStar) {
         g = Graph::from_edges(25, star);
       }
     }
-    const auto decode =
-        agm_spanning_forest(g.num_vertices(), sketch_all(g, coins));
+    const auto decode = forest_of(g, coins);
     EXPECT_TRUE(graph::is_spanning_forest(g, decode.forest))
         << "shape " << shape;
   }
@@ -105,8 +117,7 @@ TEST(Agm, TwoClustersWithBridgeFindsTheBridge) {
   util::Rng rng(7);
   const model::PublicCoins coins(8);
   const auto [g, bridge] = graph::two_clusters_with_bridge(30, 0.4, rng);
-  const auto decode =
-      agm_spanning_forest(g.num_vertices(), sketch_all(g, coins));
+  const auto decode = forest_of(g, coins);
   ASSERT_TRUE(graph::is_spanning_forest(g, decode.forest));
   bool has_bridge = false;
   for (const graph::Edge& e : decode.forest) {
@@ -118,20 +129,19 @@ TEST(Agm, TwoClustersWithBridgeFindsTheBridge) {
 TEST(Agm, SerializationRoundTripPreservesDecoding) {
   const model::PublicCoins coins(9);
   const Graph g = graph::cycle(12);
-  std::vector<AgmVertexSketch> restored;
+  const AgmSketch shape = AgmSketch::make(coins, 12);
+  std::vector<std::uint64_t> restored(12 * shape.row_words());
   for (Vertex v = 0; v < 12; ++v) {
-    AgmVertexSketch s = AgmVertexSketch::make(coins, 12);
-    s.add_vertex_edges(v, g.neighbors(v));
+    std::vector<std::uint64_t> row(shape.row_words());
+    shape.add_vertex_edges(row, v, g.neighbors(v));
     util::BitWriter w;
-    s.write(w);
-    EXPECT_EQ(w.bit_count(), s.state_bits());
-    AgmVertexSketch back = AgmVertexSketch::make(coins, 12);
+    write_states(row, w);
+    EXPECT_EQ(w.bit_count(), shape.state_bits());
     const util::BitString bs(w);
     util::BitReader r(bs);
-    back.read(r);
-    restored.push_back(std::move(back));
+    read_states(shape.row(restored, v), r);
   }
-  const auto decode = agm_spanning_forest(12, std::move(restored));
+  const auto decode = agm_spanning_forest(shape, restored);
   EXPECT_TRUE(graph::is_spanning_forest(g, decode.forest));
 }
 
@@ -140,8 +150,8 @@ TEST(Agm, SketchSizeIsPolylog) {
   // bits. Check the growth from n=64 to n=4096 is ~ (log ratio)^2-ish,
   // far below linear.
   const model::PublicCoins coins(10);
-  const auto s64 = AgmVertexSketch::make(coins, 64);
-  const auto s4096 = AgmVertexSketch::make(coins, 4096);
+  const auto s64 = AgmSketch::make(coins, 64);
+  const auto s4096 = AgmSketch::make(coins, 4096);
   EXPECT_LT(s4096.state_bits(), 4 * s64.state_bits());
   // Bits-per-vertex relative to n must fall sharply (polylog vs linear).
   EXPECT_LT(static_cast<double>(s4096.state_bits()) / 4096.0,

@@ -1,13 +1,14 @@
 // Bit-identity of the batched/cached hot paths against their scalar
-// originals (ISSUE 9 tentpole contract): every transform in the encode
-// pipeline — batched hashing, the structure-of-arrays OneSparseBank, the
-// L0/SSparse add_batch entry points, and the AGM template cache — must
+// originals: every transform in the encode pipeline — batched hashing,
+// the shape-only OneSparseBank, the L0/SSparse add_batch entry
+// points, the AGM shape cache and the thread-local encode row — must
 // produce byte-for-byte the streams the scalar per-edge path produced.
 // Equality is always checked on the serialized output, the only thing a
 // referee ever sees.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/generators.h"
@@ -25,6 +26,13 @@ namespace {
 util::BitString serialize(const auto& sketch) {
   util::BitWriter w;
   sketch.write(w);
+  return util::BitString(std::move(w));
+}
+
+/// Serialized summary states (a bank's, a sampler's or an AGM row).
+util::BitString serialize_states(std::span<const std::uint64_t> states) {
+  util::BitWriter w;
+  write_states(states, w);
   return util::BitString(std::move(w));
 }
 
@@ -77,7 +85,8 @@ TEST(BatchEquivalence, BankSlotMatchesStandaloneOneSparse) {
   const std::uint64_t universe = 100000;
   const std::vector<std::uint64_t> tags = {7, 1234, 0xFFFF'FFFF'FFFFull};
 
-  OneSparseBank bank = OneSparseBank::make(coins, tags, universe);
+  const OneSparseBank bank = OneSparseBank::make(coins, tags, universe);
+  std::vector<std::uint64_t> state(bank.state_words());
   std::vector<OneSparse> singles;
   for (std::uint64_t tag : tags) {
     singles.push_back(OneSparse::make(coins, tag, universe));
@@ -89,15 +98,15 @@ TEST(BatchEquivalence, BankSlotMatchesStandaloneOneSparse) {
     const std::uint64_t index = rng.next_below(universe);
     const std::int64_t delta =
         static_cast<std::int64_t>(rng.next_below(7)) - 3;  // incl. 0
-    bank.add(slot, index, delta);
+    bank.add(state, slot, index, delta);
     singles[slot].add(index, delta);
   }
   // merge must also agree (it drives referee-side pooling): doubling the
   // bank must match doubling each standalone summary.
-  OneSparseBank merged = bank;
-  merged.merge(bank);
+  std::vector<std::uint64_t> merged = state;
+  merge_states(merged, state);
 
-  const util::BitString bank_bits = serialize(bank);
+  const util::BitString bank_bits = serialize_states(state);
   util::BitReader bank_r(bank_bits);
   for (std::size_t i = 0; i < tags.size(); ++i) {
     util::BitWriter single_w;
@@ -111,7 +120,7 @@ TEST(BatchEquivalence, BankSlotMatchesStandaloneOneSparse) {
           << "slot " << i << " field " << field;
     }
     // Decode agreement, including status.
-    const DecodeResult a = bank.decode(i);
+    const DecodeResult a = bank.decode(state, i);
     const DecodeResult b = singles[i].decode();
     ASSERT_EQ(static_cast<int>(a.status), static_cast<int>(b.status)) << i;
     if (a.status == DecodeStatus::kOne) {
@@ -121,7 +130,7 @@ TEST(BatchEquivalence, BankSlotMatchesStandaloneOneSparse) {
 
     OneSparse merged_single = singles[i];
     merged_single.merge(singles[i]);
-    const DecodeResult m = merged.decode(i);
+    const DecodeResult m = bank.decode(merged, i);
     const DecodeResult ms = merged_single.decode();
     ASSERT_EQ(static_cast<int>(m.status), static_cast<int>(ms.status)) << i;
   }
@@ -163,7 +172,8 @@ TEST(BatchEquivalence, BankDecodeMatchesPowModDecode) {
   for (const std::uint64_t universe :
        {std::uint64_t{200}, std::uint64_t{256}, std::uint64_t{257},
         std::uint64_t{65536}, std::uint64_t{2147450880}}) {
-    OneSparseBank bank = OneSparseBank::make(coins, tags, universe);
+    const OneSparseBank bank = OneSparseBank::make(coins, tags, universe);
+    std::vector<std::uint64_t> state(bank.state_words());
     std::vector<OneSparse> singles;
     for (std::uint64_t tag : tags) {
       singles.push_back(OneSparse::make(coins, tag, universe));
@@ -233,14 +243,14 @@ TEST(BatchEquivalence, BankDecodeMatchesPowModDecode) {
       }
       const util::BitString bank_bits(std::move(bank_words));
       util::BitReader bank_reader(bank_bits);
-      bank.read(bank_reader);
+      read_states(state, bank_reader);
       for (std::size_t slot = 0; slot < tags.size(); ++slot) {
         util::BitWriter w;
         put_words(w, states[slot]);
         const util::BitString bits(std::move(w));
         util::BitReader r(bits);
         singles[slot].read(r);
-        const DecodeResult got = bank.decode(slot);
+        const DecodeResult got = bank.decode(state, slot);
         const DecodeResult want = singles[slot].decode();
         ASSERT_EQ(static_cast<int>(got.status), static_cast<int>(want.status))
             << "universe=" << universe << " slot=" << slot
@@ -265,8 +275,9 @@ TEST(BatchEquivalence, L0AddBatchMatchesSequentialAdds) {
   const std::uint64_t universe = 5000;
   util::Rng rng(0x10AD);
   for (std::uint64_t round = 0; round < 10; ++round) {
-    L0Sampler batched = L0Sampler::make(coins, 0xC0 + round, universe);
-    L0Sampler scalar = L0Sampler::make(coins, 0xC0 + round, universe);
+    const L0Sampler sampler = L0Sampler::make(coins, 0xC0 + round, universe);
+    std::vector<std::uint64_t> batched(sampler.state_words());
+    std::vector<std::uint64_t> scalar(sampler.state_words());
     std::vector<std::uint64_t> indices;
     std::vector<std::int64_t> deltas;
     const std::size_t count = rng.next_below(40);
@@ -274,9 +285,12 @@ TEST(BatchEquivalence, L0AddBatchMatchesSequentialAdds) {
       indices.push_back(rng.next_below(universe));
       deltas.push_back(static_cast<std::int64_t>(rng.next_below(5)) - 2);
     }
-    batched.add_batch(indices, deltas);
-    for (std::size_t i = 0; i < count; ++i) scalar.add(indices[i], deltas[i]);
-    expect_same_stream(serialize(batched), serialize(scalar), "L0 add_batch");
+    sampler.add_batch(batched, indices, deltas);
+    for (std::size_t i = 0; i < count; ++i) {
+      sampler.add(scalar, indices[i], deltas[i]);
+    }
+    expect_same_stream(serialize_states(batched), serialize_states(scalar),
+                       "L0 add_batch");
   }
 }
 
@@ -299,25 +313,27 @@ TEST(BatchEquivalence, SSparseAddBatchMatchesSequentialAdds) {
   }
 }
 
+/// The serialized sketch of the single edge {3, 17} from vertex 3.
+util::BitString edge_3_17(const AgmSketch& shape) {
+  std::vector<std::uint64_t> row(shape.row_words());
+  shape.add_single_edge(row, 3, 17);
+  return serialize_states(row);
+}
+
 TEST(BatchEquivalence, AgmMakeCachedMatchesMake) {
-  // Cached templates must be indistinguishable from fresh make() across
+  // Cached shapes must be indistinguishable from fresh make() across
   // distinct seeds, tags and round counts (including cache hits).
   for (std::uint64_t seed : {1ull, 2ull, 99ull}) {
     const model::PublicCoins coins(seed);
     for (std::uint64_t tag : {0xA6A6ull, 0x77ull}) {
       for (unsigned rounds : {0u, 3u}) {
-        AgmVertexSketch fresh = AgmVertexSketch::make(coins, 50, rounds, tag);
+        const AgmSketch fresh = AgmSketch::make(coins, 50, rounds, tag);
         // Call twice: the first may populate the cache, the second hits.
-        AgmVertexSketch c1 =
-            AgmVertexSketch::make_cached(coins, 50, rounds, tag);
-        AgmVertexSketch c2 =
-            AgmVertexSketch::make_cached(coins, 50, rounds, tag);
-        fresh.add_single_edge(3, 17);
-        c1.add_single_edge(3, 17);
-        c2.add_single_edge(3, 17);
-        expect_same_stream(serialize(fresh), serialize(c1), "make_cached");
-        expect_same_stream(serialize(fresh), serialize(c2),
-                           "make_cached hit");
+        const AgmSketch& c1 = AgmSketch::cached(coins, 50, rounds, tag);
+        const AgmSketch& c2 = AgmSketch::cached(coins, 50, rounds, tag);
+        EXPECT_EQ(&c1, &c2) << "a hit returns the cached shape";
+        expect_same_stream(edge_3_17(fresh), edge_3_17(c1), "cached");
+        expect_same_stream(edge_3_17(fresh), edge_3_17(c2), "cached hit");
       }
     }
   }
@@ -327,13 +343,19 @@ TEST(BatchEquivalence, AgmVertexEdgesMatchesSingleEdgeLoop) {
   util::Rng rng(0xED6E);
   const graph::Graph g = graph::gnp(60, 0.15, rng);
   const model::PublicCoins coins(31);
+  const AgmSketch shape = AgmSketch::make(coins, 60);
   for (graph::Vertex v = 0; v < g.num_vertices(); v += 7) {
-    AgmVertexSketch batched = AgmVertexSketch::make(coins, 60);
-    AgmVertexSketch scalar = AgmVertexSketch::make(coins, 60);
-    batched.add_vertex_edges(v, g.neighbors(v));
-    for (graph::Vertex w : g.neighbors(v)) scalar.add_single_edge(v, w);
-    expect_same_stream(serialize(batched), serialize(scalar),
+    std::vector<std::uint64_t> batched(shape.row_words());
+    std::vector<std::uint64_t> scalar(shape.row_words());
+    shape.add_vertex_edges(batched, v, g.neighbors(v));
+    for (graph::Vertex w : g.neighbors(v)) shape.add_single_edge(scalar, v, w);
+    expect_same_stream(serialize_states(batched), serialize_states(scalar),
                        "add_vertex_edges");
+    // encode() builds the same row in its reused thread-local buffer.
+    util::BitWriter encoded;
+    shape.encode(v, g.neighbors(v), encoded);
+    expect_same_stream(util::BitString(std::move(encoded)),
+                       serialize_states(scalar), "encode");
   }
 }
 

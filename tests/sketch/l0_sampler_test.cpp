@@ -2,30 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "util/rng.h"
 
 namespace ds::sketch {
 namespace {
 
+/// A sampler shape with one zeroed state of its own.
+struct Sampler {
+  Sampler(const model::PublicCoins& coins, std::uint64_t tag,
+          std::uint64_t universe)
+      : shape(L0Sampler::make(coins, tag, universe)),
+        state(shape.state_words()) {}
+
+  void add(std::uint64_t index, std::int64_t delta) {
+    shape.add(state, index, delta);
+  }
+  [[nodiscard]] std::optional<Recovered> decode() const {
+    return shape.decode(state);
+  }
+
+  L0Sampler shape;
+  std::vector<std::uint64_t> state;
+};
+
 TEST(L0Sampler, EmptyVector) {
   const model::PublicCoins coins(1);
-  const L0Sampler s = L0Sampler::make(coins, 1, 1 << 16);
+  const Sampler s(coins, 1, 1 << 16);
   EXPECT_FALSE(s.decode().has_value());
-  EXPECT_TRUE(s.looks_zero());
+  EXPECT_TRUE(s.shape.looks_zero(s.state));
 }
 
 TEST(L0Sampler, SingletonAlwaysRecovered) {
   const model::PublicCoins coins(2);
   for (std::uint64_t idx : {0ULL, 1ULL, 12345ULL, 65535ULL}) {
-    L0Sampler s = L0Sampler::make(coins, 10 + idx, 1 << 16);
+    Sampler s(coins, 10 + idx, 1 << 16);
     s.add(idx, 1);
     const auto r = s.decode();
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->index, idx);
     EXPECT_EQ(r->count, 1);
-    EXPECT_FALSE(s.looks_zero());
+    EXPECT_FALSE(s.shape.looks_zero(s.state));
   }
 }
 
@@ -34,7 +55,7 @@ TEST(L0Sampler, DenseVectorUsuallyRecoversSomething) {
   constexpr int kReps = 100;
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     const model::PublicCoins coins(100 + rep);
-    L0Sampler s = L0Sampler::make(coins, 5, 1 << 16);
+    Sampler s(coins, 5, 1 << 16);
     for (std::uint64_t i = 0; i < 1000; ++i) s.add(i * 7 % 65536, 1);
     const auto r = s.decode();
     if (r.has_value()) {
@@ -51,7 +72,7 @@ TEST(L0Sampler, RecoveredElementIsReal) {
   util::Rng rng(3);
   for (std::uint64_t rep = 0; rep < 50; ++rep) {
     const model::PublicCoins coins(200 + rep);
-    L0Sampler s = L0Sampler::make(coins, 6, 1 << 20);
+    Sampler s(coins, 6, 1 << 20);
     std::map<std::uint64_t, std::int64_t> truth;
     for (std::uint64_t idx : rng.sample_without_replacement(1 << 20, 40)) {
       truth[idx] = 1;
@@ -73,7 +94,7 @@ TEST(L0Sampler, SamplesApproximatelyUniformly) {
   constexpr int kReps = 3000;
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     const model::PublicCoins coins(1000 + rep);
-    L0Sampler s = L0Sampler::make(coins, 7, 1 << 12);
+    Sampler s(coins, 7, 1 << 12);
     for (std::uint64_t idx = 0; idx < 8; ++idx) s.add(idx * 37, 1);
     const auto r = s.decode();
     if (r.has_value()) ++histogram[r->index];
@@ -89,13 +110,13 @@ TEST(L0Sampler, SamplesApproximatelyUniformly) {
 
 TEST(L0Sampler, MergeActsOnUnderlyingVector) {
   const model::PublicCoins coins(4);
-  L0Sampler a = L0Sampler::make(coins, 8, 1 << 10);
-  L0Sampler b = L0Sampler::make(coins, 8, 1 << 10);
+  Sampler a(coins, 8, 1 << 10);
+  Sampler b(coins, 8, 1 << 10);
   a.add(100, 1);
   a.add(200, 1);
   b.add(200, -1);
   b.add(300, 1);
-  a.merge(b);
+  merge_states(a.state, b.state);
   // Underlying vector is {100: 1, 300: 1}.
   const auto r = a.decode();
   ASSERT_TRUE(r.has_value());
@@ -104,16 +125,16 @@ TEST(L0Sampler, MergeActsOnUnderlyingVector) {
 
 TEST(L0Sampler, SerializationRoundTrip) {
   const model::PublicCoins coins(5);
-  L0Sampler s = L0Sampler::make(coins, 9, 1 << 10);
+  Sampler s(coins, 9, 1 << 10);
   s.add(777, 2);
   util::BitWriter w;
-  s.write(w);
-  EXPECT_EQ(w.bit_count(), s.state_bits());
+  write_states(s.state, w);
+  EXPECT_EQ(w.bit_count(), s.shape.state_bits());
 
-  L0Sampler restored = L0Sampler::make(coins, 9, 1 << 10);
+  Sampler restored(coins, 9, 1 << 10);
   const util::BitString bs(w);
     util::BitReader r(bs);
-  restored.read(r);
+  read_states(restored.state, r);
   const auto d = restored.decode();
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->index, 777u);
@@ -123,11 +144,11 @@ TEST(L0Sampler, SerializationRoundTrip) {
 TEST(L0Sampler, StateBitsAreLogSquared) {
   // levels ~ log U, each level O(word) bits: state ~ log^2 U.
   const model::PublicCoins coins(6);
-  const L0Sampler small = L0Sampler::make(coins, 10, 1 << 8);
-  const L0Sampler large = L0Sampler::make(coins, 11, 1ULL << 32);
-  EXPECT_LT(small.state_bits(), large.state_bits());
-  EXPECT_EQ(small.num_levels(), 8u + 3u);
-  EXPECT_EQ(large.num_levels(), 33u + 2u);
+  const Sampler small(coins, 10, 1 << 8);
+  const Sampler large(coins, 11, 1ULL << 32);
+  EXPECT_LT(small.shape.state_bits(), large.shape.state_bits());
+  EXPECT_EQ(small.shape.num_levels(), 8u + 3u);
+  EXPECT_EQ(large.shape.num_levels(), 33u + 2u);
 }
 
 }  // namespace

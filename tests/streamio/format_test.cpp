@@ -1,7 +1,7 @@
 // Reader failure modes (docs/STREAMING.md): every malformed input maps
 // to its own distinguished ReadStatus, the reader latches the first
 // failure, and none of the cases reach undefined behavior (this suite
-// runs under asan/ubsan in the stream-smoke CI job).
+// runs under asan/ubsan in the sanitize CI job).
 #include <gtest/gtest.h>
 
 #include <cstdio>
