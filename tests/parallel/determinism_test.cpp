@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "protocols/two_round_matching.h"
 #include "rs/rs_graph.h"
 #include "scenario/registry.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace ds {
 namespace {
@@ -84,35 +88,70 @@ TEST(ParallelDeterminism, RunProtocolOutputIdenticalAcrossThreadCounts) {
   }
 }
 
-/// One budget sweep of `s` at every thread count against the same sweep
-/// on a one-thread pool.
+/// The sweep written out budget-major, in the order sweep_budgets used
+/// before it went trial-major: for each budget, trial t runs on its own
+/// draw of derive_seed(seed, t) through Scenario::run_trial, and the
+/// outcomes fold in trial order.  It shares no code with sweep_budgets,
+/// so a sweep whose budgets leak state into each other through a shared
+/// instance differs from it.
+core::SweepResult budget_major_sweep(const scenario::Scenario& s,
+                                     const std::vector<std::size_t>& budgets,
+                                     std::size_t trials, std::uint64_t seed,
+                                     double target_rate) {
+  parallel::ThreadPool serial(1);
+  core::SweepResult result;
+  for (const std::size_t budget : budgets) {
+    core::SweepPoint point;
+    point.budget_bits = budget;
+    for (std::size_t t = 0; t < trials; ++t) {
+      const scenario::TrialOutcome outcome =
+          s.run_trial(budget, util::derive_seed(seed, t), &serial);
+      ++point.trials;
+      if (outcome.success) ++point.successes;
+      point.max_bits_seen = std::max(point.max_bits_seen, outcome.max_bits);
+    }
+    point.rate = point.trials == 0
+                     ? 0.0
+                     : static_cast<double>(point.successes) /
+                           static_cast<double>(point.trials);
+    point.ci = util::wilson_interval(point.successes, point.trials);
+    if (!result.threshold_budget.has_value() && point.rate >= target_rate) {
+      result.threshold_budget = budget;
+    }
+    result.points.push_back(point);
+  }
+  return result;
+}
+
+/// One budget sweep of `s` at every thread count, 1 included, against
+/// the budget-major oracle; doubles are compared bit for bit.
 void expect_sweep_identical(const scenario::Scenario& s,
                             const std::vector<std::size_t>& budgets,
                             std::size_t trials, std::uint64_t seed,
                             double target_rate) {
   SCOPED_TRACE(std::string(s.id()));
-  const auto run_sweep = [&](parallel::ThreadPool* pool) {
-    return core::sweep_budgets(s, budgets, trials, seed, target_rate, pool);
-  };
-
-  parallel::ThreadPool serial(1);
-  const core::SweepResult reference = run_sweep(&serial);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const core::SweepResult reference =
+      budget_major_sweep(s, budgets, trials, seed, target_rate);
   for (const std::size_t threads : kThreadCounts) {
     parallel::ThreadPool pool(threads);
-    const core::SweepResult result = run_sweep(&pool);
+    const core::SweepResult result =
+        core::sweep_budgets(s, budgets, trials, seed, target_rate, &pool);
     EXPECT_EQ(result.threshold_budget, reference.threshold_budget)
         << "at " << threads << " threads";
     ASSERT_EQ(result.points.size(), reference.points.size());
     for (std::size_t p = 0; p < result.points.size(); ++p) {
-      EXPECT_EQ(result.points[p].budget_bits, reference.points[p].budget_bits);
-      EXPECT_EQ(result.points[p].trials, reference.points[p].trials);
-      EXPECT_EQ(result.points[p].successes, reference.points[p].successes)
-          << "budget " << budgets[p] << " at " << threads << " threads";
-      EXPECT_EQ(result.points[p].max_bits_seen,
-                reference.points[p].max_bits_seen);
-      EXPECT_EQ(result.points[p].rate, reference.points[p].rate);
-      EXPECT_EQ(result.points[p].ci.lo, reference.points[p].ci.lo);
-      EXPECT_EQ(result.points[p].ci.hi, reference.points[p].ci.hi);
+      const core::SweepPoint& got = result.points[p];
+      const core::SweepPoint& want = reference.points[p];
+      SCOPED_TRACE("budget " + std::to_string(budgets[p]) + " at " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(got.budget_bits, want.budget_bits);
+      EXPECT_EQ(got.trials, want.trials);
+      EXPECT_EQ(got.successes, want.successes);
+      EXPECT_EQ(got.max_bits_seen, want.max_bits_seen);
+      EXPECT_EQ(bits(got.rate), bits(want.rate));
+      EXPECT_EQ(bits(got.ci.lo), bits(want.ci.lo));
+      EXPECT_EQ(bits(got.ci.hi), bits(want.ci.hi));
     }
   }
 }
