@@ -38,14 +38,19 @@ struct SweepResult {
 /// For each budget: `trials` independent scenario trials, success judged
 /// by the scenario itself.
 ///
-/// Trials run concurrently on the thread pool (null `pool` = the global
-/// one).  Each trial's seed is derived counter-style from (seed, trial) —
-/// util::derive_seed — so trial i's input and coins never depend on which
-/// thread ran it or on the other trials, and the per-trial outcomes are
-/// folded in trial order: the SweepResult is bit-identical at any thread
-/// count, including 1 (pinned by the golden-sweep regression test).
-/// Encode buffers are pooled through an ArenaReservoir — one arena per
-/// concurrently running trial — so steady-state trials allocate no
+/// Each trial's seed is derived counter-style from (seed, trial) —
+/// util::derive_seed — and is the same at every budget, so the sweep
+/// draws trial t's instance once (Scenario::sample) and runs every budget
+/// on it in budget order (Scenario::run_instance, which builds a fresh
+/// protocol per budget).  The trials are one parallel_for job on the
+/// thread pool (null `pool` = the global one); trial t's input and coins
+/// never depend on which thread ran it or on the other trials, and the
+/// outcomes are folded budget by budget in trial order: the SweepResult
+/// is bit-identical at any thread count, including 1, and to a
+/// budget-major sweep of run_trial (pinned by the golden-sweep and
+/// determinism tests).  An empty budget list draws nothing.  Encode
+/// buffers are pooled through an ArenaReservoir — one arena per running
+/// trial, held across its budgets — so steady-state trials allocate no
 /// per-vertex buffers (counted by tests/engine/arena_alloc_test.cpp).
 [[nodiscard]] SweepResult sweep_budgets(const scenario::Scenario& scenario,
                                         std::span<const std::size_t> budgets,

@@ -13,7 +13,8 @@
 // Determinism contract (docs/SCENARIOS.md):
 //   * sample(trial_seed) is a pure function of the seed — the sweep
 //     derives trial_seed = derive_seed(sweep_seed, trial) counter-style,
-//     so trial i's instance never depends on thread schedule;
+//     so trial i's instance never depends on thread schedule, and draws
+//     it once for all of the sweep's budgets;
 //   * public coins are always PublicCoins(derive_seed(trial_seed,
 //     kCoinTag)) — the same keying on the referee, the player, and the
 //     simulated runner, which is what makes sim == wire bit-exact;
@@ -123,13 +124,23 @@ class Scenario {
   /// Draw the instance for `trial_seed` (pure function of the seed).
   [[nodiscard]] virtual Instance sample(std::uint64_t trial_seed) const = 0;
 
-  /// Simulated path: sample, run the protocol in-process (null pool =
-  /// the global one; an optional arena pools encode buffers across
-  /// trials), judge the output.
-  [[nodiscard]] virtual TrialOutcome run_trial(
+  /// Simulated path on `inst`, which must be sample(trial_seed): build
+  /// the protocol for this budget, run it in-process on
+  /// trial_coins(trial_seed) (null pool = the global one; an optional
+  /// arena pools encode buffers across runs), judge the output.  The
+  /// sweep draws each trial's instance once and runs every budget on it.
+  [[nodiscard]] virtual TrialOutcome run_instance(
+      const Instance& inst, std::size_t budget_bits, std::uint64_t trial_seed,
+      parallel::ThreadPool* pool, engine::SketchArena* arena) const = 0;
+
+  /// Simulated path: sample, then run_instance.
+  [[nodiscard]] TrialOutcome run_trial(
       std::size_t budget_bits, std::uint64_t trial_seed,
       parallel::ThreadPool* pool = nullptr,
-      engine::SketchArena* arena = nullptr) const = 0;
+      engine::SketchArena* arena = nullptr) const {
+    return run_instance(sample(trial_seed), budget_bits, trial_seed, pool,
+                        arena);
+  }
 
   /// Wire referee path: collect this trial's sketches from the service's
   /// links, decode, judge.  Bit accounting and output match run_trial on

@@ -35,7 +35,7 @@ class TypedScenario : public Scenario {
  public:
   /// Fresh protocol for this budget.  Must be a pure function of
   /// `budget_bits` (no RNG in construction): the sweep constructs one per
-  /// trial, and sim/wire construct their own equal copies.
+  /// (trial, budget), and sim/wire construct their own equal copies.
   [[nodiscard]] virtual std::unique_ptr<model::SketchingProtocol<Output>>
   make_protocol(std::size_t budget_bits) const = 0;
 
@@ -43,16 +43,14 @@ class TypedScenario : public Scenario {
   [[nodiscard]] virtual bool judge(const Instance& inst,
                                    const Output& output) const = 0;
 
-  [[nodiscard]] TrialOutcome run_trial(
-      std::size_t budget_bits, std::uint64_t trial_seed,
+  [[nodiscard]] TrialOutcome run_instance(
+      const Instance& inst, std::size_t budget_bits, std::uint64_t trial_seed,
       parallel::ThreadPool* pool,
       engine::SketchArena* arena) const override {
     note_trial_run();
-    const Instance inst = sample(trial_seed);
     const auto protocol = make_protocol(budget_bits);
-    const model::PublicCoins coins = trial_coins(trial_seed);
-    model::RunResult<Output> run =
-        model::run_protocol(inst.g, *protocol, coins, pool, arena);
+    model::RunResult<Output> run = model::run_protocol(
+        inst.g, *protocol, trial_coins(trial_seed), pool, arena);
     return {judge(inst, run.output), run.comm.max_bits,
             hash_output(run.output)};
   }

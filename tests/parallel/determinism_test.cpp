@@ -88,12 +88,11 @@ TEST(ParallelDeterminism, RunProtocolOutputIdenticalAcrossThreadCounts) {
   }
 }
 
-/// The sweep written out budget-major, in the order sweep_budgets used
-/// before it went trial-major: for each budget, trial t runs on its own
-/// draw of derive_seed(seed, t) through Scenario::run_trial, and the
-/// outcomes fold in trial order.  It shares no code with sweep_budgets,
-/// so a sweep whose budgets leak state into each other through a shared
-/// instance differs from it.
+/// The sweep written out budget-major: for each budget, trial t runs on
+/// its own draw of derive_seed(seed, t) through Scenario::run_trial, and
+/// the outcomes fold in trial order.  It shares no code with the
+/// trial-major sweep_budgets, so a sweep whose budgets leak state into
+/// each other through a shared instance differs from it.
 core::SweepResult budget_major_sweep(const scenario::Scenario& s,
                                      const std::vector<std::size_t>& budgets,
                                      std::size_t trials, std::uint64_t seed,

@@ -1,16 +1,20 @@
-// Satellite 2: sweep_budgets edge cases the golden test can't reach —
-// a target rate that is never met (threshold stays nullopt), a
-// non-monotone rate curve (threshold is the FIRST crossing, by contract),
-// and the single-trial Wilson interval.
+// sweep_budgets edge cases the golden test can't reach — a target rate
+// that is never met (threshold stays nullopt), a non-monotone rate curve
+// (threshold is the FIRST crossing, by contract), the single-trial
+// Wilson interval, and the draw count (one sample per trial, whatever
+// the number of budgets).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/sweep.h"
 #include "graph/generators.h"
 #include "graph/matching.h"
+#include "parallel/thread_pool.h"
 #include "protocols/sampled_matching.h"
 #include "scenario/typed.h"
 #include "util/stats.h"
@@ -21,6 +25,12 @@ namespace {
 Instance gnp_instance(graph::Vertex n, double p, std::uint64_t seed) {
   util::Rng rng(seed);
   return Instance{graph::gnp(n, p, rng), nullptr};
+}
+
+bool is_maximal(const Instance& inst, const model::MatchingOutput& out) {
+  return graph::is_matching(out, inst.g.num_vertices()) &&
+         graph::is_valid_matching(inst.g, out) &&
+         graph::is_maximal_matching(inst.g, out);
 }
 
 // A scenario whose effective protocol budget is an arbitrary function of
@@ -35,11 +45,7 @@ InlineScenario<model::MatchingOutput> shaped_scenario(
         return std::make_unique<protocols::BudgetedMatching>(
             effective_budget(budget));
       },
-      [](const Instance& inst, const model::MatchingOutput& out) {
-        return graph::is_matching(out, inst.g.num_vertices()) &&
-               graph::is_valid_matching(inst.g, out) &&
-               graph::is_maximal_matching(inst.g, out);
-      });
+      is_maximal);
 }
 
 TEST(SweepEdge, TargetNeverReachedLeavesThresholdEmpty) {
@@ -113,6 +119,48 @@ TEST(SweepEdge, SingleTrialWilsonIntervalMatchesStatsHelper) {
   EXPECT_EQ(miss.points[0].ci.hi, zero.hi);
   EXPECT_GE(miss.points[0].ci.lo, 0.0);
   EXPECT_LT(miss.points[0].ci.hi, 1.0);
+}
+
+TEST(SweepEdge, DrawsEachTrialInstanceOnceForAllBudgets) {
+  // A trial's seed is the same at every budget, so the sweep samples its
+  // instance once and builds one protocol per (trial, budget); an empty
+  // budget list draws nothing.
+  std::atomic<std::size_t> samples{0};
+  std::atomic<std::size_t> protocols{0};
+  const InlineScenario<model::MatchingOutput> s(
+      "counting", "matching that counts its draws and protocols", 20,
+      Grid{{64}, 4, 11, 0.9},
+      [&samples](std::uint64_t seed) {
+        samples.fetch_add(1, std::memory_order_relaxed);
+        return gnp_instance(20, 0.3, seed);
+      },
+      [&protocols](std::size_t budget) {
+        protocols.fetch_add(1, std::memory_order_relaxed);
+        return std::make_unique<protocols::BudgetedMatching>(budget);
+      },
+      is_maximal);
+  const std::vector<std::size_t> budgets{16, 64, 256};
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("at " + std::to_string(threads) + " threads");
+    parallel::ThreadPool pool(threads);
+    samples = 0;
+    protocols = 0;
+    const core::SweepResult swept = core::sweep_budgets(
+        s, budgets, /*trials=*/5, /*seed=*/3, /*target_rate=*/0.9, &pool);
+    EXPECT_EQ(swept.points.size(), 3u);
+    EXPECT_EQ(samples.load(), 5u);
+    EXPECT_EQ(protocols.load(), 15u);
+
+    samples = 0;
+    protocols = 0;
+    const core::SweepResult empty = core::sweep_budgets(
+        s, {}, /*trials=*/5, /*seed=*/3, /*target_rate=*/0.9, &pool);
+    EXPECT_TRUE(empty.points.empty());
+    EXPECT_FALSE(empty.threshold_budget.has_value());
+    EXPECT_EQ(samples.load(), 0u);
+    EXPECT_EQ(protocols.load(), 0u);
+  }
 }
 
 }  // namespace
