@@ -10,11 +10,14 @@
 //  (d) Two-round MIS marking probability: too small leaves a dense
 //      residual (round-1 blowup), too large makes round 0 itself heavy;
 //      the sqrt(n) sweet spot is visible in max bits.
-#include <benchmark/benchmark.h>
-
+//
+// Checked: AGM succeeds at the default rounds and fails at 1 round; the
+// byte-rounding overhead stays below 1.5; palette lists fail at size 1
+// and succeed from size 8; two-round MIS succeeds at every marking rate.
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/report.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
@@ -28,7 +31,7 @@
 
 namespace {
 
-void ablate_agm_rounds() {
+void ablate_agm_rounds(ds::bench::Claims& claims) {
   std::cout << "=== A3a: AGM sketch rounds vs success ===\n";
   ds::core::Table table({"rounds", "bits/player", "P[spanning forest]"});
   ds::util::Rng rng(1);
@@ -47,13 +50,15 @@ void ablate_agm_rounds() {
         {rounds == 0 ? "default(~log n+3)" : ds::core::fmt(std::uint64_t{rounds}),
          ds::core::fmt(static_cast<std::uint64_t>(bits)),
          ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    if (rounds == 1) claims.expect(ok == 0, "A3a 1 round: a run succeeds");
+    if (rounds == 0) claims.expect(ok == kTrials, "A3a default: a run fails");
   }
   table.print(std::cout);
   std::cout << "\nToo few independent samplers and Boruvka stalls; the\n"
                "log-n default restores w.h.p. success.\n\n";
 }
 
-void ablate_accounting() {
+void ablate_accounting(ds::bench::Claims& claims) {
   std::cout << "=== A3b: bit-exact vs byte-rounded accounting ===\n";
   ds::core::Table table(
       {"requested bits", "exact max bits", "byte-rounded bits", "overhead"});
@@ -65,21 +70,22 @@ void ablate_accounting() {
         g, ds::protocols::BudgetedMatching{budget}, coins);
     const std::size_t exact = run.comm.max_bits;
     const std::size_t bytes = (exact + 7) / 8 * 8;
-    table.add_row(
-        {ds::core::fmt(static_cast<std::uint64_t>(budget)),
-         ds::core::fmt(static_cast<std::uint64_t>(exact)),
-         ds::core::fmt(static_cast<std::uint64_t>(bytes)),
-         ds::core::fmt(static_cast<double>(bytes) /
-                           static_cast<double>(
-                               std::max<std::size_t>(exact, 1)),
-                       3)});
+    const double overhead =
+        static_cast<double>(bytes) /
+        static_cast<double>(std::max<std::size_t>(exact, 1));
+    table.add_row({ds::core::fmt(static_cast<std::uint64_t>(budget)),
+                   ds::core::fmt(static_cast<std::uint64_t>(exact)),
+                   ds::core::fmt(static_cast<std::uint64_t>(bytes)),
+                   ds::core::fmt(overhead, 3)});
+    claims.expect(overhead < 1.5, "A3b budget " + std::to_string(budget) +
+                                      ": byte-rounding overhead >= 1.5");
   }
   table.print(std::cout);
   std::cout << "\nByte rounding inflates budgets by < 1.5x at the scales\n"
                "that matter — it shifts E3's ladder, not its shape.\n\n";
 }
 
-void ablate_palette_list() {
+void ablate_palette_list(ds::bench::Claims& claims) {
   // The hard case for list size is the clique: the lists must contain a
   // system of distinct representatives (all n colors used exactly once),
   // which random lists provide w.h.p. only once |L| ~ log n.
@@ -110,6 +116,10 @@ void ablate_palette_list() {
     table.add_row({ds::core::fmt(std::uint64_t{list}),
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
                    ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    const std::string row =
+        "A3c list " + std::to_string(list) + ": P[proper coloring] is not ";
+    if (list == 1) claims.expect(ok == 0, row + "0");
+    if (list >= 8) claims.expect(ok == kTrials, row + "1");
   }
   table.print(std::cout);
   std::cout << "\nACK19's Theta(log n) list size is real and sharp:"
@@ -120,7 +130,7 @@ void ablate_palette_list() {
                "\nrepair is exactly Kuhn's matching algorithm there).\n\n";
 }
 
-void ablate_mis_marking() {
+void ablate_mis_marking(ds::bench::Claims& claims) {
   std::cout << "=== A3d: two-round MIS marking probability ===\n";
   ds::core::Table table(
       {"p_mark (x 1/sqrt n)", "bits/player", "P[MIS]"});
@@ -144,6 +154,8 @@ void ablate_mis_marking() {
     table.add_row({ds::core::fmt(factor, 1),
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
                    ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    claims.expect(ok == kTrials,
+                  "A3d p_mark " + ds::core::fmt(factor, 1) + ": a run fails");
   }
   table.print(std::cout);
   std::cout << "\nCorrectness holds at every p (the cap is generous); the\n"
@@ -151,26 +163,13 @@ void ablate_mis_marking() {
                "around the ~1/sqrt(n) marking rate.\n\n";
 }
 
-void bm_agm_rounds(benchmark::State& state) {
-  ds::util::Rng rng(5);
-  const ds::graph::Graph g = ds::graph::gnp(100, 0.08, rng);
-  const ds::model::PublicCoins coins(6);
-  const ds::protocols::AgmSpanningForest protocol(
-      static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::model::run_protocol(g, protocol, coins));
-  }
-}
-BENCHMARK(bm_agm_rounds)->Arg(2)->Arg(10);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  ablate_agm_rounds();
-  ablate_accounting();
-  ablate_palette_list();
-  ablate_mis_marking();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  ablate_agm_rounds(claims);
+  ablate_accounting(claims);
+  ablate_palette_list(claims);
+  ablate_mis_marking(claims);
+  return claims.exit_code();
 }

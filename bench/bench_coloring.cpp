@@ -1,11 +1,13 @@
 // E7 — the sharpest contrast (Section 1.1): (Delta+1)-coloring, a
 // symmetry-breaking problem like MM/MIS, admits O(log^3 n)-bit sketches
 // via palette sparsification [Assadi-Chen-Khanna SODA'19].
-#include <benchmark/benchmark.h>
-
+//
+// Checked: P[proper] = 1 on every row, and bits/(log2 n)^3 never rises.
 #include <cmath>
 #include <iostream>
+#include <limits>
 
+#include "claims.h"
 #include "core/report.h"
 #include "graph/generators.h"
 #include "model/runner.h"
@@ -24,10 +26,11 @@ bool proper(const ds::graph::Graph& g, const ds::model::ColoringOutput& c,
   return true;
 }
 
-void print_experiment() {
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E7: (Delta+1)-coloring by palette sparsification ===\n";
   ds::core::Table table({"n", "avg deg", "Delta+1", "list", "bits/player",
                          "bits/(log2 n)^3", "bits/n", "P[proper]"});
+  double previous_cubed = std::numeric_limits<double>::infinity();
   for (ds::graph::Vertex n : {64u, 128u, 256u, 512u, 1024u}) {
     ds::util::Rng rng(n);
     const double avg_deg = 12.0;
@@ -47,15 +50,19 @@ void print_experiment() {
       ok += proper(g, run.output, palette);
     }
     const double log_n = std::log2(static_cast<double>(n));
+    const double cubed = static_cast<double>(bits) / (log_n * log_n * log_n);
     table.add_row(
         {ds::core::fmt(std::uint64_t{n}), ds::core::fmt(avg_deg, 0),
          ds::core::fmt(std::uint64_t{palette}),
          ds::core::fmt(std::uint64_t{list_size}),
          ds::core::fmt(static_cast<std::uint64_t>(bits)),
-         ds::core::fmt(static_cast<double>(bits) / (log_n * log_n * log_n),
-                       2),
+         ds::core::fmt(cubed, 2),
          ds::core::fmt(static_cast<double>(bits) / n, 2),
          ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    const std::string row = "E7 n=" + std::to_string(n);
+    claims.expect(ok == kTrials, row + ": P[proper] < 1");
+    claims.expect(cubed <= previous_cubed, row + ": bits/(log2 n)^3 rises");
+    previous_cubed = cubed;
   }
   table.print(std::cout);
   std::cout
@@ -65,25 +72,10 @@ void print_experiment() {
          "Omega(sqrt(n)) in the same model.\n\n";
 }
 
-void bm_palette_encode(benchmark::State& state) {
-  ds::util::Rng rng(1);
-  const ds::graph::Graph g = ds::graph::gnp(256, 0.05, rng);
-  const ds::protocols::PaletteSparsificationColoring protocol(
-      g.max_degree() + 1, 36);
-  const ds::model::PublicCoins coins(2);
-  for (auto _ : state) {
-    ds::model::CommStats comm;
-    benchmark::DoNotOptimize(
-        ds::model::collect_sketches(g, protocol, coins, comm));
-  }
-}
-BENCHMARK(bm_palette_encode);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  return claims.exit_code();
 }

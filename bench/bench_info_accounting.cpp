@@ -7,12 +7,17 @@
 // (all 120 permutations of the n = 5 instance) verifies Lemma 3.5 under
 // its actual hypothesis; single-sigma runs cover 3.3 / 3.4 at slightly
 // larger (r, t, k).
-#include <benchmark/benchmark.h>
-
+//
+// Checked: every lemma cell reads yes (n/a, below the success cutoff of
+// Lemma 3.3, only for the silent encoder); P[optimal] <= the Fano cap on
+// every row; the best one-bit degree-table protocol on C6 scores exactly
+// 7/8.
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/report.h"
+#include "info/entropy.h"
 #include "lowerbound/accounting.h"
 #include "lowerbound/optimal_referee.h"
 #include "lowerbound/protocol_search.h"
@@ -22,8 +27,9 @@ namespace {
 
 using namespace ds::lowerbound;
 
-void add_row(ds::core::Table& table, const std::string& instance,
-             const std::string& encoder, const AccountingResult& r) {
+void add_row(ds::core::Table& table, ds::bench::Claims& claims,
+             const std::string& instance, const std::string& encoder,
+             const AccountingResult& r) {
   double sum_info = 0, sum_h = 0;
   for (double v : r.info_mi_piui) sum_info += v;
   for (double v : r.h_piui) sum_h += v;
@@ -36,9 +42,27 @@ void add_row(ds::core::Table& table, const std::string& instance,
        ds::core::fmt_bool(r.lemma34_holds),
        ds::core::fmt_bool(r.lemma35_holds),
        ds::core::fmt(static_cast<std::uint64_t>(r.max_message_bits))});
+  // n/a (success below Lemma 3.3's 0.98) only for the silent encoder.
+  claims.expect(r.lemma33_applicable == (encoder != "silent") &&
+                    (!r.lemma33_applicable || r.lemma33_holds) &&
+                    r.lemma34_holds && r.lemma35_holds,
+                "E4 " + instance + " " + encoder + ": a lemma cell is not yes");
 }
 
-void print_experiment() {
+void add_map_row(ds::core::Table& table, ds::bench::Claims& claims,
+                 const std::string& instance, const RefinedEncoder& encoder,
+                 const OptimalRefereeResult& r) {
+  table.add_row(
+      {instance, encoder.name(), ds::core::fmt(r.greedy_success, 3),
+       ds::core::fmt(r.optimal_success, 3),
+       ds::core::fmt(r.fano_success_bound, 3), ds::core::fmt(r.info_m_pi, 3),
+       ds::core::fmt(static_cast<std::uint64_t>(r.max_message_bits))});
+  claims.expect(
+      r.optimal_success <= r.fano_success_bound + ds::info::kTolerance,
+      "E4 MAP " + instance + " " + encoder.name() + ": P[optimal] > Fano cap");
+}
+
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E4: exact information accounting (Lemmas 3.3-3.5) ===\n";
   ds::core::Table table({"instance", "encoder", "P[success]", "kr/6",
                          "I(M;Pi|S,J)", "H(Pi_P)", "sum I(Mi;PiUi)",
@@ -52,11 +76,11 @@ void print_experiment() {
     // Sigma fully enumerated: book(1,2), k=2, n=5 — 120 permutations.
     const ds::rs::RsGraph base = ds::rs::book_rs(1, 2);
     const auto sigmas = all_permutations(5);
-    add_row(table, "book(1,2) k=2 all-sigma", "full",
+    add_row(table, claims, "book(1,2) k=2 all-sigma", "full",
             enumerate_accounting(base, 2, full, sigmas));
-    add_row(table, "book(1,2) k=2 all-sigma", "cap-1",
+    add_row(table, claims, "book(1,2) k=2 all-sigma", "cap-1",
             enumerate_accounting(base, 2, cap1, sigmas));
-    add_row(table, "book(1,2) k=2 all-sigma", "silent",
+    add_row(table, claims, "book(1,2) k=2 all-sigma", "silent",
             enumerate_accounting(base, 2, silent, sigmas));
   }
   {
@@ -66,9 +90,9 @@ void print_experiment() {
     ds::util::Rng rng(7);
     const auto sigmas = sampled_permutations(
         dmm_parameters(base, 3).n, 24, rng);
-    add_row(table, "book(1,3) k=3 24-sigma", "full",
+    add_row(table, claims, "book(1,3) k=3 24-sigma", "full",
             enumerate_accounting(base, 3, full, sigmas));
-    add_row(table, "book(1,3) k=3 24-sigma", "cap-1",
+    add_row(table, claims, "book(1,3) k=3 24-sigma", "cap-1",
             enumerate_accounting(base, 3, cap1, sigmas));
   }
   {
@@ -76,9 +100,9 @@ void print_experiment() {
     ds::util::Rng rng(9);
     const auto sigmas = sampled_permutations(
         dmm_parameters(base, 2).n, 24, rng);
-    add_row(table, "book(2,2) k=2 24-sigma", "full",
+    add_row(table, claims, "book(2,2) k=2 24-sigma", "full",
             enumerate_accounting(base, 2, full, sigmas));
-    add_row(table, "book(2,2) k=2 24-sigma", "cap-1",
+    add_row(table, claims, "book(2,2) k=2 24-sigma", "cap-1",
             enumerate_accounting(base, 2, cap1, sigmas));
   }
   table.print(std::cout);
@@ -95,14 +119,8 @@ void print_experiment() {
     for (const RefinedEncoder* enc :
          std::initializer_list<const RefinedEncoder*>{&full, &cap1, &parity,
                                                       &silent}) {
-      const OptimalRefereeResult r =
-          optimal_referee_success(base, 2, *enc);
-      map_table.add_row(
-          {"book(1,2) k=2", enc->name(), ds::core::fmt(r.greedy_success, 3),
-           ds::core::fmt(r.optimal_success, 3),
-           ds::core::fmt(r.fano_success_bound, 3),
-           ds::core::fmt(r.info_m_pi, 3),
-           ds::core::fmt(static_cast<std::uint64_t>(r.max_message_bits))});
+      add_map_row(map_table, claims, "book(1,2) k=2", *enc,
+                  optimal_referee_success(base, 2, *enc));
     }
   }
   {
@@ -111,14 +129,8 @@ void print_experiment() {
     for (const RefinedEncoder* enc :
          std::initializer_list<const RefinedEncoder*>{&full, &cap1, &parity,
                                                       &silent}) {
-      const OptimalRefereeResult r =
-          optimal_referee_success(base, 2, *enc);
-      map_table.add_row(
-          {"book(2,2) k=2", enc->name(), ds::core::fmt(r.greedy_success, 3),
-           ds::core::fmt(r.optimal_success, 3),
-           ds::core::fmt(r.fano_success_bound, 3),
-           ds::core::fmt(r.info_m_pi, 3),
-           ds::core::fmt(static_cast<std::uint64_t>(r.max_message_bits))});
+      add_map_row(map_table, claims, "book(2,2) k=2", *enc,
+                  optimal_referee_success(base, 2, *enc));
     }
   }
   map_table.print(std::cout);
@@ -141,6 +153,10 @@ void print_experiment() {
            ds::core::fmt(r.best_success, 4),
            ds::core::fmt(r.fano_cap_at_best, 3),
            ds::core::fmt(r.silent_baseline, 3)});
+      if (bits == 1) {
+        claims.expect(std::abs(r.best_success - 0.875) <= ds::info::kTolerance,
+                      "E4 search C6 1 bit: best P is not 7/8");
+      }
     }
   }
   {
@@ -173,20 +189,10 @@ void print_experiment() {
          "kr bits and succeed.\n\n";
 }
 
-void bm_enumerate_mini(benchmark::State& state) {
-  const ds::rs::RsGraph base = ds::rs::book_rs(1, 2);
-  const FullReportEncoder full;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enumerate_accounting(base, 2, full));
-  }
-}
-BENCHMARK(bm_enumerate_mini);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  return claims.exit_code();
 }

@@ -7,11 +7,13 @@
 // absent), and (c) the cost factor when the MIS is produced by an actual
 // sketching protocol (trivial MIS at Theta(2n) bits vs Theta(n) for the
 // matching side — the factor-2 of the proof).
-#include <benchmark/benchmark.h>
-
+//
+// Checked: side-empty = equiv = exact = trials on every row, and the
+// end-to-end trivial-MIS decode is exact.
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/report.h"
 #include "graph/independent_set.h"
 #include "lowerbound/mis_reduction.h"
@@ -23,7 +25,7 @@ namespace {
 
 using namespace ds::lowerbound;
 
-void print_experiment() {
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E5: the maximal-matching <- MIS reduction "
                "(Section 4 / Lemma 4.1) ===\n";
   ds::core::Table table({"m", "n(G)", "n(H)", "trials", "side empty",
@@ -53,6 +55,9 @@ void print_experiment() {
                    ds::core::fmt(static_cast<std::uint64_t>(equiv)),
                    ds::core::fmt(static_cast<std::uint64_t>(exact)),
                    "greedy-random"});
+    claims.expect(side_empty == trials && equiv == trials && exact == trials,
+                  "E5 m=" + std::to_string(m) +
+                      ": side empty, equiv and exact are not all = trials");
   }
   table.print(std::cout);
 
@@ -87,6 +92,8 @@ void print_experiment() {
     const Lemma41Audit audit = audit_lemma41(inst, run_h.output);
     std::cout << "End-to-end trivial-MIS -> reduction decode exact: "
               << ds::core::fmt_bool(audit.decoded_exactly) << "\n\n";
+    claims.expect(audit.decoded_exactly,
+                  "E5 end-to-end trivial-MIS decode is not exact");
   }
   std::cout << "Paper prediction: every row has side-empty = equiv = exact"
                "\n= trials (the reduction never fails on a correct MIS), so"
@@ -94,33 +101,10 @@ void print_experiment() {
                "\nand Theorem 1's bound transfers to MIS.\n\n";
 }
 
-void bm_build_reduction(benchmark::State& state) {
-  const ds::rs::RsGraph base = ds::rs::rs_graph(8);
-  ds::util::Rng rng(1);
-  const DmmInstance inst = sample_dmm(base, base.t(), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(build_reduction_graph(inst));
-  }
-}
-BENCHMARK(bm_build_reduction);
-
-void bm_decode_from_mis(benchmark::State& state) {
-  const ds::rs::RsGraph base = ds::rs::rs_graph(8);
-  ds::util::Rng rng(2);
-  const DmmInstance inst = sample_dmm(base, base.t(), rng);
-  const ds::graph::Graph h = build_reduction_graph(inst);
-  const auto mis = ds::graph::greedy_mis(h);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decode_matching_from_mis(inst, mis));
-  }
-}
-BENCHMARK(bm_decode_from_mis);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  return claims.exit_code();
 }

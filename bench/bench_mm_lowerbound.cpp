@@ -15,15 +15,18 @@
 //                   is special (Lemma 3.5's blindness), so it must report
 //                   essentially all of them;
 //   * max bits    — realized worst-case player message.
-#include <benchmark/benchmark.h>
-
+//
+// Checked: every m finds a P[special] threshold, within a factor 2 of
+// r*log n; in E3b success reaches 1 only when every player speaks; in
+// E3c the vertex model's ratio is at least the edge partition's at
+// every budget.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/experiment.h"
 #include "core/report.h"
-#include "core/sweep.h"
 #include "lowerbound/dmm.h"
 #include "model/runner.h"
 #include "graph/hopcroft_karp.h"
@@ -33,6 +36,7 @@
 #include "protocols/edge_partition_matching.h"
 #include "protocols/sampled_matching.h"
 #include "rs/rs_graph.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -73,7 +77,7 @@ Thresholds sweep_instance(std::uint64_t m, std::size_t trials,
   const std::size_t cap =
       static_cast<std::size_t>(params.k * params.r) * width;
   const std::vector<std::size_t> budgets =
-      ds::core::geometric_budgets(width, cap, 2.0);
+      ds::scenario::geometric_ladder(width, cap, 2.0);
 
   if (print) {
     std::cout << "--- D_MM with m=" << m << ": N=" << params.big_n
@@ -132,7 +136,7 @@ Thresholds sweep_instance(std::uint64_t m, std::size_t trials,
   return result;
 }
 
-void print_experiment() {
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E3: Theorem 1 shape — budget sweep for one-round "
                "maximal matching on D_MM ===\n\n";
   std::vector<Thresholds> rows;
@@ -145,6 +149,7 @@ void print_experiment() {
   for (const Thresholds& t : rows) {
     const unsigned width = ds::util::bit_width_for(t.n);
     const double rlogn = static_cast<double>(t.r) * width;
+    const double band = static_cast<double>(t.special) / rlogn;
     summary.add_row(
         {ds::core::fmt(t.m), ds::core::fmt(std::uint64_t{t.n}),
          ds::core::fmt(t.r),
@@ -153,7 +158,10 @@ void print_experiment() {
          ds::core::fmt(static_cast<std::uint64_t>(t.special)),
          t.maximal > 0 ? ds::core::fmt(static_cast<std::uint64_t>(t.maximal))
                        : std::string("> cap"),
-         ds::core::fmt(static_cast<double>(t.special) / rlogn, 2)});
+         ds::core::fmt(band, 2)});
+    claims.expect(t.special > 0 && band >= 0.5 && band <= 2.0,
+                  "E3 m=" + std::to_string(t.m) +
+                      ": thr[special]/(r*log n) is not in [0.5, 2]");
   }
   std::cout << "Summary (threshold = smallest budget with >= 0.9 rate):\n";
   summary.print(std::cout);
@@ -170,7 +178,7 @@ void print_experiment() {
 // cannot know which players hold the hard part of the input, so it cannot
 // concentrate its budget.  Probe: give a generous budget to a random
 // fraction f of players (silence for the rest) and watch success track f.
-void print_partial_speakers() {
+void print_partial_speakers(ds::bench::Claims& claims) {
   std::cout << "=== E3b: average-communication probe — random fraction of "
                "speakers ===\n";
   const ds::rs::RsGraph base = ds::rs::rs_graph(16);
@@ -214,6 +222,10 @@ void print_partial_speakers() {
     table.add_row({ds::core::fmt(fraction, 2),
                    ds::core::fmt(avg_bits / kTrials, 1),
                    ds::core::fmt(static_cast<double>(known) / kTrials, 2)});
+    claims.expect((known == kTrials) == (fraction == 1.0),
+                  "E3b fraction " + ds::core::fmt(fraction, 2) +
+                      (fraction == 1.0 ? ": P[special known] < 1"
+                                       : ": P[special known] = 1"));
   }
   table.print(std::cout);
   std::cout
@@ -229,7 +241,7 @@ void print_partial_speakers() {
 // it to vertex partitioning WITH edge sharing.  Quantify the difference:
 // approximation ratio (vs the exact maximum matching) at equal per-player
 // budgets, same D_MM instances, both partitions.
-void print_partition_comparison() {
+void print_partition_comparison(ds::bench::Claims& claims) {
   std::cout << "=== E3c: vertex-partition (edge sharing) vs edge-partition "
                "[AKLY16] ===\n";
   const ds::rs::RsGraph base = ds::rs::rs_graph(16);
@@ -265,6 +277,9 @@ void print_partition_comparison() {
     table.add_row({ds::core::fmt(static_cast<std::uint64_t>(budget)),
                    ds::core::fmt(vertex_ratio / kTrials, 2),
                    ds::core::fmt(edge_ratio / kTrials, 2)});
+    claims.expect(vertex_ratio >= edge_ratio,
+                  "E3c budget " + std::to_string(budget) +
+                      ": vertex ratio < edge-partition ratio");
   }
   table.print(std::cout);
   std::cout
@@ -276,27 +291,12 @@ void print_partition_comparison() {
          "\nunique-player information argument.\n\n";
 }
 
-void bm_budgeted_matching_run(benchmark::State& state) {
-  const ds::rs::RsGraph base = ds::rs::rs_graph(16);
-  ds::util::Rng rng(1);
-  const DmmInstance inst =
-      ds::lowerbound::sample_dmm(base, base.t(), rng);
-  const ds::protocols::BudgetedMatching protocol(256);
-  const ds::model::PublicCoins coins(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ds::model::run_protocol(inst.g, protocol, coins));
-  }
-}
-BENCHMARK(bm_budgeted_matching_run);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  print_partial_speakers();
-  print_partition_comparison();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  print_partial_speakers(claims);
+  print_partition_comparison(claims);
+  return claims.exit_code();
 }

@@ -4,38 +4,44 @@
 // Paper prediction: r/N decays like 1/e^{c*sqrt(log N)} (sub-polynomial),
 // t/N is a constant (1/3 in the paper's construction, 1/5 in ours — a
 // block-layout constant absorbed by the Theta).
-#include <benchmark/benchmark.h>
-
+//
+// Checked: every validated row reads yes, and r/N falls row over row.
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/report.h"
 #include "rs/ap_free.h"
 #include "rs/rs_graph.h"
 
 namespace {
 
-void print_experiment() {
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E1: Ruzsa-Szemeredi graphs from Behrend sets "
                "(Proposition 2.1) ===\n";
   ds::core::Table table({"m", "N", "r=|S|", "t", "r/N", "t/N",
                          "e^sqrt(ln N)", "N/(r*e^sqrt(ln N))", "verified"});
+  double previous_density = 1.0;
   for (std::uint64_t m :
        {10ULL, 30ULL, 100ULL, 300ULL, 1000ULL, 3000ULL, 10000ULL, 30000ULL,
         100000ULL}) {
     const ds::rs::RsParameters p = ds::rs::rs_parameters(m);
     const double n = static_cast<double>(p.n);
     const double denom = std::exp(std::sqrt(std::log(n)));
+    const double density = static_cast<double>(p.r) / n;
     // If r = N / e^{c sqrt(log N)}, the last column is ~constant in N for
     // the right c; we display c = 1 and let the trend speak.
     const bool verify = m <= 300 && ds::rs::verify_rs(ds::rs::rs_graph(m));
     table.add_row({ds::core::fmt(m), ds::core::fmt(p.n), ds::core::fmt(p.r),
-                   ds::core::fmt(p.t),
-                   ds::core::fmt(static_cast<double>(p.r) / n, 5),
+                   ds::core::fmt(p.t), ds::core::fmt(density, 5),
                    ds::core::fmt(static_cast<double>(p.t) / n, 3),
                    ds::core::fmt(denom, 1),
                    ds::core::fmt(n / (static_cast<double>(p.r) * denom), 3),
                    m <= 300 ? ds::core::fmt_bool(verify) : "(skipped)"});
+    const std::string row = "E1 m=" + std::to_string(m);
+    claims.expect(m > 300 || verify, row + ": RS validation fails");
+    claims.expect(density < previous_density, row + ": r/N does not fall");
+    previous_density = density;
   }
   table.print(std::cout);
   std::cout << "\nShape check: r/N decays sub-polynomially (column 5 falls,"
@@ -43,27 +49,10 @@ void print_experiment() {
                "\nvalidation (partition + induced) passes where run.\n\n";
 }
 
-void bm_behrend_set(benchmark::State& state) {
-  const std::uint64_t m = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::rs::densest_ap_free_set(m));
-  }
-}
-BENCHMARK(bm_behrend_set)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void bm_rs_graph_build(benchmark::State& state) {
-  const std::uint64_t m = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::rs::rs_graph(m));
-  }
-}
-BENCHMARK(bm_rs_graph_build)->Arg(100)->Arg(1000);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  return claims.exit_code();
 }

@@ -3,11 +3,14 @@
 // weight, and the dynamic-stream correspondence.  All of these run in
 // polylog(n) (times k or W) bits per player on the SAME model where
 // Theorems 1-2 put maximal matching and MIS at Omega(sqrt n).
-#include <benchmark/benchmark.h>
-
+//
+// Checked: every correct, preserved and exact column equals its trial
+// count, and the stream's components are correct; in A2 one-sided
+// success is 0 at 16 bits and 1 at 4096 bits.
 #include <cmath>
 #include <iostream>
 
+#include "claims.h"
 #include "core/report.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
@@ -22,7 +25,7 @@
 
 namespace {
 
-void print_connectivity() {
+void print_connectivity(ds::bench::Claims& claims) {
   std::cout << "=== A1a: one-round connectivity (component counting) ===\n";
   ds::core::Table table({"n", "bits/player", "correct"});
   for (ds::graph::Vertex n : {64u, 256u, 1024u}) {
@@ -43,12 +46,14 @@ void print_connectivity() {
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
                    ds::core::fmt(static_cast<std::uint64_t>(correct)) + "/" +
                        ds::core::fmt(static_cast<std::uint64_t>(kTrials))});
+    claims.expect(correct == kTrials,
+                  "A1a n=" + std::to_string(n) + ": a count is wrong");
   }
   table.print(std::cout);
   std::cout << '\n';
 }
 
-void print_k_connectivity() {
+void print_k_connectivity(ds::bench::Claims& claims) {
   std::cout << "=== A1b: k-edge-connectivity certificates ===\n";
   ds::core::Table table(
       {"n", "k", "bits/player", "|cert| / (k*n)", "capped lambda preserved"});
@@ -80,12 +85,14 @@ void print_k_connectivity() {
                    ds::core::fmt(static_cast<std::uint64_t>(preserved)) +
                        "/" +
                        ds::core::fmt(static_cast<std::uint64_t>(kTrials))});
+    claims.expect(preserved == kTrials,
+                  "A1b k=" + std::to_string(k) + ": a cut is not preserved");
   }
   table.print(std::cout);
   std::cout << '\n';
 }
 
-void print_mst_weight() {
+void print_mst_weight(ds::bench::Claims& claims) {
   std::cout << "=== A1c: exact MSF weight from W connectivity sketches ===\n";
   ds::core::Table table({"n", "W", "bits/player", "exact matches"});
   for (std::uint32_t w : {2u, 4u, 8u}) {
@@ -108,12 +115,14 @@ void print_mst_weight() {
          ds::core::fmt(static_cast<std::uint64_t>(bits)),
          ds::core::fmt(static_cast<std::uint64_t>(exact)) + "/" +
              ds::core::fmt(static_cast<std::uint64_t>(kTrials))});
+    claims.expect(exact == kTrials,
+                  "A1c W=" + std::to_string(w) + ": a weight is not exact");
   }
   table.print(std::cout);
   std::cout << '\n';
 }
 
-void print_dynamic_stream() {
+void print_dynamic_stream(ds::bench::Claims& claims) {
   std::cout << "=== A1d: the linear-sketch <-> dynamic-stream "
                "correspondence ===\n";
   ds::core::Table table({"n", "updates", "spurious pairs", "state bits/n",
@@ -138,6 +147,8 @@ void print_dynamic_stream() {
          ds::core::fmt(static_cast<double>(connectivity.state_bits()) / n,
                        0),
          correct ? "yes" : "NO", matching.valid() ? "yes" : "no (broken)"});
+    claims.expect(correct,
+                  "A1d n=" + std::to_string(n) + ": components are wrong");
   }
   table.print(std::cout);
   std::cout
@@ -202,7 +213,7 @@ void print_sampling_zoo() {
                "subsample — edge sharing at work again.\n\n";
 }
 
-void print_one_sided() {
+void print_one_sided(ds::bench::Claims& claims) {
   std::cout << "=== A2: the one-sided model (related work, Section 1.3) "
                "===\n";
   // Needle discovery: the unique degree-1 right vertex's edge.
@@ -236,6 +247,11 @@ void print_one_sided() {
            ds::core::fmt(static_cast<std::uint64_t>(two_bits)),
            ds::core::fmt(static_cast<std::uint64_t>(budget)),
            ds::core::fmt(static_cast<double>(successes) / kTrials, 2)});
+      const std::string row =
+          "A2 side=" + std::to_string(side) + " budget=" +
+          std::to_string(budget) + ": one-sided success is not ";
+      if (budget == 16) claims.expect(successes == 0, row + "0");
+      if (budget == 4096) claims.expect(successes == kTrials, row + "1");
     }
   }
   table.print(std::cout);
@@ -247,41 +263,15 @@ void print_one_sided() {
          "\nby the edge-sharing this paper's model has.\n\n";
 }
 
-void bm_dynamic_update(benchmark::State& state) {
-  ds::stream::DynamicConnectivity stream(256, 1);
-  ds::util::Rng rng(2);
-  for (auto _ : state) {
-    const auto u = static_cast<ds::graph::Vertex>(rng.next_below(256));
-    auto v = static_cast<ds::graph::Vertex>(rng.next_below(256));
-    if (u == v) v = (v + 1) % 256;
-    stream.insert(u, v);
-    stream.remove(u, v);
-  }
-}
-BENCHMARK(bm_dynamic_update);
-
-void bm_mst_weight(benchmark::State& state) {
-  ds::util::Rng rng(3);
-  const ds::graph::WeightedGraph g =
-      ds::graph::random_weighted_gnp(32, 0.2, 4, rng);
-  const ds::model::PublicCoins coins(4);
-  const ds::protocols::MstWeight protocol(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::model::run_protocol(g, protocol, coins));
-  }
-}
-BENCHMARK(bm_mst_weight);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_connectivity();
-  print_k_connectivity();
-  print_mst_weight();
-  print_dynamic_stream();
+int main() {
+  ds::bench::Claims claims;
+  print_connectivity(claims);
+  print_k_connectivity(claims);
+  print_mst_weight(claims);
+  print_dynamic_stream(claims);
   print_sampling_zoo();
-  print_one_sided();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  print_one_sided(claims);
+  return claims.exit_code();
 }

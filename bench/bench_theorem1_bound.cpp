@@ -2,33 +2,42 @@
 // construction:  kr/6 <= I(M;Pi|Sigma,J) <= H(Pi(P)) + (1/t) sum_i
 // H(Pi(U_i)) <= 2Nb, so b >= kr/(12N), and with N = Theta(sqrt n) the
 // bound reads b = Omega(sqrt(n)/e^{Theta(sqrt(log n))}).
-#include <benchmark/benchmark.h>
-
+//
+// Checked: the certified b grows and b/sqrt(n) falls, row over row.
 #include <cmath>
 #include <iostream>
+#include <limits>
 
+#include "claims.h"
 #include "core/experiment.h"
 #include "core/report.h"
 
 namespace {
 
-void print_experiment() {
+void print_experiment(ds::bench::Claims& claims) {
   std::cout << "=== E9: Theorem 1 bound arithmetic on concrete RS "
                "parameters ===\n";
   ds::core::Table table({"m", "N", "r", "t=k", "n", "kr/6 (bits)",
                          "b >= kr/12N", "sqrt(n)", "b/sqrt(n)",
                          "e^sqrt(ln n)"});
+  double previous_b = 0.0;
+  double previous_ratio = std::numeric_limits<double>::infinity();
   for (std::uint64_t m : {50ULL, 100ULL, 300ULL, 1000ULL, 3000ULL, 10000ULL,
                           30000ULL, 100000ULL}) {
     const ds::core::Theorem1Bound b = ds::core::theorem1_bound(m);
     const double n = static_cast<double>(b.n);
+    const double ratio = b.b_lower / b.sqrt_n;
     table.add_row(
         {ds::core::fmt(m), ds::core::fmt(b.big_n), ds::core::fmt(b.r),
          ds::core::fmt(b.t), ds::core::fmt(b.n),
          ds::core::fmt(b.info_lower, 0), ds::core::fmt(b.b_lower, 2),
-         ds::core::fmt(b.sqrt_n, 0),
-         ds::core::fmt(b.b_lower / b.sqrt_n, 5),
+         ds::core::fmt(b.sqrt_n, 0), ds::core::fmt(ratio, 5),
          ds::core::fmt(std::exp(std::sqrt(std::log(n))), 1)});
+    const std::string row = "E9 m=" + std::to_string(m);
+    claims.expect(b.b_lower > previous_b, row + ": certified b does not grow");
+    claims.expect(ratio < previous_ratio, row + ": b/sqrt(n) does not fall");
+    previous_b = b.b_lower;
+    previous_ratio = ratio;
   }
   table.print(std::cout);
   std::cout
@@ -40,19 +49,10 @@ void print_experiment() {
          "\nsqrt(n) gap.\n\n";
 }
 
-void bm_theorem1_bound(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ds::core::theorem1_bound(static_cast<std::uint64_t>(state.range(0))));
-  }
-}
-BENCHMARK(bm_theorem1_bound)->Arg(1000)->Arg(100000);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_experiment();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_experiment(claims);
+  return claims.exit_code();
 }

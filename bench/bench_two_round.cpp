@@ -4,11 +4,16 @@
 //
 // We run the two-round protocols on G(n, p) and on D_MM itself and report
 // realized per-player bits against sqrt(n)*log(n), plus success rates.
-#include <benchmark/benchmark.h>
-
+//
+// Checked: in E8a/E8b every run succeeds and, within each graph family,
+// the ratio to sqrt(n)*log2(n) falls as n grows; in E8c two rounds succeed
+// at least as often as one at every total budget; in E8d Luby needs fewer
+// bits per player than the one-round protocol on H.
 #include <cmath>
 #include <iostream>
+#include <limits>
 
+#include "claims.h"
 #include "core/report.h"
 #include "graph/generators.h"
 #include "graph/independent_set.h"
@@ -26,12 +31,25 @@
 
 namespace {
 
-void print_matching() {
+constexpr double kNoPrevious = std::numeric_limits<double>::infinity();
+
+/// An E8a/E8b row's predictions: every trial succeeds, and the ratio to
+/// sqrt(n)*log2(n) falls below the graph family's previous row.
+void expect_row(ds::bench::Claims& claims, const std::string& row, bool all_ok,
+                double ratio, double& previous_ratio) {
+  claims.expect(all_ok, row + ": a run fails");
+  claims.expect(ratio < previous_ratio, row + ": ratio does not fall");
+  previous_ratio = ratio;
+}
+
+void print_matching(ds::bench::Claims& claims) {
   std::cout << "=== E8a: two-round adaptive maximal matching ===\n";
   ds::core::Table table({"graph", "n", "bits/player", "sqrt(n)*log2(n)",
                          "ratio", "P[maximal]"});
-  auto run_case = [&table](const std::string& label,
-                           const ds::graph::Graph& g, std::uint64_t seed) {
+  auto run_case = [&table, &claims](const std::string& label,
+                                    const ds::graph::Graph& g,
+                                    std::uint64_t seed,
+                                    double& previous_ratio) {
     const ds::graph::Vertex n = g.num_vertices();
     const std::size_t c =
         static_cast<std::size_t>(std::sqrt(static_cast<double>(n))) + 4;
@@ -46,32 +64,37 @@ void print_matching() {
     }
     const double yard = std::sqrt(static_cast<double>(n)) *
                         std::log2(static_cast<double>(n));
+    const double ratio = static_cast<double>(bits) / yard;
     table.add_row({label, ds::core::fmt(std::uint64_t{n}),
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
-                   ds::core::fmt(yard, 0),
-                   ds::core::fmt(static_cast<double>(bits) / yard, 2),
+                   ds::core::fmt(yard, 0), ds::core::fmt(ratio, 2),
                    ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    expect_row(claims, "E8a " + label, ok == kTrials, ratio, previous_ratio);
   };
 
   ds::util::Rng rng(11);
+  double gnp_ratio = kNoPrevious;
   for (ds::graph::Vertex n : {100u, 400u, 1600u}) {
     run_case("gnp(" + std::to_string(n) + ")",
-             ds::graph::gnp(n, 8.0 / n, rng), 100 + n);
+             ds::graph::gnp(n, 8.0 / n, rng), 100 + n, gnp_ratio);
   }
+  double dmm_ratio = kNoPrevious;
   for (std::uint64_t m : {8ULL, 16ULL}) {
     const ds::rs::RsGraph base = ds::rs::rs_graph(m);
     const auto inst = ds::lowerbound::sample_dmm(base, base.t(), rng);
-    run_case("D_MM(m=" + std::to_string(m) + ")", inst.g, 200 + m);
+    run_case("D_MM(m=" + std::to_string(m) + ")", inst.g, 200 + m,
+             dmm_ratio);
   }
   table.print(std::cout);
   std::cout << '\n';
 }
 
-void print_mis() {
+void print_mis(ds::bench::Claims& claims) {
   std::cout << "=== E8b: two-round adaptive MIS ===\n";
   ds::core::Table table(
       {"graph", "n", "bits/player", "sqrt(n)*log2(n)", "ratio", "P[MIS]"});
   ds::util::Rng rng(13);
+  double previous_ratio = kNoPrevious;
   for (ds::graph::Vertex n : {100u, 400u, 1600u}) {
     const ds::graph::Graph g = ds::graph::gnp(n, 8.0 / n, rng);
     const double p_mark =
@@ -89,12 +112,13 @@ void print_mis() {
     }
     const double yard = std::sqrt(static_cast<double>(n)) *
                         std::log2(static_cast<double>(n));
-    table.add_row({"gnp(" + std::to_string(n) + ")",
-                   ds::core::fmt(std::uint64_t{n}),
+    const double ratio = static_cast<double>(bits) / yard;
+    const std::string label = "gnp(" + std::to_string(n) + ")";
+    table.add_row({label, ds::core::fmt(std::uint64_t{n}),
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
-                   ds::core::fmt(yard, 0),
-                   ds::core::fmt(static_cast<double>(bits) / yard, 2),
+                   ds::core::fmt(yard, 0), ds::core::fmt(ratio, 2),
                    ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+    expect_row(claims, "E8b " + label, ok == kTrials, ratio, previous_ratio);
   }
   table.print(std::cout);
   std::cout
@@ -107,7 +131,7 @@ void print_mis() {
 // between Theorem 1's one-round wall and the unbudgeted two-round upper
 // bound.  Same total bits; the two-round protocol routes round 1 to the
 // residual and crosses to success at a lower total budget.
-void print_budgeted_adaptivity() {
+void print_budgeted_adaptivity(ds::bench::Claims& claims) {
   std::cout << "=== E8c: one round vs two rounds at equal total budget "
                "(D_MM, m=16) ===\n";
   const ds::rs::RsGraph base = ds::rs::rs_graph(16);
@@ -131,6 +155,8 @@ void print_budgeted_adaptivity() {
     table.add_row({ds::core::fmt(static_cast<std::uint64_t>(total)),
                    ds::core::fmt(static_cast<double>(one_ok) / kTrials, 2),
                    ds::core::fmt(static_cast<double>(two_ok) / kTrials, 2)});
+    claims.expect(two_ok >= one_ok, "E8c total " + std::to_string(total) +
+                                        ": 2-round success < 1-round");
   }
   table.print(std::cout);
   std::cout << "\nAdaptivity buys a constant-factor budget saving here;"
@@ -139,14 +165,14 @@ void print_budgeted_adaptivity() {
 
 // E8d: the full rounds-vs-bits tradeoff for MIS, on an easy graph (sparse
 // gnp) and on the hard one (the Section 4 reduction graph H over D_MM).
-void print_rounds_vs_bits() {
+void print_rounds_vs_bits(ds::bench::Claims& claims) {
   std::cout << "=== E8d: rounds vs bits for MIS ===\n";
   ds::core::Table table({"graph", "protocol", "rounds", "bits/player",
                          "P[MIS] (5 trials)"});
 
-  const auto run_rows = [&table](const std::string& label,
-                                 const ds::graph::Graph& g,
-                                 std::uint64_t seed) {
+  std::size_t one_round_bits = 0, luby_bits = 0;  // of the last graph run
+  const auto run_rows = [&](const std::string& label,
+                            const ds::graph::Graph& g, std::uint64_t seed) {
     const ds::graph::Vertex n = g.num_vertices();
     {  // one round: smallest doubling budget reaching 5/5.
       std::size_t bits = 0;
@@ -168,6 +194,7 @@ void print_rounds_vs_bits() {
       table.add_row({label, "one-round edge reports", "1",
                      ds::core::fmt(static_cast<std::uint64_t>(bits)),
                      ds::core::fmt(rate, 2)});
+      one_round_bits = bits;
     }
     {  // two rounds.
       const double p_mark = 3.0 / std::sqrt(static_cast<double>(n));
@@ -197,6 +224,7 @@ void print_rounds_vs_bits() {
                      ds::core::fmt(std::uint64_t{protocol.num_rounds()}),
                      ds::core::fmt(static_cast<std::uint64_t>(bits)),
                      ds::core::fmt(static_cast<double>(ok) / 5.0, 2)});
+      luby_bits = bits;
     }
   };
 
@@ -207,6 +235,8 @@ void print_rounds_vs_bits() {
     const auto inst = ds::lowerbound::sample_dmm(base, base.t(), rng);
     const ds::graph::Graph h = ds::lowerbound::build_reduction_graph(inst);
     run_rows("H(D_MM m=16)", h, 12000);
+    claims.expect(luby_bits < one_round_bits,
+                  "E8d H(D_MM m=16): Luby needs no fewer bits than one round");
   }
   table.print(std::cout);
   std::cout
@@ -217,25 +247,13 @@ void print_rounds_vs_bits() {
          "\nbits: more rounds of interaction are exponentially cheaper.\n\n";
 }
 
-void bm_two_round_matching(benchmark::State& state) {
-  ds::util::Rng rng(1);
-  const ds::graph::Graph g = ds::graph::gnp(200, 0.05, rng);
-  const ds::protocols::TwoRoundMatching protocol(18, 150);
-  const ds::model::PublicCoins coins(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::model::run_adaptive(g, protocol, coins));
-  }
-}
-BENCHMARK(bm_two_round_matching);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_matching();
-  print_mis();
-  print_budgeted_adaptivity();
-  print_rounds_vs_bits();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+int main() {
+  ds::bench::Claims claims;
+  print_matching(claims);
+  print_mis(claims);
+  print_budgeted_adaptivity(claims);
+  print_rounds_vs_bits(claims);
+  return claims.exit_code();
 }

@@ -55,9 +55,4 @@ SweepResult sweep_scenario(const scenario::Scenario& scenario,
                        grid.target_rate, pool);
 }
 
-std::vector<std::size_t> geometric_budgets(std::size_t lo, std::size_t hi,
-                                           double factor) {
-  return scenario::geometric_ladder(lo, hi, factor);
-}
-
 }  // namespace ds::core

@@ -63,9 +63,4 @@ struct SweepResult {
 [[nodiscard]] SweepResult sweep_scenario(const scenario::Scenario& scenario,
                                          parallel::ThreadPool* pool = nullptr);
 
-/// A geometric budget ladder: lo, lo*factor, ... capped at hi (inclusive).
-[[nodiscard]] std::vector<std::size_t> geometric_budgets(std::size_t lo,
-                                                         std::size_t hi,
-                                                         double factor = 2.0);
-
 }  // namespace ds::core

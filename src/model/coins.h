@@ -52,7 +52,7 @@ class PublicCoins {
 /// coin stream. Tags are formed as mix64(prefix, index).
 enum class CoinTag : std::uint64_t {
   kLevelHash = 0x101,       // L0 sampler level hashes
-  kBucketHash = 0x102,      // s-sparse bucket hashes
+  kBucketHash = 0x102,      // KMV sample hashes
   kFingerprint = 0x103,     // sparse-recovery fingerprints
   kEdgeSample = 0x201,      // budgeted edge-sampling protocols
   kPalette = 0x301,         // palette sparsification color lists

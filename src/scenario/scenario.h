@@ -82,7 +82,7 @@ struct Grid {
 };
 
 /// A geometric budget ladder: lo, lo*factor, ... capped at hi
-/// (inclusive).  core::geometric_budgets forwards here.
+/// (inclusive).
 [[nodiscard]] std::vector<std::size_t> geometric_ladder(std::size_t lo,
                                                         std::size_t hi,
                                                         double factor = 2.0);

@@ -41,6 +41,11 @@ std::size_t agm_state_bits(Vertex n, unsigned rounds) noexcept {
          OneSparse::state_bits();
 }
 
+std::size_t agm_row_words(Vertex n, unsigned rounds) noexcept {
+  return std::size_t{rounds} * L0Sampler::levels_for(edge_universe(n)) *
+         kStateWords;
+}
+
 AgmSketch AgmSketch::make(const model::PublicCoins& coins, Vertex n,
                           unsigned rounds, std::uint64_t tag) {
   assert(n >= 2);

@@ -36,6 +36,11 @@ namespace ds::sketch {
 [[nodiscard]] std::size_t agm_state_bits(graph::Vertex n,
                                          unsigned rounds) noexcept;
 
+/// row_words() of any shape on n vertices with `rounds` samplers: what a
+/// table row costs, known before any shape or table is built.
+[[nodiscard]] std::size_t agm_row_words(graph::Vertex n,
+                                        unsigned rounds) noexcept;
+
 class AgmSketch {
  public:
   /// The empty shape (n() == 0).

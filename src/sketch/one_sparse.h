@@ -19,12 +19,10 @@
 //   * OneSparse — a standalone summary owning its state; the tests'
 //     reference.
 //   * OneSparseBank — the shape of N summaries whose states the caller
-//     owns.  The L0 sampler's level table and the s-sparse cell
-//     grid are banks (docs/ENGINE.md "hot path").  Slot i of a bank built
-//     from tag t_i is
-//     bit-identical in shape and state to OneSparse::make(coins, t_i,
-//     universe) fed the same updates — pinned by
-//     tests/sketch/batch_equivalence_test.cpp.
+//     owns.  The L0 sampler's level table is a bank (docs/ENGINE.md "hot
+//     path").  Slot i of a bank built from tag t_i is bit-identical in
+//     shape and state to OneSparse::make(coins, t_i, universe) fed the
+//     same updates — pinned by tests/sketch/batch_equivalence_test.cpp.
 #pragma once
 
 #include <cstdint>

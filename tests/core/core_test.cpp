@@ -47,10 +47,10 @@ TEST(Report, Formatters) {
 }
 
 TEST(Sweep, GeometricBudgets) {
-  const auto budgets = geometric_budgets(4, 64, 2.0);
+  const auto budgets = scenario::geometric_ladder(4, 64, 2.0);
   const std::vector<std::size_t> expected{4, 8, 16, 32, 64};
   EXPECT_EQ(budgets, expected);
-  const auto with_cap = geometric_budgets(10, 25, 2.0);
+  const auto with_cap = scenario::geometric_ladder(10, 25, 2.0);
   EXPECT_EQ(with_cap.back(), 25u);
   EXPECT_EQ(with_cap.front(), 10u);
 }

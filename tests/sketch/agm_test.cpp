@@ -156,6 +156,10 @@ TEST(Agm, SketchSizeIsPolylog) {
   // Bits-per-vertex relative to n must fall sharply (polylog vs linear).
   EXPECT_LT(static_cast<double>(s4096.state_bits()) / 4096.0,
             0.1 * static_cast<double>(s64.state_bits()) / 64.0);
+  // The size a stream ingest checks before building any state.
+  EXPECT_EQ(agm_row_words(64, s64.rounds()), s64.row_words());
+  EXPECT_EQ(agm_row_words(4096, 2),
+            AgmSketch::make(coins, 4096, 2).row_words());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Bit-identity of the batched/cached hot paths against their scalar
 // originals: every transform in the encode pipeline — batched hashing,
-// the shape-only OneSparseBank, the L0/SSparse add_batch entry
-// points, the AGM shape cache and the thread-local encode row — must
-// produce byte-for-byte the streams the scalar per-edge path produced.
+// the shape-only OneSparseBank, the L0 add_batch entry point, the AGM
+// shape cache and the thread-local encode row — must produce
+// byte-for-byte the streams the scalar per-edge path produced.
 // Equality is always checked on the serialized output, the only thing a
 // referee ever sees.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "sketch/agm.h"
 #include "sketch/l0_sampler.h"
 #include "sketch/one_sparse.h"
-#include "sketch/s_sparse.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -291,25 +290,6 @@ TEST(BatchEquivalence, L0AddBatchMatchesSequentialAdds) {
     }
     expect_same_stream(serialize_states(batched), serialize_states(scalar),
                        "L0 add_batch");
-  }
-}
-
-TEST(BatchEquivalence, SSparseAddBatchMatchesSequentialAdds) {
-  const model::PublicCoins coins(9);
-  const std::uint64_t universe = 4096;
-  util::Rng rng(0x55AA);
-  for (std::uint64_t round = 0; round < 10; ++round) {
-    SSparse batched = SSparse::make(coins, 0x50 + round, universe, 4);
-    SSparse scalar = SSparse::make(coins, 0x50 + round, universe, 4);
-    std::vector<std::uint64_t> indices;
-    const std::size_t count = rng.next_below(30);
-    for (std::size_t i = 0; i < count; ++i) {
-      indices.push_back(rng.next_below(universe));
-    }
-    batched.add_batch(indices, 1);
-    for (std::uint64_t idx : indices) scalar.add(idx, 1);
-    expect_same_stream(serialize(batched), serialize(scalar),
-                       "SSparse add_batch");
   }
 }
 

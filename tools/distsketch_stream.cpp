@@ -16,16 +16,22 @@
 //          [--rounds R] [--sketch-seed S] [--serial]
 //       Drain the file into a sketch, print the ingest report,
 //       component count and state hash.  --threads 0 uses the
-//       configured pool width.
+//       configured pool width.  A header whose n asks for more sketch
+//       state than the host's physical memory is refused before any
+//       state is allocated (`invalid header: state-too-large`, exit 1).
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "parallel/thread_pool.h"
+#include "sketch/agm.h"
 #include "streamio/generator_stream.h"
 #include "streamio/ingestor.h"
 
@@ -91,6 +97,33 @@ struct Args {
   std::vector<std::pair<std::string, std::string>> flags_;
   bool bad_ = false;
 };
+
+/// Bytes of sketch state an ingest holds at once: the n-row table, plus
+/// the one snapshot copy a background query takes.  Saturates instead of
+/// wrapping.
+std::uint64_t ingest_state_bytes(graph::Vertex n, unsigned rounds,
+                                 bool snapshots) {
+  if (rounds == 0) rounds = sketch::agm_default_rounds(n);
+  const std::uint64_t row_bytes = sketch::agm_row_words(n, rounds) *
+                                  sizeof(std::uint64_t) *
+                                  (snapshots ? 2 : 1);
+  std::uint64_t bytes = 0;
+  if (__builtin_mul_overflow(std::uint64_t{n}, row_bytes, &bytes)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return bytes;
+}
+
+/// The host's physical memory; the maximum if it cannot be read.
+std::uint64_t physical_memory_bytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_size <= 0) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return static_cast<std::uint64_t>(pages) *
+         static_cast<std::uint64_t>(page_size);
+}
 
 int cmd_generate(const Args& args) {
   const std::string out = args.get("--out", "");
@@ -174,15 +207,28 @@ int cmd_ingest(const Args& args) {
       static_cast<std::size_t>(args.get_u64("--batch", std::size_t{1} << 16));
   options.query_interval = args.get_u64("--query-interval", 0);
   options.serial = args.get("--serial", "").empty() ? false : true;
+  const auto rounds = static_cast<unsigned>(args.get_u64("--rounds", 2));
+
+  // A header may claim any n below 2^32: check what that n costs before
+  // allocating any of it.
+  const graph::Vertex n = reader.header().n;
+  const std::uint64_t state_bytes =
+      ingest_state_bytes(n, rounds, options.query_interval > 0);
+  const std::uint64_t memory_bytes = physical_memory_bytes();
+  if (state_bytes > memory_bytes) {
+    std::cerr << "invalid header: state-too-large n=" << n
+              << " state_bytes=" << state_bytes
+              << " physical_memory_bytes=" << memory_bytes << "\n";
+    return 1;
+  }
+
   std::unique_ptr<parallel::ThreadPool> pool;
   if (!options.serial && threads > 0) {
     pool = std::make_unique<parallel::ThreadPool>(threads);
     options.pool = pool.get();
   }
-
-  const auto rounds = static_cast<unsigned>(args.get_u64("--rounds", 2));
-  stream::DynamicConnectivity state(
-      reader.header().n, args.get_u64("--sketch-seed", 2020), rounds);
+  stream::DynamicConnectivity state(n, args.get_u64("--sketch-seed", 2020),
+                                    rounds);
   const streamio::IngestReport report =
       streamio::ingest(reader, state, options);
   if (report.status != streamio::ReadStatus::kEnd) {
