@@ -22,7 +22,6 @@
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/independent_set.h"
-#include "model/adaptive.h"
 #include "model/runner.h"
 #include "protocols/coloring.h"
 #include "protocols/sampled_matching.h"
@@ -147,7 +146,7 @@ void ablate_mis_marking(ds::bench::Claims& claims) {
       const ds::model::PublicCoins coins(400 + trial +
                                          static_cast<std::uint64_t>(
                                              factor * 100));
-      const auto run = ds::model::run_adaptive(g, protocol, coins);
+      const auto run = ds::model::run_protocol(g, protocol, coins);
       bits = std::max(bits, run.comm.max_bits);
       ok += ds::graph::is_maximal_independent_set(g, run.output);
     }

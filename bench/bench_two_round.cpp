@@ -6,9 +6,10 @@
 // realized per-player bits against sqrt(n)*log(n), plus success rates.
 //
 // Checked: in E8a/E8b every run succeeds and, within each graph family,
-// the ratio to sqrt(n)*log2(n) falls as n grows; in E8c two rounds succeed
-// at least as often as one at every total budget; in E8d Luby needs fewer
-// bits per player than the one-round protocol on H.
+// the ratio to sqrt(n)*log2(n) falls as n grows; on E8a's rows with a
+// 2-edge round-0 sample every trial also uses round 1; in E8c two rounds
+// succeed at least as often as one at every total budget; in E8d Luby
+// needs fewer bits per player than the one-round protocol on H.
 #include <cmath>
 #include <iostream>
 #include <limits>
@@ -20,7 +21,6 @@
 #include "graph/matching.h"
 #include "lowerbound/dmm.h"
 #include "lowerbound/mis_reduction.h"
-#include "model/adaptive.h"
 #include "model/runner.h"
 #include "protocols/budgeted_two_round.h"
 #include "protocols/two_round_matching.h"
@@ -45,21 +45,29 @@ void expect_row(ds::bench::Claims& claims, const std::string& row, bool all_ok,
 void print_matching(ds::bench::Claims& claims) {
   std::cout << "=== E8a: two-round adaptive maximal matching ===\n";
   ds::core::Table table({"graph", "n", "bits/player", "sqrt(n)*log2(n)",
-                         "ratio", "P[maximal]"});
+                         "ratio", "P[maximal]", "P[round 1 used]"});
+  // Round 0 samples `round0_samples` edges a vertex (0: sqrt(n) + 4);
+  // round 1 reports up to 8 (sqrt(n) + 4) residual edges.  A vertex with
+  // no residual edge sends a 1-bit empty list in round 1, so a trial used
+  // round 1 when some vertex's round-1 message is longer.  Returns whether
+  // every trial used round 1 and output a maximal matching.
   auto run_case = [&table, &claims](const std::string& label,
                                     const ds::graph::Graph& g,
                                     std::uint64_t seed,
+                                    std::size_t round0_samples,
                                     double& previous_ratio) {
     const ds::graph::Vertex n = g.num_vertices();
     const std::size_t c =
         static_cast<std::size_t>(std::sqrt(static_cast<double>(n))) + 4;
-    const ds::protocols::TwoRoundMatching protocol(c, 8 * c);
-    std::size_t bits = 0, ok = 0;
+    const ds::protocols::TwoRoundMatching protocol(
+        round0_samples > 0 ? round0_samples : c, 8 * c);
+    std::size_t bits = 0, ok = 0, used_round1 = 0;
     constexpr std::size_t kTrials = 5;
     for (std::size_t trial = 0; trial < kTrials; ++trial) {
       const ds::model::PublicCoins coins(ds::util::mix64(seed, trial));
-      const auto run = ds::model::run_adaptive(g, protocol, coins);
+      const auto run = ds::model::run_protocol(g, protocol, coins);
       bits = std::max(bits, run.comm.max_bits);
+      used_round1 += run.by_round[1].max_bits > 1;
       ok += ds::graph::is_maximal_matching(g, run.output);
     }
     const double yard = std::sqrt(static_cast<double>(n)) *
@@ -68,22 +76,40 @@ void print_matching(ds::bench::Claims& claims) {
     table.add_row({label, ds::core::fmt(std::uint64_t{n}),
                    ds::core::fmt(static_cast<std::uint64_t>(bits)),
                    ds::core::fmt(yard, 0), ds::core::fmt(ratio, 2),
-                   ds::core::fmt(static_cast<double>(ok) / kTrials, 2)});
+                   ds::core::fmt(static_cast<double>(ok) / kTrials, 2),
+                   ds::core::fmt(static_cast<double>(used_round1) / kTrials,
+                                 2)});
     expect_row(claims, "E8a " + label, ok == kTrials, ratio, previous_ratio);
+    return ok == kTrials && used_round1 == kTrials;
   };
 
   ds::util::Rng rng(11);
   double gnp_ratio = kNoPrevious;
   for (ds::graph::Vertex n : {100u, 400u, 1600u}) {
     run_case("gnp(" + std::to_string(n) + ")",
-             ds::graph::gnp(n, 8.0 / n, rng), 100 + n, gnp_ratio);
+             ds::graph::gnp(n, 8.0 / n, rng), 100 + n, 0, gnp_ratio);
   }
   double dmm_ratio = kNoPrevious;
   for (std::uint64_t m : {8ULL, 16ULL}) {
     const ds::rs::RsGraph base = ds::rs::rs_graph(m);
     const auto inst = ds::lowerbound::sample_dmm(base, base.t(), rng);
-    run_case("D_MM(m=" + std::to_string(m) + ")", inst.g, 200 + m,
+    run_case("D_MM(m=" + std::to_string(m) + ")", inst.g, 200 + m, 0,
              dmm_ratio);
+  }
+  // On the rows above nearly every vertex reports all its edges in round
+  // 0, so round 1 goes unused.  With a 2-edge round-0 sample the round-0
+  // matching cannot be maximal on its own, and round 1 must carry the
+  // residual.
+  double small_sample_ratio = kNoPrevious;
+  for (ds::graph::Vertex n : {100u, 400u, 1600u}) {
+    const std::string label = "gnp(" + std::to_string(n) + "), c0=2";
+    const bool needs_round1 =
+        run_case(label, ds::graph::gnp(n, 8.0 / n, rng), 300 + n, 2,
+                 small_sample_ratio);
+    claims.expect(needs_round1,
+                  "E8a " + label +
+                      ": a trial leaves round 1 unused or its matching is "
+                      "not maximal");
   }
   table.print(std::cout);
   std::cout << '\n';
@@ -106,7 +132,7 @@ void print_mis(ds::bench::Claims& claims) {
     constexpr std::size_t kTrials = 5;
     for (std::size_t trial = 0; trial < kTrials; ++trial) {
       const ds::model::PublicCoins coins(ds::util::mix64(n, trial));
-      const auto run = ds::model::run_adaptive(g, protocol, coins);
+      const auto run = ds::model::run_protocol(g, protocol, coins);
       bits = std::max(bits, run.comm.max_bits);
       ok += ds::graph::is_maximal_independent_set(g, run.output);
     }
@@ -148,9 +174,9 @@ void print_budgeted_adaptivity(ds::bench::Claims& claims) {
       const ds::protocols::BudgetedTwoRoundMatching two(total / 2,
                                                         total / 2);
       one_ok += ds::graph::is_maximal_matching(
-          inst.g, ds::model::run_adaptive(inst.g, one, coins).output);
+          inst.g, ds::model::run_protocol(inst.g, one, coins).output);
       two_ok += ds::graph::is_maximal_matching(
-          inst.g, ds::model::run_adaptive(inst.g, two, coins).output);
+          inst.g, ds::model::run_protocol(inst.g, two, coins).output);
     }
     table.add_row({ds::core::fmt(static_cast<std::uint64_t>(total)),
                    ds::core::fmt(static_cast<double>(one_ok) / kTrials, 2),
@@ -203,7 +229,7 @@ void print_rounds_vs_bits(ds::bench::Claims& claims) {
       std::size_t bits = 0, ok = 0;
       for (std::uint64_t trial = 0; trial < 5; ++trial) {
         const ds::model::PublicCoins coins(ds::util::mix64(seed + 1, trial));
-        const auto run = ds::model::run_adaptive(g, protocol, coins);
+        const auto run = ds::model::run_protocol(g, protocol, coins);
         bits = std::max(bits, run.comm.max_bits);
         ok += ds::graph::is_maximal_independent_set(g, run.output);
       }
@@ -216,7 +242,7 @@ void print_rounds_vs_bits(ds::bench::Claims& claims) {
       std::size_t bits = 0, ok = 0;
       for (std::uint64_t trial = 0; trial < 5; ++trial) {
         const ds::model::PublicCoins coins(ds::util::mix64(seed + 2, trial));
-        const auto run = ds::model::run_adaptive(g, protocol, coins);
+        const auto run = ds::model::run_protocol(g, protocol, coins);
         bits = std::max(bits, run.comm.max_bits);
         ok += ds::graph::is_maximal_independent_set(g, run.output);
       }

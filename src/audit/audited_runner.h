@@ -1,5 +1,5 @@
-// Instrumented drop-in for model/runner.h and model/adaptive.h: runs a
-// protocol while enforcing the three model invariants (see audit.h).
+// Instrumented drop-in for model/runner.h: runs a protocol while
+// enforcing the three model invariants (see audit.h).
 //
 // The audited runner is the engine's audit-certifying configuration: the
 // collect/charge/broadcast/decode loop is the same round engine every
@@ -16,22 +16,26 @@
 // plus an AuditReport.  On a violation it fails through audit::fail with
 // a diagnostic naming the invariant.
 //
-// Checks layered on top of the engine run:
+// Checks layered on top of the engine run, applied to every round of
+// every protocol (a one-round protocol is the R = 1 case):
 //   * order probe    — every player is re-encoded in reverse order after
-//                      the forward pass; a message that depends on WHICH
+//                      the forward pass, round by round, with the
+//                      broadcasts it saw; a message that depends on WHICH
 //                      other players encoded before it leaks state across
 //                      players (locality);
-//   * referee replay — decode runs twice on the same messages with the
-//                      same PublicCoins(seed); differing outputs mean the
-//                      referee is nondeterministic (coin-determinism);
-//   * scrub probe    — every player is re-encoded on a decoy view, then
-//                      decode runs again: an output change means encoder
-//                      state reached the referee outside the charged
-//                      messages, i.e. the true message length was
-//                      under-reported (bit-accounting);
 //   * accounting     — the engine-charged CommStats are re-derived from
 //                      the serialized round messages via a fresh
-//                      ChargeSheet and must agree exactly.
+//                      ChargeSheet and must agree exactly;
+//   * referee replay — every broadcast and the decode run again on the
+//                      same messages with the same PublicCoins(seed);
+//                      differing results mean the referee is
+//                      nondeterministic (coin-determinism);
+//   * scrub probe    — every player is re-encoded on a decoy view in
+//                      every round, then the referee replays again: a
+//                      changed broadcast or output means encoder state
+//                      reached the referee outside the charged messages,
+//                      i.e. the true message length was under-reported
+//                      (bit-accounting).
 //
 // Outputs must be equality-comparable; every output type in the tree is.
 #pragma once
@@ -48,10 +52,8 @@
 #include "engine/instrumentation.h"
 #include "engine/round_engine.h"
 #include "graph/weighted.h"
-#include "model/adaptive.h"
 #include "model/coins.h"
 #include "model/protocol.h"
-#include "model/runner.h"
 #include "parallel/thread_pool.h"
 
 namespace ds::audit {
@@ -59,42 +61,54 @@ namespace ds::audit {
 template <typename Output>
 struct AuditedRunResult {
   Output output;
-  model::CommStats comm;
-  AuditReport report;
-};
-
-template <typename Output>
-struct AuditedAdaptiveResult {
-  model::AdaptiveRunResult<Output> result;
+  model::CommStats comm;                   // per-player totals, all rounds
+  std::vector<model::CommStats> by_round;  // per-round breakdown
+  std::size_t broadcast_bits = 0;          // total referee downlink
   AuditReport report;
 };
 
 namespace detail {
 
+/// Round `round` of `protocol`'s player algorithm as the audit core's
+/// EncodeFn, seeing the broadcasts of the rounds before it.
+template <typename Output>
+[[nodiscard]] EncodeFn round_encode(
+    const model::Protocol<Output>& protocol, unsigned round,
+    std::span<const util::BitString> broadcasts) {
+  return [&protocol, round, seen = broadcasts.first(round)](
+             const model::VertexView& view, util::BitWriter& out) {
+    protocol.encode_round(view, round, seen, out);
+  };
+}
+
+/// How diagnostics name a protocol's round: the bare name when the
+/// protocol has one round.
+[[nodiscard]] inline std::string round_label(const std::string& name,
+                                             unsigned round,
+                                             unsigned rounds) {
+  return rounds == 1 ? name
+                     : name + " (round " + std::to_string(round) + ")";
+}
+
 /// The audit-certifying SketchSource: every per-player encode goes
 /// through audited_encode_player on guard-padded views.  Encodes fan out
 /// across the pool; per-chunk AuditReports merge in vertex order, so the
 /// verdict and report are identical at any thread count.
-///
-/// MakeEncode: EncodeFn(unsigned round,
-///                      std::span<const util::BitString> broadcasts)
-/// NameFn:     std::string(unsigned round)
-template <typename RowFn, typename WeightFn, typename MakeEncode,
-          typename NameFn>
+template <typename RowFn, typename WeightFn, typename Output>
 class AuditSource {
  public:
   AuditSource(graph::Vertex n, RowFn row_of, WeightFn weights_of,
-              MakeEncode make_encode, NameFn name_of, std::uint64_t seed,
+              const model::Protocol<Output>& protocol, std::uint64_t seed,
               const AuditConfig& config, parallel::ThreadPool* pool)
       : n_(n), row_of_(std::move(row_of)),
-        weights_of_(std::move(weights_of)),
-        make_encode_(std::move(make_encode)), name_of_(std::move(name_of)),
+        weights_of_(std::move(weights_of)), protocol_(&protocol),
         seed_(seed), config_(&config), pool_(pool) {}
 
   [[nodiscard]] std::vector<util::BitString> collect(
       unsigned round, std::span<const util::BitString> broadcasts) {
-    const EncodeFn encode = make_encode_(round, broadcasts);
-    const std::string name = name_of_(round);
+    const EncodeFn encode = round_encode(*protocol_, round, broadcasts);
+    const std::string name =
+        round_label(protocol_->name(), round, protocol_->num_rounds());
     std::vector<util::BitString> sketches(n_);
     report_.merge(parallel::parallel_reduce(
         pool_, std::size_t{0}, std::size_t{n_}, AuditReport{},
@@ -121,24 +135,31 @@ class AuditSource {
   graph::Vertex n_;
   RowFn row_of_;
   WeightFn weights_of_;
-  MakeEncode make_encode_;
-  NameFn name_of_;
+  const model::Protocol<Output>* protocol_;
   std::uint64_t seed_;
   const AuditConfig* config_;
   parallel::ThreadPool* pool_;
   AuditReport report_;
 };
 
-template <typename RowFn, typename WeightFn, typename MakeEncode,
-          typename NameFn>
-[[nodiscard]] AuditSource<RowFn, WeightFn, MakeEncode, NameFn>
-make_audit_source(graph::Vertex n, RowFn row_of, WeightFn weights_of,
-                  MakeEncode make_encode, NameFn name_of,
-                  std::uint64_t seed, const AuditConfig& config,
-                  parallel::ThreadPool* pool) {
-  return AuditSource<RowFn, WeightFn, MakeEncode, NameFn>(
-      n, std::move(row_of), std::move(weights_of), std::move(make_encode),
-      std::move(name_of), seed, config, pool);
+/// Replay the referee on the recorded round messages: every broadcast
+/// and the output must come out as they did in `run`.
+template <typename Output>
+[[nodiscard]] bool referee_replays(const model::Protocol<Output>& protocol,
+                                   graph::Vertex n,
+                                   const engine::EngineResult<Output>& run,
+                                   const model::PublicCoins& coins) {
+  const std::span<const std::vector<util::BitString>> rounds =
+      run.all_rounds;
+  for (unsigned r = 0; r < run.broadcasts.size(); ++r) {
+    if (!same_message(protocol.make_broadcast(r, n, rounds.first(r + 1),
+                                              coins),
+                      run.broadcasts[r])) {
+      return false;
+    }
+  }
+  return protocol.decode_rounds(n, rounds, run.broadcasts, coins) ==
+         run.output;
 }
 
 /// Engine Instrumentation policy that runs the structural accounting
@@ -159,7 +180,8 @@ class AuditInstrumentation {
     return {};
   }
   void on_sketch_bits(std::size_t) const noexcept {}
-  void on_round(unsigned, const model::CommStats&) const noexcept {}
+  void on_round(unsigned, unsigned,
+                const model::CommStats&) const noexcept {}
   void on_broadcast(unsigned round, const util::BitString& b) const {
     if (!config_->check_accounting) return;
     check_message_accounting(
@@ -191,8 +213,7 @@ class AuditedRunner {
   /// replay order can witness.
   template <typename Output>
   [[nodiscard]] AuditedRunResult<Output> run(
-      const graph::Graph& g,
-      const model::SketchingProtocol<Output>& protocol,
+      const graph::Graph& g, const model::Protocol<Output>& protocol,
       parallel::ThreadPool* pool = nullptr) const {
     return run_impl<Output>(
         g.num_vertices(),
@@ -204,8 +225,7 @@ class AuditedRunner {
   /// Audited equivalent of model::run_protocol on a weighted graph.
   template <typename Output>
   [[nodiscard]] AuditedRunResult<Output> run(
-      const graph::WeightedGraph& g,
-      const model::SketchingProtocol<Output>& protocol,
+      const graph::WeightedGraph& g, const model::Protocol<Output>& protocol,
       parallel::ThreadPool* pool = nullptr) const {
     return run_impl<Output>(
         g.num_vertices(),
@@ -214,129 +234,76 @@ class AuditedRunner {
         protocol, pool);
   }
 
-  /// Audited equivalent of model::run_adaptive (the engine's R > 1 case).
-  /// The per-round accounting identity — per-player totals equal the sum
-  /// of that player's serialized round messages — is re-derived from the
-  /// actual BitStrings and cross-checked.
-  template <typename Output>
-  [[nodiscard]] AuditedAdaptiveResult<Output> run_adaptive(
-      const graph::Graph& g,
-      const model::AdaptiveProtocol<Output>& protocol,
-      parallel::ThreadPool* pool = nullptr) const {
-    static_assert(std::equality_comparable<Output>);
-    const graph::Vertex n = g.num_vertices();
-    const std::string proto_name = protocol.name();
-    AuditReport report;
-
-    auto source = detail::make_audit_source(
-        n, [&g](graph::Vertex v) { return g.neighbors(v); },
-        [](graph::Vertex) { return std::span<const std::uint32_t>{}; },
-        [&protocol](unsigned round,
-                    std::span<const util::BitString> broadcasts) {
-          return EncodeFn([&protocol, round, broadcasts](
-                              const model::VertexView& view,
-                              util::BitWriter& out) {
-            protocol.encode_round(view, round, broadcasts, out);
-          });
-        },
-        [&proto_name](unsigned round) {
-          return proto_name + " (round " + std::to_string(round) + ")";
-        },
-        seed_, config_, pool);
-    const model::PublicCoins coins(seed_);
-    const engine::AdaptiveReferee<Output> referee(protocol, coins);
-    detail::AuditInstrumentation instr(proto_name, config_, report);
-    engine::EngineResult<Output> run =
-        engine::run_rounds(n, referee, source, instr);
-    report.merge(source.report());
-
-    if (config_.check_accounting) {
-      cross_check_adaptive_accounting(run.comm, run.all_rounds, n,
-                                      proto_name);
-    }
-    if (config_.check_determinism) {
-      const Output replay =
-          protocol.decode(n, run.all_rounds, run.broadcasts, coins);
-      if (!(replay == run.output)) {
-        fail(Invariant::kCoinDeterminism,
-             "protocol '" + proto_name +
-                 "': referee produced different outputs from the same "
-                 "round messages and the same public coins");
-      }
-    }
-    return {{std::move(run.output), run.comm, std::move(run.by_round),
-             run.broadcast_bits},
-            report};
-  }
-
  private:
   template <typename Output, typename RowFn, typename WeightFn>
   [[nodiscard]] AuditedRunResult<Output> run_impl(
       graph::Vertex n, const RowFn& row_of, const WeightFn& weights_of,
-      const model::SketchingProtocol<Output>& protocol,
+      const model::Protocol<Output>& protocol,
       parallel::ThreadPool* pool) const {
     static_assert(std::equality_comparable<Output>);
-    const EncodeFn encode = [&protocol](const model::VertexView& view,
-                                        util::BitWriter& out) {
-      protocol.encode(view, out);
-    };
     const std::string proto_name = protocol.name();
+    const unsigned rounds = protocol.num_rounds();
     AuditReport report;
 
-    auto source = detail::make_audit_source(
-        n, row_of, weights_of,
-        [&encode](unsigned, std::span<const util::BitString>) {
-          return encode;
-        },
-        [&proto_name](unsigned) { return proto_name; }, seed_, config_,
-        pool);
+    detail::AuditSource<RowFn, WeightFn, Output> source(
+        n, row_of, weights_of, protocol, seed_, config_, pool);
     const model::PublicCoins coins(seed_);
-    const engine::OneRoundReferee<Output> referee(protocol, coins);
     detail::AuditInstrumentation instr(proto_name, config_, report);
     engine::EngineResult<Output> run =
-        engine::run_rounds(n, referee, source, instr);
+        engine::run_rounds(n, protocol, coins, source, instr);
     report.merge(source.report());
-    const std::vector<util::BitString>& messages = run.all_rounds[0];
 
     if (config_.check_locality) {
       // Order probe: replaying players back-to-front must reproduce the
-      // forward-pass messages bit for bit.
-      for (graph::Vertex v = n; v-- > 0;) {
-        const util::BitString replay = encode_player_once(
-            encode, n, v, row_of(v), weights_of(v), seed_, config_, report);
-        if (!same_message(replay, messages[v])) {
-          std::ostringstream out;
-          out << "protocol '" << proto_name << "', player " << v
-              << ": message depends on the order in which OTHER players "
-                 "were encoded — state leaks across players (paper "
-                 "Section 2.1 locality)";
-          fail(Invariant::kLocality, out.str());
+      // forward-pass messages bit for bit, in every round.
+      for (unsigned round = 0; round < rounds; ++round) {
+        const EncodeFn encode =
+            detail::round_encode(protocol, round, run.broadcasts);
+        for (graph::Vertex v = n; v-- > 0;) {
+          const util::BitString replay =
+              encode_player_once(encode, n, v, row_of(v), weights_of(v),
+                                 seed_, config_, report);
+          if (!same_message(replay, run.all_rounds[round][v])) {
+            std::ostringstream out;
+            out << "protocol '"
+                << detail::round_label(proto_name, round, rounds)
+                << "', player " << v
+                << ": message depends on the order in which OTHER players "
+                   "were encoded — state leaks across players (paper "
+                   "Section 2.1 locality)";
+            fail(Invariant::kLocality, out.str());
+          }
         }
       }
     }
-    if (config_.check_determinism) {
-      const Output replay = protocol.decode(n, messages, coins);
-      if (!(replay == run.output)) {
-        fail(Invariant::kCoinDeterminism,
-             "protocol '" + proto_name +
-                 "': referee produced different outputs from the same "
-                 "messages and the same public coins");
-      }
+    if (config_.check_accounting) {
+      cross_check_accounting(run.comm, run.all_rounds, n, proto_name);
+    }
+    if (config_.check_determinism &&
+        !detail::referee_replays(protocol, n, run, coins)) {
+      fail(Invariant::kCoinDeterminism,
+           "protocol '" + proto_name +
+               "': referee produced different results from the same round "
+               "messages and the same public coins");
     }
     if (config_.check_accounting) {
-      // Scrub probe: poison any encoder-side state, then decode again.
-      // Decoy encodes are independent per player, so they fan out too.
-      report.merge(parallel::parallel_reduce(
-          pool, std::size_t{0}, std::size_t{n}, AuditReport{},
-          [&](AuditReport& acc, std::size_t i) {
-            scrub_encode_player(encode, n, static_cast<graph::Vertex>(i),
-                                seed_, acc);
-          },
-          [](AuditReport& into, const AuditReport& from) {
-            into.merge(from);
-          }));
-      const Output after_scrub = protocol.decode(n, messages, coins);
-      if (!(after_scrub == run.output)) {
+      // Scrub probe: poison any encoder-side state in every round, then
+      // replay the referee.  Decoy encodes are independent per player, so
+      // they fan out too.
+      for (unsigned round = 0; round < rounds; ++round) {
+        const EncodeFn encode =
+            detail::round_encode(protocol, round, run.broadcasts);
+        report.merge(parallel::parallel_reduce(
+            pool, std::size_t{0}, std::size_t{n}, AuditReport{},
+            [&](AuditReport& acc, std::size_t i) {
+              scrub_encode_player(encode, n, static_cast<graph::Vertex>(i),
+                                  seed_, acc);
+            },
+            [](AuditReport& into, const AuditReport& from) {
+              into.merge(from);
+            }));
+      }
+      if (!detail::referee_replays(protocol, n, run, coins)) {
         fail(Invariant::kBitAccounting,
              "protocol '" + proto_name +
                  "': referee output changed after the encoders were re-run "
@@ -345,14 +312,15 @@ class AuditedRunner {
                  "under-reports the true communication");
       }
     }
-    return {std::move(run.output), run.comm, report};
+    return {std::move(run.output), run.comm, std::move(run.by_round),
+            run.broadcast_bits, report};
   }
 
   /// Re-derive the run-level CommStats from the serialized round messages
   /// through a fresh ChargeSheet and compare against what the engine
   /// charged during the run: any drift between the bits charged at encode
   /// time and the bits actually serialized is a kBitAccounting violation.
-  static void cross_check_adaptive_accounting(
+  static void cross_check_accounting(
       const model::CommStats& reported,
       const std::vector<std::vector<util::BitString>>& all_rounds,
       graph::Vertex n, const std::string& name) {
@@ -367,8 +335,8 @@ class AuditedRunner {
         recomputed.num_players != reported.num_players) {
       std::ostringstream out;
       out << "protocol '" << name
-          << "': adaptive CommStats disagree with the serialized round "
-             "messages (reported max/total "
+          << "': CommStats disagree with the serialized round messages "
+             "(reported max/total "
           << reported.max_bits << "/" << reported.total_bits
           << ", serialized " << recomputed.max_bits << "/"
           << recomputed.total_bits << ")";

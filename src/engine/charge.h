@@ -5,7 +5,7 @@
 // bits (Section 2.1); for multi-round runs a player's cost is the SUM of
 // its round messages, and the maximum is taken over those cumulative
 // totals — not per round.  Before the engine existed this charging logic
-// lived in four places (model/runner.h, model/adaptive.h,
+// lived in four places (the one-round and the multi-round model runners,
 // audit/audited_runner.h, service/referee_service.h) that could drift.
 // Now `ChargeSheet::charge_round` is the only function that calls
 // CommStats::record for sketch bits; every execution path goes through it

@@ -1,11 +1,12 @@
 #include "engine/instrumentation.h"
 
 // The single registration owner for the model-layer obs series.  Before
-// the engine existed, model/runner.h and model/adaptive.h each registered
-// model.encode.* from their own header-inline statics; any third runner
-// would have added a fourth copy.  Every accessor below is a
-// function-local static bound to the immortal registry, so registration
-// happens exactly once per process regardless of how many adapters link.
+// the engine existed, the one-round and the multi-round runner headers
+// each registered model.encode.* from their own header-inline statics;
+// any third runner would have added a fourth copy.  Every accessor below
+// is a function-local static bound to the immortal registry, so
+// registration happens exactly once per process regardless of how many
+// adapters link.
 
 namespace ds::engine::metrics {
 

@@ -9,17 +9,20 @@
 //   decode_span()             — entered around the referee's decode;
 //   on_sketch_bits(bits)      — once per charged sketch, from the single
 //                               ChargeSheet site;
-//   on_round(round, comm)     — once per completed round, with that
-//                               round's CommStats;
-//   on_broadcast(round, b)    — once per referee broadcast (adaptive runs
-//                               only, i.e. never for R = 1).
+//   on_round(round, rounds, comm)
+//                             — once per completed round of a
+//                               `rounds`-round run, with that round's
+//                               CommStats;
+//   on_broadcast(round, b)    — once per referee broadcast (runs with
+//                               num_rounds() > 1 only, i.e. never for
+//                               R = 1).
 //
 // Policies shipped here:
 //   * PlainInstrumentation — no-ops; the zero-overhead default.
 //   * ObsInstrumentation   — the model-runner policy.  This file's .cpp is
 //     the ONE owner of the model.* obs series registration (the seed tree
-//     registered model.encode.* from both runner.h and adaptive.h — the
-//     duplication this refactor removes).
+//     registered model.encode.* from two runner headers — the
+//     duplication the engine removed).
 //
 // The audit-certifying policy lives in audit/audited_runner.h and the
 // service policy in service/referee_service.h: the seam is the contract,
@@ -39,8 +42,8 @@ namespace metrics {
 // in instrumentation.cpp — the single registration owner.  The
 // model.encode.sketch_bits histogram mirrors CommStats exactly: count ==
 // players encoded, sum == total_bits, max == max_bits (cross-checked by
-// tests/audit/obs_audit_test.cpp for one-round AND adaptive runs, which
-// now share this code path).
+// tests/audit/obs_audit_test.cpp for one-round AND multi-round runs,
+// which share this code path).
 [[nodiscard]] obs::Counter& encode_sketches();
 [[nodiscard]] obs::Histogram& encode_sketch_bits();
 [[nodiscard]] obs::Histogram& collect_us();
@@ -55,19 +58,17 @@ struct PlainInstrumentation {
   [[nodiscard]] NoSpan collect_span() const noexcept { return {}; }
   [[nodiscard]] NoSpan decode_span() const noexcept { return {}; }
   void on_sketch_bits(std::size_t) const noexcept {}
-  void on_round(unsigned, const model::CommStats&) const noexcept {}
+  void on_round(unsigned, unsigned,
+                const model::CommStats&) const noexcept {}
   void on_broadcast(unsigned, const util::BitString&) const noexcept {}
 };
 
 /// The model-runner policy: encode counters, collect/decode spans, and —
-/// for adaptive runs — the round counter and broadcast-size histogram.
-/// All updates are relaxed atomics outside the deterministic reduction
-/// path, so results stay bit-identical with metrics on or off.
-class ObsInstrumentation {
- public:
-  explicit ObsInstrumentation(bool adaptive) noexcept
-      : adaptive_(adaptive) {}
-
+/// for runs with num_rounds() > 1 — the model.adaptive.* round counter
+/// and broadcast-size histogram.  All updates are relaxed atomics outside
+/// the deterministic reduction path, so results stay bit-identical with
+/// metrics on or off.
+struct ObsInstrumentation {
   [[nodiscard]] obs::ScopedSpan collect_span() const {
     return obs::ScopedSpan("model.collect", &metrics::collect_us());
   }
@@ -78,17 +79,12 @@ class ObsInstrumentation {
     metrics::encode_sketches().increment();
     metrics::encode_sketch_bits().record(bits);
   }
-  void on_round(unsigned, const model::CommStats&) const {
-    if (adaptive_) metrics::adaptive_rounds().increment();
+  void on_round(unsigned, unsigned rounds, const model::CommStats&) const {
+    if (rounds > 1) metrics::adaptive_rounds().increment();
   }
   void on_broadcast(unsigned, const util::BitString& broadcast) const {
-    if (adaptive_) {
-      metrics::adaptive_broadcast_bits().record(broadcast.bit_count());
-    }
+    metrics::adaptive_broadcast_bits().record(broadcast.bit_count());
   }
-
- private:
-  bool adaptive_;
 };
 
 }  // namespace ds::engine

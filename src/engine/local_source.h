@@ -8,7 +8,7 @@
 //   void deliver_broadcast(unsigned round, const util::BitString& b);
 //
 // LocalSource implements it by materializing VertexViews and running the
-// player algorithm in-process; service::ShardedWireSource
+// protocol's encode_round in-process; service::ShardedWireSource
 // (service/shard.h) implements the same contract over frames from the
 // referee's event loops.  Per-vertex encodes are independent by
 // construction (a player sees only its own view, the coins, and earlier
@@ -29,22 +29,21 @@
 
 #include "engine/arena.h"
 #include "graph/graph.h"
+#include "graph/weighted.h"
 #include "model/protocol.h"
 #include "parallel/thread_pool.h"
 #include "util/bitio.h"
 
 namespace ds::engine {
 
-/// ViewFn:   model::VertexView(graph::Vertex v)
-/// EncodeFn: void(const model::VertexView&, unsigned round,
-///                std::span<const util::BitString> broadcasts,
-///                util::BitWriter&)
-template <typename ViewFn, typename EncodeFn>
+/// ViewFn: model::VertexView(graph::Vertex v)
+template <typename ViewFn, typename Output>
 class LocalSource {
  public:
-  LocalSource(graph::Vertex n, ViewFn view_of, EncodeFn encode,
+  LocalSource(graph::Vertex n, ViewFn view_of,
+              const model::Protocol<Output>& protocol,
               parallel::ThreadPool* pool, SketchArena* arena) noexcept
-      : n_(n), view_of_(std::move(view_of)), encode_(std::move(encode)),
+      : n_(n), view_of_(std::move(view_of)), protocol_(&protocol),
         pool_(pool), arena_(arena) {}
 
   [[nodiscard]] std::vector<util::BitString> collect(
@@ -57,8 +56,8 @@ class LocalSource {
       util::BitWriter writer(arena_ != nullptr
                                  ? arena_->take(base_slot + i)
                                  : std::vector<std::uint64_t>{});
-      encode_(view_of_(static_cast<graph::Vertex>(i)), round, broadcasts,
-              writer);
+      protocol_->encode_round(view_of_(static_cast<graph::Vertex>(i)),
+                              round, broadcasts, writer);
       sketches[i] = util::BitString(std::move(writer));
     });
     return sketches;
@@ -73,18 +72,19 @@ class LocalSource {
  private:
   graph::Vertex n_;
   ViewFn view_of_;
-  EncodeFn encode_;
+  const model::Protocol<Output>* protocol_;
   parallel::ThreadPool* pool_;
   SketchArena* arena_;
 };
 
-/// Deduction helper (the class template has two deduced functor types).
-template <typename ViewFn, typename EncodeFn>
-[[nodiscard]] LocalSource<ViewFn, EncodeFn> make_local_source(
-    graph::Vertex n, ViewFn view_of, EncodeFn encode,
+/// Deduction helper (a SketchingProtocol argument deduces Output through
+/// its Protocol base).
+template <typename ViewFn, typename Output>
+[[nodiscard]] LocalSource<ViewFn, Output> make_local_source(
+    graph::Vertex n, ViewFn view_of, const model::Protocol<Output>& protocol,
     parallel::ThreadPool* pool = nullptr, SketchArena* arena = nullptr) {
-  return LocalSource<ViewFn, EncodeFn>(n, std::move(view_of),
-                                       std::move(encode), pool, arena);
+  return LocalSource<ViewFn, Output>(n, std::move(view_of), protocol, pool,
+                                     arena);
 }
 
 /// The unweighted model view for vertex v of g.
@@ -92,6 +92,15 @@ template <typename ViewFn, typename EncodeFn>
                                         const model::PublicCoins& coins) {
   return [&g, &coins](graph::Vertex v) {
     return model::VertexView{g.num_vertices(), v, g.neighbors(v), &coins};
+  };
+}
+
+/// The weighted model view: views additionally carry per-neighbor weights.
+[[nodiscard]] inline auto graph_view_fn(const graph::WeightedGraph& g,
+                                        const model::PublicCoins& coins) {
+  return [&g, &coins](graph::Vertex v) {
+    return model::VertexView{g.num_vertices(), v, g.topology().neighbors(v),
+                             &coins, g.neighbor_weights(v)};
   };
 }
 

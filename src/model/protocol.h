@@ -3,9 +3,19 @@
 // One player per vertex.  A player's entire input is captured by
 // `VertexView`: the number of vertices, its own id, its sorted neighbor
 // list, and the public coins.  The encoder is a const member receiving only
-// the view and a BitWriter — by construction it cannot read the rest of the
-// graph, other players' messages, or the referee's state.  The referee
-// receives all n sketches plus the coins and produces the output.
+// the view (and, from round 1 on, the referee's earlier broadcasts) and a
+// BitWriter — by construction it cannot read the rest of the graph, other
+// players' messages, or the referee's state.  The referee receives all n
+// sketches plus the coins and produces the output.
+//
+// `Protocol<Output>` is the one protocol interface: R = num_rounds()
+// rounds, with a referee broadcast between consecutive rounds.  The
+// paper's model is its R = 1 case, `SketchingProtocol<Output>`, which a
+// protocol implements with a plain `encode` and a 3-argument `decode`;
+// the Section 1.1 remark's extra round (two-round matching and MIS,
+// Luby over the broadcast congested clique) implements Protocol
+// directly.  Every runner — model::run_protocol, audit::AuditedRunner,
+// service::serve_protocol / play_protocol — takes a Protocol.
 //
 // Outputs are plain value types (Matching, VertexSet, Forest, Coloring);
 // protocols are typed on their output so the harness can score them with
@@ -49,12 +59,51 @@ struct VertexView {
   }
 };
 
-/// One-round simultaneous protocol with output type Output.
+/// An R-round protocol with output type Output (R = num_rounds()):
+///
+///   round 0:  every player sends a sketch of its view;
+///   referee:  computes a broadcast from the sketches so far;
+///   round i:  every player sends a sketch of (view, broadcasts 0..i-1);
+///   finally:  the referee decodes from every round's sketches.
+///
+/// Broadcast bits are "downlink": runners report them apart from the
+/// per-player sketch cost the lower bound speaks about.
 template <typename Output>
-class SketchingProtocol {
+class Protocol {
  public:
-  virtual ~SketchingProtocol() = default;
+  virtual ~Protocol() = default;
 
+  [[nodiscard]] virtual unsigned num_rounds() const = 0;
+
+  /// Player algorithm for the given round; `broadcasts` has one entry per
+  /// completed earlier round.
+  virtual void encode_round(const VertexView& view, unsigned round,
+                            std::span<const util::BitString> broadcasts,
+                            util::BitWriter& out) const = 0;
+
+  /// Referee: produce the broadcast after `round` completes.  Only called
+  /// for round < num_rounds() - 1. rounds_so_far[i][v] is vertex v's
+  /// round-i sketch.
+  [[nodiscard]] virtual util::BitString make_broadcast(
+      unsigned round, graph::Vertex n,
+      std::span<const std::vector<util::BitString>> rounds_so_far,
+      const PublicCoins& coins) const = 0;
+
+  /// Referee: final output from all rounds' sketches.
+  [[nodiscard]] virtual Output decode_rounds(
+      graph::Vertex n,
+      std::span<const std::vector<util::BitString>> all_rounds,
+      std::span<const util::BitString> broadcasts,
+      const PublicCoins& coins) const = 0;
+
+  [[nodiscard]] virtual std::string name() const = 0;
+};
+
+/// One-round simultaneous protocol with output type Output: the R = 1
+/// case, written as one encode and one decode.
+template <typename Output>
+class SketchingProtocol : public Protocol<Output> {
+ public:
   /// The player algorithm: write this vertex's sketch.
   virtual void encode(const VertexView& view, util::BitWriter& out) const = 0;
 
@@ -63,7 +112,28 @@ class SketchingProtocol {
       graph::Vertex n, std::span<const util::BitString> sketches,
       const PublicCoins& coins) const = 0;
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  [[nodiscard]] unsigned num_rounds() const final { return 1; }
+
+  void encode_round(const VertexView& view, unsigned /*round*/,
+                    std::span<const util::BitString> /*broadcasts*/,
+                    util::BitWriter& out) const final {
+    encode(view, out);
+  }
+
+  /// Never called: a one-round run has no broadcast.
+  [[nodiscard]] util::BitString make_broadcast(
+      unsigned, graph::Vertex, std::span<const std::vector<util::BitString>>,
+      const PublicCoins&) const final {
+    return {};
+  }
+
+  [[nodiscard]] Output decode_rounds(
+      graph::Vertex n,
+      std::span<const std::vector<util::BitString>> all_rounds,
+      std::span<const util::BitString> /*broadcasts*/,
+      const PublicCoins& coins) const final {
+    return decode(n, all_rounds[0], coins);
+  }
 };
 
 /// Common output types.

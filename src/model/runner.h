@@ -1,27 +1,31 @@
-// Executes a one-round sketching protocol on a graph.
+// Executes a protocol on a graph, in process.
 //
-// This is a thin adapter: the actual collect/charge/decode loop is the
-// round engine (engine/round_engine.h), run here as its R = 1 case with
-// an in-process LocalSource and the obs-metrics instrumentation policy.
-// The engine's ChargeSheet is the single place sketch bits enter
-// CommStats, and results — outputs AND bit accounting — are identical to
-// the serial loop at any thread count (docs/ENGINE.md, docs/PARALLELISM.md).
+// This is a thin adapter: the actual collect/charge/broadcast/decode loop
+// is the round engine (engine/round_engine.h), run here with an
+// in-process LocalSource and the obs-metrics instrumentation policy.  One
+// entry point serves every protocol — a one-round SketchingProtocol is
+// the R = 1 case — on a Graph or a WeightedGraph (whose views also carry
+// per-neighbor weights).  The engine's ChargeSheet is the single place
+// sketch bits enter CommStats, and results — outputs AND bit accounting —
+// are identical to the serial loop at any thread count (docs/ENGINE.md,
+// docs/PARALLELISM.md).
 //
 // Pass a ThreadPool to choose one explicitly; null uses the global pool
-// (sized by DISTSKETCH_THREADS).  Pass a SketchArena to pool the encode
-// buffers across repeated runs on same-shaped instances (sweeps, benches):
-// steady-state encodes then perform zero per-vertex heap allocations.  An
-// arena must not be shared between concurrently running trials.
+// (sized by DISTSKETCH_THREADS).  Within a round every player sees only
+// (view, earlier broadcasts), so the encodes fan out across the pool; the
+// broadcast barrier between rounds stays sequential by design.  Pass a
+// SketchArena to pool the encode buffers across repeated runs on
+// same-shaped instances (sweeps, benches): steady-state encodes then
+// perform zero per-vertex heap allocations.  An arena must not be shared
+// between concurrently running trials.
 #pragma once
 
-#include <span>
 #include <utility>
+#include <vector>
 
 #include "engine/local_source.h"
 #include "engine/round_engine.h"
-#include "graph/weighted.h"
 #include "model/protocol.h"
-#include "obs/obs.h"
 #include "parallel/thread_pool.h"
 
 namespace ds::model {
@@ -29,56 +33,22 @@ namespace ds::model {
 template <typename Output>
 struct RunResult {
   Output output;
-  CommStats comm;
+  CommStats comm;                   // per-player totals, all rounds
+  std::vector<CommStats> by_round;  // per-round breakdown
+  std::size_t broadcast_bits = 0;   // total referee downlink
 };
 
-namespace detail {
-
-/// Wrap a one-round protocol's encode as the engine's round-aware
-/// EncodeFn (round and broadcasts are vacuous for R = 1).
-template <typename Output>
-[[nodiscard]] auto one_round_encode(
-    const SketchingProtocol<Output>& protocol) {
-  return [&protocol](const VertexView& view, unsigned /*round*/,
-                     std::span<const util::BitString> /*broadcasts*/,
-                     util::BitWriter& out) { protocol.encode(view, out); };
-}
-
-/// The weighted model view for vertex v of g.
-[[nodiscard]] inline auto weighted_view_fn(const graph::WeightedGraph& g,
-                                           const PublicCoins& coins) {
-  return [&g, &coins](graph::Vertex v) {
-    return VertexView{g.num_vertices(), v, g.topology().neighbors(v),
-                      &coins, g.neighbor_weights(v)};
-  };
-}
-
-/// Shared one-round adapter body: run the engine, reclaim arena storage.
-template <typename Output, typename ViewFn>
-[[nodiscard]] RunResult<Output> run_one_round(
-    graph::Vertex n, const SketchingProtocol<Output>& protocol,
-    const PublicCoins& coins, ViewFn view_of, parallel::ThreadPool* pool,
-    engine::SketchArena* arena) {
+/// Materialize every player's sketch for `g` (a Graph or a WeightedGraph)
+/// under the one-round `protocol`, charging them into `comm`.
+template <typename G, typename Output>
+[[nodiscard]] std::vector<util::BitString> collect_sketches(
+    const G& g, const SketchingProtocol<Output>& protocol,
+    const PublicCoins& coins, CommStats& comm,
+    parallel::ThreadPool* pool = nullptr) {
+  const graph::Vertex n = g.num_vertices();
   auto source = engine::make_local_source(
-      n, std::move(view_of), one_round_encode(protocol), pool, arena);
-  const engine::OneRoundReferee<Output> referee(protocol, coins);
-  engine::ObsInstrumentation instr(/*adaptive=*/false);
-  engine::EngineResult<Output> run =
-      engine::run_rounds(n, referee, source, instr);
-  if (arena != nullptr) arena->reclaim_rounds(std::move(run.all_rounds));
-  return {std::move(run.output), run.comm};
-}
-
-/// Shared collect-only body (no decode): one engine round, charged
-/// through the same ChargeSheet site, merged into the caller's stats.
-template <typename Output, typename ViewFn>
-[[nodiscard]] std::vector<util::BitString> collect_one_round(
-    graph::Vertex n, const SketchingProtocol<Output>& protocol,
-    ViewFn view_of, CommStats& comm, parallel::ThreadPool* pool) {
-  auto source = engine::make_local_source(
-      n, std::move(view_of), one_round_encode(protocol), pool,
-      /*arena=*/nullptr);
-  engine::ObsInstrumentation instr(/*adaptive=*/false);
+      n, engine::graph_view_fn(g, coins), protocol, pool);
+  engine::ObsInstrumentation instr;
   std::vector<util::BitString> sketches;
   {
     const auto span = instr.collect_span();
@@ -89,48 +59,21 @@ template <typename Output, typename ViewFn>
   return sketches;
 }
 
-}  // namespace detail
-
-/// Materialize every player's sketch for `g` under `protocol`.
-template <typename Output>
-[[nodiscard]] std::vector<util::BitString> collect_sketches(
-    const graph::Graph& g, const SketchingProtocol<Output>& protocol,
-    const PublicCoins& coins, CommStats& comm,
-    parallel::ThreadPool* pool = nullptr) {
-  return detail::collect_one_round(g.num_vertices(), protocol,
-                                   engine::graph_view_fn(g, coins), comm,
-                                   pool);
-}
-
-template <typename Output>
+/// Run every round of `protocol` on `g` (a Graph or a WeightedGraph).
+template <typename G, typename Output>
 [[nodiscard]] RunResult<Output> run_protocol(
-    const graph::Graph& g, const SketchingProtocol<Output>& protocol,
-    const PublicCoins& coins, parallel::ThreadPool* pool = nullptr,
+    const G& g, const Protocol<Output>& protocol, const PublicCoins& coins,
+    parallel::ThreadPool* pool = nullptr,
     engine::SketchArena* arena = nullptr) {
-  return detail::run_one_round(g.num_vertices(), protocol, coins,
-                               engine::graph_view_fn(g, coins), pool,
-                               arena);
-}
-
-/// Weighted runner: views additionally carry per-neighbor weights.
-template <typename Output>
-[[nodiscard]] std::vector<util::BitString> collect_sketches(
-    const graph::WeightedGraph& g, const SketchingProtocol<Output>& protocol,
-    const PublicCoins& coins, CommStats& comm,
-    parallel::ThreadPool* pool = nullptr) {
-  return detail::collect_one_round(g.num_vertices(), protocol,
-                                   detail::weighted_view_fn(g, coins), comm,
-                                   pool);
-}
-
-template <typename Output>
-[[nodiscard]] RunResult<Output> run_protocol(
-    const graph::WeightedGraph& g, const SketchingProtocol<Output>& protocol,
-    const PublicCoins& coins, parallel::ThreadPool* pool = nullptr,
-    engine::SketchArena* arena = nullptr) {
-  return detail::run_one_round(g.num_vertices(), protocol, coins,
-                               detail::weighted_view_fn(g, coins), pool,
-                               arena);
+  const graph::Vertex n = g.num_vertices();
+  auto source = engine::make_local_source(
+      n, engine::graph_view_fn(g, coins), protocol, pool, arena);
+  engine::ObsInstrumentation instr;
+  engine::EngineResult<Output> run =
+      engine::run_rounds(n, protocol, coins, source, instr);
+  if (arena != nullptr) arena->reclaim_rounds(std::move(run.all_rounds));
+  return {std::move(run.output), run.comm, std::move(run.by_round),
+          run.broadcast_bits};
 }
 
 }  // namespace ds::model

@@ -80,7 +80,7 @@ util::BitString BudgetedTwoRoundMatching::make_broadcast(
   return util::BitString(writer);
 }
 
-model::MatchingOutput BudgetedTwoRoundMatching::decode(
+model::MatchingOutput BudgetedTwoRoundMatching::decode_rounds(
     Vertex n, std::span<const std::vector<util::BitString>> all_rounds,
     std::span<const util::BitString> /*broadcasts*/,
     const model::PublicCoins& coins) const {

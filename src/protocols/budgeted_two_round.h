@@ -14,12 +14,12 @@
 // edges the one-round protocol had to pay for blindly.
 #pragma once
 
-#include "model/adaptive.h"
+#include "model/protocol.h"
 
 namespace ds::protocols {
 
 class BudgetedTwoRoundMatching final
-    : public model::AdaptiveProtocol<model::MatchingOutput> {
+    : public model::Protocol<model::MatchingOutput> {
  public:
   BudgetedTwoRoundMatching(std::size_t round0_bits, std::size_t round1_bits)
       : round0_bits_(round0_bits), round1_bits_(round1_bits) {}
@@ -35,7 +35,7 @@ class BudgetedTwoRoundMatching final
       std::span<const std::vector<util::BitString>> rounds_so_far,
       const model::PublicCoins& coins) const override;
 
-  [[nodiscard]] model::MatchingOutput decode(
+  [[nodiscard]] model::MatchingOutput decode_rounds(
       graph::Vertex n,
       std::span<const std::vector<util::BitString>> all_rounds,
       std::span<const util::BitString> broadcasts,

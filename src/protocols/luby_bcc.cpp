@@ -100,7 +100,7 @@ util::BitString LubyBroadcastMis::make_broadcast(
   return util::BitString(writer);
 }
 
-model::VertexSetOutput LubyBroadcastMis::decode(
+model::VertexSetOutput LubyBroadcastMis::decode_rounds(
     Vertex n, std::span<const std::vector<util::BitString>> all_rounds,
     std::span<const util::BitString> /*broadcasts*/,
     const model::PublicCoins& /*coins*/) const {

@@ -22,12 +22,12 @@
 // output is the union of joined bitmaps.
 #pragma once
 
-#include "model/adaptive.h"
+#include "model/protocol.h"
 
 namespace ds::protocols {
 
 class LubyBroadcastMis final
-    : public model::AdaptiveProtocol<model::VertexSetOutput> {
+    : public model::Protocol<model::VertexSetOutput> {
  public:
   /// Use make_luby_bcc(n) unless you want an explicit phase count.
   explicit LubyBroadcastMis(unsigned phases) : phases_(phases) {}
@@ -43,7 +43,7 @@ class LubyBroadcastMis final
       std::span<const std::vector<util::BitString>> rounds_so_far,
       const model::PublicCoins& coins) const override;
 
-  [[nodiscard]] model::VertexSetOutput decode(
+  [[nodiscard]] model::VertexSetOutput decode_rounds(
       graph::Vertex n,
       std::span<const std::vector<util::BitString>> all_rounds,
       std::span<const util::BitString> broadcasts,

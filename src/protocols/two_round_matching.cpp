@@ -70,7 +70,7 @@ util::BitString TwoRoundMatching::make_broadcast(
   return util::BitString(writer);
 }
 
-model::MatchingOutput TwoRoundMatching::decode(
+model::MatchingOutput TwoRoundMatching::decode_rounds(
     Vertex n, std::span<const std::vector<util::BitString>> all_rounds,
     std::span<const util::BitString> /*broadcasts*/,
     const model::PublicCoins& coins) const {

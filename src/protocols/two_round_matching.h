@@ -15,12 +15,12 @@
 // rounds suffices; the bench (E8) measures realized per-player bits.
 #pragma once
 
-#include "model/adaptive.h"
+#include "model/protocol.h"
 
 namespace ds::protocols {
 
 class TwoRoundMatching final
-    : public model::AdaptiveProtocol<model::MatchingOutput> {
+    : public model::Protocol<model::MatchingOutput> {
  public:
   /// round0_samples: edges reported per vertex in round 0;
   /// round1_cap: max residual edges reported per vertex in round 1.
@@ -38,7 +38,7 @@ class TwoRoundMatching final
       std::span<const std::vector<util::BitString>> rounds_so_far,
       const model::PublicCoins& coins) const override;
 
-  [[nodiscard]] model::MatchingOutput decode(
+  [[nodiscard]] model::MatchingOutput decode_rounds(
       graph::Vertex n,
       std::span<const std::vector<util::BitString>> all_rounds,
       std::span<const util::BitString> broadcasts,

@@ -91,7 +91,7 @@ util::BitString TwoRoundMis::make_broadcast(
   return util::BitString(writer);
 }
 
-model::VertexSetOutput TwoRoundMis::decode(
+model::VertexSetOutput TwoRoundMis::decode_rounds(
     Vertex n, std::span<const std::vector<util::BitString>> all_rounds,
     std::span<const util::BitString> /*broadcasts*/,
     const model::PublicCoins& coins) const {

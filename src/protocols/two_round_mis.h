@@ -19,12 +19,12 @@
 // from the round-1 cap, which the bench measures.
 #pragma once
 
-#include "model/adaptive.h"
+#include "model/protocol.h"
 
 namespace ds::protocols {
 
 class TwoRoundMis final
-    : public model::AdaptiveProtocol<model::VertexSetOutput> {
+    : public model::Protocol<model::VertexSetOutput> {
  public:
   TwoRoundMis(double mark_probability, std::size_t round1_cap)
       : mark_probability_(mark_probability), round1_cap_(round1_cap) {}
@@ -40,7 +40,7 @@ class TwoRoundMis final
       std::span<const std::vector<util::BitString>> rounds_so_far,
       const model::PublicCoins& coins) const override;
 
-  [[nodiscard]] model::VertexSetOutput decode(
+  [[nodiscard]] model::VertexSetOutput decode_rounds(
       graph::Vertex n,
       std::span<const std::vector<util::BitString>> all_rounds,
       std::span<const util::BitString> broadcasts,

@@ -4,19 +4,17 @@
 // A client may own any subset of the vertices (one process per vertex is
 // the literal model; one process per shard is the practical deployment —
 // the frames are identical either way, which is the point).  Encoding
-// reuses SketchingProtocol::encode on a VertexView built from the local
-// graph shard, so a player's uplink bits are byte-for-byte the bits the
-// simulated runner charges.
+// runs the protocol's encode_round on a VertexView built from the local
+// graph shard (engine::graph_view_fn, the engine's LocalSource views), so
+// a player's uplink bits are byte-for-byte the bits the simulated runner
+// charges.
 #pragma once
 
 #include <algorithm>
 
 #include "engine/local_source.h"
 #include "graph/graph.h"
-#include "graph/weighted.h"
-#include "model/adaptive.h"
 #include "model/protocol.h"
-#include "model/runner.h"
 #include "service/output_codec.h"
 #include "service/referee_service.h"
 #include "service/session.h"
@@ -31,64 +29,27 @@ struct PlayerSendStats {
   std::size_t framing_bits = 0;
 };
 
-namespace detail {
-
-/// The one player-side encode loop: every owned vertex's sketch is
-/// encoded (same ViewFn/EncodeFn shapes as the engine's LocalSource, so
-/// a client's uplink bits are byte-for-byte the bits the engine charges)
-/// and appended to `batch` as a kSketch frame.
-template <typename ViewFn, typename EncodeFn>
-[[nodiscard]] PlayerSendStats batch_owned_sketches(
-    std::vector<std::uint8_t>& batch, std::uint32_t proto,
-    std::uint32_t round, std::span<const graph::Vertex> owned,
-    const ViewFn& view_of, const EncodeFn& encode,
-    std::span<const util::BitString> broadcasts) {
+/// Encode round `round` of `protocol` for the `owned` vertices of `g` (a
+/// Graph or a WeightedGraph), seeing the referee's `broadcasts` of the
+/// rounds before it, and send the sketches as one batched message of
+/// kSketch frames.  Throws ServiceError if the link rejects the send.
+template <typename G, typename Output>
+PlayerSendStats send_sketches(
+    wire::Link& link, const G& g, std::span<const graph::Vertex> owned,
+    const model::Protocol<Output>& protocol, const model::PublicCoins& coins,
+    unsigned round = 0, std::span<const util::BitString> broadcasts = {}) {
+  const std::uint32_t proto = wire::protocol_id(protocol.name());
+  const auto view_of = engine::graph_view_fn(g, coins);
+  std::vector<std::uint8_t> batch;
   PlayerSendStats stats;
   for (const graph::Vertex v : owned) {
     util::BitWriter writer;
-    encode(view_of(v), round, broadcasts, writer);
+    protocol.encode_round(view_of(v), round, broadcasts, writer);
     const util::BitString sketch(std::move(writer));
     stats.framing_bits += append_sketch_frame(batch, proto, v, round, sketch);
     stats.payload_bits += sketch.bit_count();
     ++stats.frames;
   }
-  return stats;
-}
-
-}  // namespace detail
-
-/// Encode and send one round's sketches for `owned` vertices as a single
-/// batched message.  Throws ServiceError if the link rejects the send.
-template <typename Output>
-PlayerSendStats send_sketches(
-    wire::Link& link, const graph::Graph& g,
-    std::span<const graph::Vertex> owned,
-    const model::SketchingProtocol<Output>& protocol,
-    const model::PublicCoins& coins) {
-  std::vector<std::uint8_t> batch;
-  const PlayerSendStats stats = detail::batch_owned_sketches(
-      batch, wire::protocol_id(protocol.name()), 0, owned,
-      engine::graph_view_fn(g, coins),
-      model::detail::one_round_encode(protocol), {});
-  if (!link.send(batch)) {
-    throw ServiceError("player: referee link rejected the sketch batch");
-  }
-  return stats;
-}
-
-/// Weighted overload: views carry per-neighbor weights, mirroring the
-/// WeightedGraph runner.
-template <typename Output>
-PlayerSendStats send_sketches(
-    wire::Link& link, const graph::WeightedGraph& g,
-    std::span<const graph::Vertex> owned,
-    const model::SketchingProtocol<Output>& protocol,
-    const model::PublicCoins& coins) {
-  std::vector<std::uint8_t> batch;
-  const PlayerSendStats stats = detail::batch_owned_sketches(
-      batch, wire::protocol_id(protocol.name()), 0, owned,
-      model::detail::weighted_view_fn(g, coins),
-      model::detail::one_round_encode(protocol), {});
   if (!link.send(batch)) {
     throw ServiceError("player: referee link rejected the sketch batch");
   }
@@ -98,7 +59,7 @@ PlayerSendStats send_sketches(
 /// Block until the referee's kResult frame arrives and decode it.
 template <typename Output>
 [[nodiscard]] Output await_result(
-    wire::Link& link, const model::SketchingProtocol<Output>& protocol,
+    wire::Link& link, const model::Protocol<Output>& protocol,
     std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
   const wire::Frame frame =
       await_referee_frame(link, wire::FrameType::kResult,
@@ -107,56 +68,24 @@ template <typename Output>
   return OutputCodec<Output>::decode(reader);
 }
 
-/// One-round client: send every owned vertex's sketch, return the
-/// broadcast result.
-template <typename Output>
-[[nodiscard]] Output play_protocol(
-    wire::Link& link, const graph::Graph& g,
-    std::span<const graph::Vertex> owned,
-    const model::SketchingProtocol<Output>& protocol,
-    const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  (void)send_sketches(link, g, owned, protocol, coins);
-  return await_result(link, protocol, timeout);
-}
-
-/// Adaptive client: participate in every round (encode with the
+/// The client: take part in every round of `protocol` (encode with the
 /// broadcasts received so far), then decode the final kResult frame.
-template <typename Output>
-[[nodiscard]] Output play_adaptive(
-    wire::Link& link, const graph::Graph& g,
-    std::span<const graph::Vertex> owned,
-    const model::AdaptiveProtocol<Output>& protocol,
-    const model::PublicCoins& coins,
+template <typename G, typename Output>
+[[nodiscard]] Output play_protocol(
+    wire::Link& link, const G& g, std::span<const graph::Vertex> owned,
+    const model::Protocol<Output>& protocol, const model::PublicCoins& coins,
     std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  const std::uint32_t proto = wire::protocol_id(protocol.name());
-  const unsigned rounds = protocol.num_rounds();
   std::vector<util::BitString> broadcasts;
-
-  for (unsigned round = 0; round < rounds; ++round) {
-    std::vector<std::uint8_t> batch;
-    (void)detail::batch_owned_sketches(
-        batch, proto, round, owned, engine::graph_view_fn(g, coins),
-        [&protocol](const model::VertexView& view, unsigned r,
-                    std::span<const util::BitString> bs,
-                    util::BitWriter& out) {
-          protocol.encode_round(view, r, bs, out);
-        },
-        broadcasts);
-    if (!link.send(batch)) {
-      throw ServiceError("player: referee link rejected a round batch");
+  for (unsigned round = 0; round < protocol.num_rounds(); ++round) {
+    if (round > 0) {
+      broadcasts.push_back(
+          await_referee_frame(link, wire::FrameType::kBroadcast,
+                              wire::protocol_id(protocol.name()), timeout)
+              .payload);
     }
-    if (round + 1 < rounds) {
-      wire::Frame frame = await_referee_frame(
-          link, wire::FrameType::kBroadcast, proto, timeout);
-      broadcasts.push_back(std::move(frame.payload));
-    }
+    (void)send_sketches(link, g, owned, protocol, coins, round, broadcasts);
   }
-
-  const wire::Frame frame =
-      await_referee_frame(link, wire::FrameType::kResult, proto, timeout);
-  util::BitReader reader(frame.payload);
-  return OutputCodec<Output>::decode(reader);
+  return await_result(link, protocol, timeout);
 }
 
 /// Split [0, n) into `players` contiguous shards; shard i is the vertex

@@ -1,18 +1,19 @@
-// The referee as a service: run any existing SketchingProtocol<Output> or
-// AdaptiveProtocol<Output> over real connections.
+// The referee as a service: run any model::Protocol<Output> over real
+// connections.
 //
-// This is the round engine's wire configuration: serve_protocol and
-// serve_adaptive run engine::run_rounds with a ShardedWireSource (frames
-// from the referee shards' event loops, service/shard.h, instead of
-// in-process encodes) and the service instrumentation policy, through
-// detail::serve, the one serve template.  The collection loop, the
-// inter-round broadcasts, and — most importantly — the bit accounting
-// are therefore the SAME code the simulated runners execute: CommStats
-// come from the engine's single ChargeSheet site, charged from the wire
-// payloads in vertex order, so `result.comm` here and the CommStats of
-// model::run_protocol / model::run_adaptive agree bit for bit, at any
-// shard count (tests/audit/wire_audit_test.cpp, shard_audit_test.cpp).
-// Framing and transport overhead are reported separately in WireStats.
+// This is the round engine's wire configuration: serve_protocol runs
+// engine::run_rounds with a ShardedWireSource (frames from the referee
+// shards' event loops, service/shard.h, instead of in-process encodes)
+// and the service instrumentation policy, then broadcasts the decoded
+// output.  The collection loop, the inter-round broadcasts (pushed as
+// kBroadcast frames through every shard's event loop), and — most
+// importantly — the bit accounting are therefore the SAME code the
+// simulated runner executes: CommStats come from the engine's single
+// ChargeSheet site, charged from the wire payloads in vertex order, so
+// `result.comm` here and the CommStats of model::run_protocol agree bit
+// for bit, at any shard count (tests/audit/wire_audit_test.cpp,
+// shard_audit_test.cpp).  Framing and transport overhead are reported
+// separately in WireStats.
 //
 // Connections arrive as raw fds (TcpListener::accept_fd, or the referee
 // end of a loopback pair via wire::release_fd) and are dealt to shards
@@ -27,12 +28,10 @@
 #include <chrono>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "engine/instrumentation.h"
 #include "engine/round_engine.h"
-#include "model/adaptive.h"
 #include "model/protocol.h"
 #include "obs/obs.h"
 #include "service/output_codec.h"
@@ -44,15 +43,15 @@ namespace ds::service {
 
 inline constexpr std::chrono::milliseconds kDefaultRoundTimeout{5000};
 
-/// What a served session returns, one-round or adaptive (a one-round
-/// session has one by_round entry and no broadcast bits).
+/// What a served session returns (a one-round session has one by_round
+/// entry and no broadcast bits).
 template <typename Output>
 struct ServeResult {
   Output output;
   model::CommStats comm;                   // per-player totals, all rounds
   std::vector<model::CommStats> by_round;  // per-round breakdown
   std::size_t broadcast_bits = 0;          // model downlink, counted once
-                                           // per round as in run_adaptive
+                                           // per round as in run_protocol
   WireStats uplink;
   WireStats downlink;
 };
@@ -84,62 +83,40 @@ struct ServiceInstrumentation {
     return obs::ScopedSpan("service.decode", &decode_us_histogram());
   }
   void on_sketch_bits(std::size_t) const noexcept {}
-  void on_round(unsigned, const model::CommStats&) const noexcept {}
+  void on_round(unsigned, unsigned,
+                const model::CommStats&) const noexcept {}
   void on_broadcast(unsigned, const util::BitString&) const noexcept {}
 };
 
-/// The one serve template behind serve_protocol and serve_adaptive: the
-/// engine's rounds over the shards, then the decoded output broadcast as
-/// the final kResult frame, stamped with the last round.
-template <typename Referee>
-[[nodiscard]] auto serve(std::span<const std::unique_ptr<RefereeShard>> shards,
-                         const Referee& referee, graph::Vertex n,
-                         std::string_view protocol_name,
-                         std::chrono::milliseconds timeout) {
-  ShardedWireSource source(shards, n, wire::protocol_id(protocol_name),
+}  // namespace detail
+
+/// Serve every round of `protocol` over the shards — collect, charge,
+/// broadcast between rounds, decode — then broadcast the decoded output
+/// as the final kResult frame, stamped with the last round.
+template <typename Output>
+[[nodiscard]] ServeResult<Output> serve_protocol(
+    std::span<const std::unique_ptr<RefereeShard>> shards,
+    const model::Protocol<Output>& protocol, graph::Vertex n,
+    const model::PublicCoins& coins,
+    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
+  ShardedWireSource source(shards, n, wire::protocol_id(protocol.name()),
                            timeout);
-  ServiceInstrumentation instr;
-  auto run = engine::run_rounds(n, referee, source, instr);
-  using Output = decltype(run.output);
+  detail::ServiceInstrumentation instr;
+  engine::EngineResult<Output> run =
+      engine::run_rounds(n, protocol, coins, source, instr);
   {
-    const obs::ScopedSpan reply_span("service.reply", &reply_us_histogram());
+    const obs::ScopedSpan reply_span("service.reply",
+                                     &detail::reply_us_histogram());
     util::BitWriter w;
     OutputCodec<Output>::encode(run.output, w);
     (void)source.broadcast_frame({wire::FrameType::kResult,
                                   source.protocol_id(), 0,
-                                  referee.num_rounds() - 1},
+                                  protocol.num_rounds() - 1},
                                  util::BitString(std::move(w)));
   }
-  return ServeResult<Output>{std::move(run.output),   run.comm,
-                             std::move(run.by_round), run.broadcast_bits,
-                             source.uplink(),         source.downlink()};
-}
-}  // namespace detail
-
-/// One-round service: collect, decode, broadcast the result (the engine's
-/// R = 1 case).
-template <typename Output>
-[[nodiscard]] ServeResult<Output> serve_protocol(
-    std::span<const std::unique_ptr<RefereeShard>> shards,
-    const model::SketchingProtocol<Output>& protocol, graph::Vertex n,
-    const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  return detail::serve(shards,
-                       engine::OneRoundReferee<Output>(protocol, coins), n,
-                       protocol.name(), timeout);
-}
-
-/// Multi-round adaptive service: the same engine loop, with inter-round
-/// kBroadcast frames pushed through every shard's event loop.
-template <typename Output>
-[[nodiscard]] ServeResult<Output> serve_adaptive(
-    std::span<const std::unique_ptr<RefereeShard>> shards,
-    const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n,
-    const model::PublicCoins& coins,
-    std::chrono::milliseconds timeout = kDefaultRoundTimeout) {
-  return detail::serve(shards,
-                       engine::AdaptiveReferee<Output>(protocol, coins), n,
-                       protocol.name(), timeout);
+  return {std::move(run.output),   run.comm,
+          std::move(run.by_round), run.broadcast_bits,
+          source.uplink(),         source.downlink()};
 }
 
 /// Convenience owner: k shards + timeout + coins in one object, for the
@@ -181,21 +158,15 @@ class RefereeService {
 
   template <typename Output>
   [[nodiscard]] ServeResult<Output> run(
-      const model::SketchingProtocol<Output>& protocol, graph::Vertex n) {
+      const model::Protocol<Output>& protocol, graph::Vertex n) {
     return serve_protocol(shards_, protocol, n, coins_, timeout_);
-  }
-
-  template <typename Output>
-  [[nodiscard]] ServeResult<Output> run_adaptive(
-      const model::AdaptiveProtocol<Output>& protocol, graph::Vertex n) {
-    return serve_adaptive(shards_, protocol, n, coins_, timeout_);
   }
 
   [[nodiscard]] const model::PublicCoins& coins() const noexcept {
     return coins_;
   }
   /// The shards, for callers (scenario trials) that serve with per-trial
-  /// coins via the free serve_* functions instead of coins().
+  /// coins via the free serve_protocol instead of coins().
   [[nodiscard]] std::span<const std::unique_ptr<RefereeShard>> links()
       const noexcept {
     return shards_;

@@ -1,6 +1,7 @@
 #include "util/hashing.h"
 
 #include <bit>
+#include <cassert>
 
 namespace ds::util {
 
@@ -38,14 +39,6 @@ void KWiseHash::eval_batch(std::span<const std::uint64_t> xs,
     return;
   }
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
-}
-
-void KWiseHash::bounded_batch(std::span<const std::uint64_t> xs,
-                              std::uint64_t range,
-                              std::span<std::uint64_t> out) const noexcept {
-  assert(range > 0);
-  eval_batch(xs, out);
-  for (std::uint64_t& v : out) v %= range;
 }
 
 KWiseHash make_pairwise(Rng& rng) { return KWiseHash(2, rng); }

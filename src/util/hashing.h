@@ -16,7 +16,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,21 +42,9 @@ class KWiseHash {
     return horner(xr);
   }
 
-  /// h(x) reduced to [0, range). Composition with `mod range` keeps
-  /// near-uniformity as long as range << p.
-  [[nodiscard]] std::uint64_t bounded(std::uint64_t x,
-                                      std::uint64_t range) const noexcept {
-    assert(range > 0);
-    return (*this)(x) % range;
-  }
-
   /// Batched evaluation: out[i] = h(xs[i]).  Requires equal extents.
   void eval_batch(std::span<const std::uint64_t> xs,
                   std::span<std::uint64_t> out) const noexcept;
-
-  /// Batched bounded evaluation: out[i] = h(xs[i]) % range.
-  void bounded_batch(std::span<const std::uint64_t> xs, std::uint64_t range,
-                     std::span<std::uint64_t> out) const noexcept;
 
   [[nodiscard]] unsigned independence() const noexcept { return k_; }
   [[nodiscard]] std::uint64_t prime() const noexcept { return prime_; }

@@ -1,7 +1,8 @@
-// The audit layer audited: three deliberately-cheating protocols — one per
-// model invariant — must each be caught by AuditedRunner with a diagnostic
-// naming the violated invariant, while every honest protocol in
-// src/protocols/ and both lower-bound search paths pass unchanged.
+// The audit layer audited: deliberately-cheating protocols — at least one
+// per model invariant, and a covert channel spread over two rounds — must
+// each be caught by AuditedRunner with a diagnostic naming the violated
+// invariant, while every honest protocol in src/protocols/, one-round and
+// multi-round, and both lower-bound search paths pass unchanged.
 #include "audit/audited_runner.h"
 
 #include <gtest/gtest.h>
@@ -131,6 +132,40 @@ class StashChannelMis final
 };
 
 // ---------------------------------------------------------------------------
+// Cheating protocol 3, spread over two rounds: each round charges one bit
+// per player while the rows cross to the referee through the same stash.
+// Every round of a multi-round run gets the scrub probe, so it is caught
+// the same way.
+// ---------------------------------------------------------------------------
+class StashChannelTwoRoundMis final
+    : public model::Protocol<model::VertexSetOutput> {
+ public:
+  [[nodiscard]] unsigned num_rounds() const override { return 2; }
+  void encode_round(const model::VertexView& view, unsigned,
+                    std::span<const util::BitString>,
+                    util::BitWriter& out) const override {
+    stash_.encode(view, out);
+  }
+  [[nodiscard]] util::BitString make_broadcast(
+      unsigned, Vertex, std::span<const std::vector<util::BitString>>,
+      const model::PublicCoins&) const override {
+    return {};
+  }
+  [[nodiscard]] model::VertexSetOutput decode_rounds(
+      Vertex n, std::span<const std::vector<util::BitString>> all_rounds,
+      std::span<const util::BitString>,
+      const model::PublicCoins& coins) const override {
+    return stash_.decode(n, all_rounds.back(), coins);
+  }
+  [[nodiscard]] std::string name() const override {
+    return "cheat-stash-two-round";
+  }
+
+ private:
+  StashChannelMis stash_;
+};
+
+// ---------------------------------------------------------------------------
 // Cheating refined encoder: its decoded report contains an edge the player
 // never saw.
 // ---------------------------------------------------------------------------
@@ -183,6 +218,19 @@ TEST(AuditCheats, CovertChannelIsCaughtAsBitAccounting) {
   try {
     (void)runner.run(test_graph(), cheat);
     FAIL() << "under-reported message length was not caught";
+  } catch (const AuditError& e) {
+    EXPECT_EQ(e.invariant(), Invariant::kBitAccounting);
+    EXPECT_NE(std::string(e.what()).find("bit-accounting"),
+              std::string::npos);
+  }
+}
+
+TEST(AuditCheats, TwoRoundCovertChannelIsCaughtAsBitAccounting) {
+  const AuditedRunner runner(14);
+  const StashChannelTwoRoundMis cheat;
+  try {
+    (void)runner.run(test_graph(), cheat);
+    FAIL() << "under-reported two-round message length was not caught";
   } catch (const AuditError& e) {
     EXPECT_EQ(e.invariant(), Invariant::kBitAccounting);
     EXPECT_NE(std::string(e.what()).find("bit-accounting"),
@@ -257,19 +305,19 @@ TEST(AuditClean, AdaptiveProtocolsPass) {
   const AuditedRunner runner(201);
 
   const protocols::TwoRoundMatching two_round{4, 8};
-  const auto mm = runner.run_adaptive(g, two_round);
-  EXPECT_EQ(mm.result.by_round.size(), two_round.num_rounds());
+  const auto mm = runner.run(g, two_round);
+  EXPECT_EQ(mm.by_round.size(), two_round.num_rounds());
 
   const protocols::TwoRoundMis two_round_mis{0.3, 8};
-  const auto mis = runner.run_adaptive(g, two_round_mis);
-  EXPECT_EQ(mis.result.by_round.size(), two_round_mis.num_rounds());
+  const auto mis = runner.run(g, two_round_mis);
+  EXPECT_EQ(mis.by_round.size(), two_round_mis.num_rounds());
 
   const protocols::BudgetedTwoRoundMatching budgeted{48, 48};
-  (void)runner.run_adaptive(g, budgeted);
+  (void)runner.run(g, budgeted);
 
   const protocols::LubyBroadcastMis luby =
       protocols::make_luby_bcc(g.num_vertices());
-  (void)runner.run_adaptive(g, luby);
+  (void)runner.run(g, luby);
 }
 
 TEST(AuditClean, AdaptiveMatchesPlainRunner) {
@@ -277,13 +325,13 @@ TEST(AuditClean, AdaptiveMatchesPlainRunner) {
   const std::uint64_t seed = 301;
   const protocols::TwoRoundMatching protocol{4, 8};
   const AuditedRunner runner(seed);
-  const auto audited = runner.run_adaptive(g, protocol);
+  const auto audited = runner.run(g, protocol);
   const model::PublicCoins coins(seed);
-  const auto plain = model::run_adaptive(g, protocol, coins);
-  EXPECT_TRUE(audited.result.output == plain.output);
-  EXPECT_EQ(audited.result.comm.max_bits, plain.comm.max_bits);
-  EXPECT_EQ(audited.result.comm.total_bits, plain.comm.total_bits);
-  EXPECT_EQ(audited.result.broadcast_bits, plain.broadcast_bits);
+  const auto plain = model::run_protocol(g, protocol, coins);
+  EXPECT_TRUE(audited.output == plain.output);
+  EXPECT_EQ(audited.comm.max_bits, plain.comm.max_bits);
+  EXPECT_EQ(audited.comm.total_bits, plain.comm.total_bits);
+  EXPECT_EQ(audited.broadcast_bits, plain.broadcast_bits);
 }
 
 TEST(AuditClean, WeightedRunnerPasses) {

@@ -9,7 +9,7 @@
 //     CommStats exactly (count == num_players, sum == total_bits,
 //     max == max_bits), and service.payload_bits the uplink payload,
 //   * the model.encode.sketch_bits histogram must equal the simulated
-//     runner's CommStats the same way, for one-round and adaptive runs.
+//     runner's CommStats the same way, for one-round and multi-round runs.
 //
 // Everything here runs single-session with obs::reset() up front, so the
 // equalities are exact, not approximate.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "graph/generators.h"
-#include "model/adaptive.h"
 #include "model/runner.h"
 #include "obs/obs.h"
 #include "protocols/spanning_forest.h"
@@ -210,7 +209,7 @@ TEST_F(ObsAudit, AdaptiveRunnerCountersMatchByRoundTotals) {
   const protocols::TwoRoundMatching protocol{4, 8};
   const model::PublicCoins coins(74);
 
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
 
   std::size_t total_bits = 0;
   std::size_t encodes = 0;
@@ -232,8 +231,9 @@ TEST_F(ObsAudit, AdaptiveRunnerCountersMatchByRoundTotals) {
 // (engine/instrumentation.cpp), so a one-round and an adaptive run in
 // the same session share the series: the histogram must equal the SUM of
 // both runs' CommStats, not either one alone.  This is the regression
-// test for the seed-era duplicate registration (runner.h and adaptive.h
-// each owned a copy).
+// test for the seed-era duplicate registration (the one-round and the
+// adaptive runner headers each owned a copy).  The model.adaptive.*
+// series are recorded only for num_rounds() > 1.
 TEST_F(ObsAudit, OneRoundAndAdaptiveShareTheEncodeSeries) {
   const Graph g = test_graph();
   const protocols::AgmSpanningForest one_round;
@@ -241,7 +241,7 @@ TEST_F(ObsAudit, OneRoundAndAdaptiveShareTheEncodeSeries) {
   const model::PublicCoins coins(76);
 
   const auto first = model::run_protocol(g, one_round, coins);
-  const auto second = model::run_adaptive(g, adaptive, coins);
+  const auto second = model::run_protocol(g, adaptive, coins);
 
   std::size_t adaptive_encodes = 0;
   for (const model::CommStats& round : second.by_round) {
@@ -259,10 +259,10 @@ TEST_F(ObsAudit, OneRoundAndAdaptiveShareTheEncodeSeries) {
             second.broadcast_bits);
 }
 
-// The adaptive wire path runs the same engine loop as serve_protocol:
-// the per-frame service metrics must equal the served CommStats across
-// ALL rounds, and rounds_collected must count every collect the engine
-// issued.
+// An adaptive protocol's wire session runs the same engine loop as a
+// one-round one: the per-frame service metrics must equal the served
+// CommStats across ALL rounds, and rounds_collected must count every
+// collect the engine issued.
 TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
   const Graph g = test_graph();
   const protocols::TwoRoundMatching protocol{4, 8};
@@ -276,13 +276,13 @@ TEST_F(ObsAudit, AdaptiveServiceHistogramMatchesServedCommStats) {
   clients.reserve(kPlayers);
   for (std::size_t i = 0; i < kPlayers; ++i) {
     clients.emplace_back([&, i] {
-      (void)service::play_adaptive(
+      (void)service::play_protocol(
           *player_links[i], g,
           service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
           coins, 5000ms);
     });
   }
-  const auto served = service::serve_adaptive(
+  const auto served = service::serve_protocol(
       referee.links(), protocol, g.num_vertices(), coins, 5000ms);
   for (std::thread& t : clients) t.join();
 

@@ -1,18 +1,20 @@
 // The sharded wire/sim byte-accounting cross-check: everything the
 // one-shard audit (wire_audit_test.cpp) asserts, re-proven over a
-// two-shard epoll referee — per-player payloads BitString for BitString,
-// CommStats bit for bit, adaptive per-round breakdowns included.
+// two-shard epoll referee — per-player payloads BitString for BitString
+// in every round, CommStats bit for bit, per-round breakdowns included.
 //
 // This is the audit that keeps the combiner honest: if shard merging
 // ever reordered, double-charged, or dropped a payload, one of these
-// zoo sweeps would catch the drift against model::collect_sketches /
-// model::run_adaptive, whose accounting is the spec.
+// zoo sweeps would catch the drift against the simulated engine run and
+// model::run_protocol, whose accounting is the spec.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
 #include <thread>
 
+#include "engine/local_source.h"
+#include "engine/round_engine.h"
 #include "graph/generators.h"
 #include "model/runner.h"
 #include "protocols/bridge_finding.h"
@@ -92,37 +94,87 @@ void expect_same_comm(const model::CommStats& wire_comm,
   EXPECT_EQ(wire_comm.num_players, sim_comm.num_players) << name;
 }
 
-/// One-round cross-check: players send through blocking links into the
-/// shard loops; the ShardedWireSource's combined round, collected by the
-/// shards' worker threads, must reproduce the simulated collection
-/// exactly.
+/// The simulated transcript: every round's sketches and broadcasts from
+/// the in-process engine run.
 template <typename Output>
-void expect_sharded_equals_sim(
-    const Graph& g, const model::SketchingProtocol<Output>& protocol,
-    std::uint64_t seed) {
+engine::EngineResult<Output> simulate(const Graph& g,
+                                      const model::Protocol<Output>& protocol,
+                                      const model::PublicCoins& coins) {
+  auto source = engine::make_local_source(
+      g.num_vertices(), engine::graph_view_fn(g, coins), protocol);
+  engine::PlainInstrumentation plain;
+  return engine::run_rounds(g.num_vertices(), protocol, coins, source,
+                            plain);
+}
+
+/// The cross-check core.  First, round by round, players send through
+/// blocking links into the shard loops, and the ShardedWireSource's
+/// combined round, collected by the shards' worker threads, must
+/// reproduce the simulated transcript exactly.  Then the full two-shard
+/// serve_protocol session (combiner, event-loop broadcasts) must
+/// reproduce model::run_protocol, at the referee and at every player.
+template <typename Output>
+void expect_sharded_equals_sim(const Graph& g,
+                               const model::Protocol<Output>& protocol,
+                               std::uint64_t seed) {
   const model::PublicCoins coins(seed);
-  model::CommStats sim_comm;
-  const std::vector<util::BitString> sim_sketches =
-      model::collect_sketches(g, protocol, coins, sim_comm);
-
   const std::string name = protocol.name();
-  ShardedCluster cluster = make_cluster();
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    (void)service::send_sketches(
-        *cluster.players[i], g,
-        service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-        coins);
+  const engine::EngineResult<Output> transcript =
+      simulate(g, protocol, coins);
+  {
+    ShardedCluster cluster = make_cluster();
+    service::ShardedWireSource source(cluster.shards, g.num_vertices(),
+                                      wire::protocol_id(name), 2000ms);
+    for (unsigned round = 0; round < protocol.num_rounds(); ++round) {
+      const auto seen = std::span(transcript.broadcasts).first(round);
+      for (std::size_t i = 0; i < kPlayers; ++i) {
+        (void)service::send_sketches(
+            *cluster.players[i], g,
+            service::shard_vertices(g.num_vertices(), kPlayers, i),
+            protocol, coins, round, seen);
+      }
+      const std::vector<util::BitString> collected =
+          source.collect(round, seen);
+      const std::string label = name + " round " + std::to_string(round);
+      expect_same_sketches(collected, transcript.all_rounds[round], label);
+      expect_same_comm(service::comm_from_sketches(collected),
+                       transcript.by_round[round], label);
+    }
+    EXPECT_EQ(source.uplink().payload_bits, transcript.comm.total_bits)
+        << name;
+    EXPECT_EQ(source.uplink().rejected_frames, 0u) << name;
+    EXPECT_GT(source.uplink().framing_bits, 0u) << name;
   }
-  service::ShardedWireSource source(cluster.shards, g.num_vertices(),
-                                    wire::protocol_id(protocol.name()),
-                                    2000ms);
-  const std::vector<util::BitString> collected = source.collect(0, {});
 
-  expect_same_sketches(collected, sim_sketches, name);
-  expect_same_comm(service::comm_from_sketches(collected), sim_comm, name);
-  EXPECT_EQ(source.uplink().payload_bits, sim_comm.total_bits) << name;
-  EXPECT_EQ(source.uplink().rejected_frames, 0u) << name;
-  EXPECT_GT(source.uplink().framing_bits, 0u) << name;
+  const auto sim = model::run_protocol(g, protocol, coins);
+  ShardedCluster cluster = make_cluster();
+  std::vector<std::thread> threads;
+  std::vector<Output> player_results(kPlayers);
+  threads.reserve(kPlayers);
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    threads.emplace_back([&, i] {
+      player_results[i] = service::play_protocol(
+          *cluster.players[i], g,
+          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
+          coins, 5000ms);
+    });
+  }
+  const service::ServeResult<Output> served = service::serve_protocol(
+      cluster.shards, protocol, g.num_vertices(), coins, 5000ms);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_TRUE(served.output == sim.output) << name;
+  expect_same_comm(served.comm, sim.comm, name);
+  EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << name;
+  ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << name;
+  for (std::size_t r = 0; r < served.by_round.size(); ++r) {
+    expect_same_comm(served.by_round[r], sim.by_round[r],
+                     name + " round " + std::to_string(r));
+  }
+  EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits) << name;
+  for (const Output& result : player_results) {
+    EXPECT_TRUE(result == sim.output) << name;
+  }
 }
 
 TEST(ShardAudit, SketchingProtocolZooPayloadsMatchSimulation) {
@@ -144,55 +196,14 @@ TEST(ShardAudit, SketchingProtocolZooPayloadsMatchSimulation) {
   expect_sharded_equals_sim(g, protocols::SampledDegeneracy{0.5}, 114);
 }
 
-/// Adaptive cross-check: the full two-shard serve_adaptive session
-/// (combiner, event-loop broadcasts) against run_adaptive.
-template <typename Output>
-void expect_sharded_adaptive_equals_sim(
-    const Graph& g, const model::AdaptiveProtocol<Output>& protocol,
-    std::uint64_t seed) {
-  const model::PublicCoins coins(seed);
-  const auto sim = model::run_adaptive(g, protocol, coins);
-
-  const std::string name = protocol.name();
-  ShardedCluster cluster = make_cluster();
-  std::vector<std::thread> threads;
-  std::vector<Output> player_results(kPlayers);
-  threads.reserve(kPlayers);
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    threads.emplace_back([&, i] {
-      player_results[i] = service::play_adaptive(
-          *cluster.players[i], g,
-          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-          coins, 5000ms);
-    });
-  }
-  const service::ServeResult<Output> served = service::serve_adaptive(
-      cluster.shards, protocol, g.num_vertices(), coins, 5000ms);
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_TRUE(served.output == sim.output) << name;
-  expect_same_comm(served.comm, sim.comm, name);
-  EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << name;
-  ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << name;
-  for (std::size_t r = 0; r < served.by_round.size(); ++r) {
-    expect_same_comm(served.by_round[r], sim.by_round[r],
-                     name + " round " + std::to_string(r));
-  }
-  EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits) << name;
-  for (const Output& result : player_results) {
-    EXPECT_TRUE(result == sim.output) << name;
-  }
-}
-
 TEST(ShardAudit, AdaptiveProtocolPayloadsMatchSimulation) {
   const Graph g = test_graph(31, 20, 0.3);
-  expect_sharded_adaptive_equals_sim(g, protocols::TwoRoundMatching{4, 8},
-                                     201);
-  expect_sharded_adaptive_equals_sim(g, protocols::TwoRoundMis{0.3, 8}, 202);
-  expect_sharded_adaptive_equals_sim(
-      g, protocols::BudgetedTwoRoundMatching{48, 48}, 203);
-  expect_sharded_adaptive_equals_sim(
-      g, protocols::make_luby_bcc(g.num_vertices()), 204);
+  expect_sharded_equals_sim(g, protocols::TwoRoundMatching{4, 8}, 201);
+  expect_sharded_equals_sim(g, protocols::TwoRoundMis{0.3, 8}, 202);
+  expect_sharded_equals_sim(g, protocols::BudgetedTwoRoundMatching{48, 48},
+                            203);
+  expect_sharded_equals_sim(g, protocols::make_luby_bcc(g.num_vertices()),
+                            204);
 }
 
 }  // namespace

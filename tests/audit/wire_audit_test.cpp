@@ -1,9 +1,11 @@
 // The wire/sim byte-accounting cross-check (ISSUE 3 acceptance
-// criterion): for every protocol in the src/protocols/ zoo, the sketches
-// that arrive at the referee over the wire must equal the sketches the
-// simulated runner collects — per-player, BitString for BitString — and
-// the CommStats computed from the wire payloads must match
-// model::run_protocol's accounting bit for bit.  Framing overhead is
+// criterion): for every protocol in the src/protocols/ zoo, one-round and
+// multi-round alike, the sketches that arrive at the referee over the
+// wire must equal the sketches the simulated engine run collects — round
+// by round, per-player, BitString for BitString — and the CommStats
+// computed from the wire payloads must match the simulated accounting bit
+// for bit.  A full served session must reproduce model::run_protocol's
+// output, per-round CommStats and broadcast charge.  Framing overhead is
 // checked to be strictly separate: payload_bits alone equals the model
 // total; framing_bits never leaks into it.  The referee here is one shard
 // over loopback sockets; shard_audit_test.cpp repeats the audit at two.
@@ -12,6 +14,8 @@
 #include <string_view>
 #include <thread>
 
+#include "engine/local_source.h"
+#include "engine/round_engine.h"
 #include "graph/generators.h"
 #include "model/runner.h"
 #include "protocols/bridge_finding.h"
@@ -61,21 +65,6 @@ LoopbackCluster make_cluster(std::size_t players) {
           std::move(player_links)};
 }
 
-/// One round of `protocol`'s frames, collected by the referee's source.
-struct Collected {
-  std::vector<util::BitString> sketches;
-  service::WireStats wire;
-};
-
-Collected collect_round(const LoopbackCluster& cluster, Vertex n,
-                        std::string_view protocol_name) {
-  service::ShardedWireSource source(cluster.referee.links(), n,
-                                    wire::protocol_id(protocol_name),
-                                    2000ms);
-  std::vector<util::BitString> sketches = source.collect(0, {});
-  return {std::move(sketches), source.uplink()};
-}
-
 void expect_same_sketches(std::span<const util::BitString> wire_sketches,
                           std::span<const util::BitString> sim_sketches,
                           const std::string& name) {
@@ -96,35 +85,87 @@ void expect_same_comm(const model::CommStats& wire_comm,
   EXPECT_EQ(wire_comm.num_players, sim_comm.num_players) << name;
 }
 
-/// The cross-check core: ship the zoo protocol's sketches through a
-/// loopback session (players sharded over two links) and compare what the
-/// referee collected against the simulated runner's collection.
+/// The simulated transcript: every round's sketches and broadcasts from
+/// the in-process engine run.
+template <typename Output>
+engine::EngineResult<Output> simulate(const Graph& g,
+                                      const model::Protocol<Output>& protocol,
+                                      const model::PublicCoins& coins) {
+  auto source = engine::make_local_source(
+      g.num_vertices(), engine::graph_view_fn(g, coins), protocol);
+  engine::PlainInstrumentation plain;
+  return engine::run_rounds(g.num_vertices(), protocol, coins, source,
+                            plain);
+}
+
+/// The cross-check core.  First ship every round of the protocol's
+/// sketches through a loopback session (players sharded over two links)
+/// and compare what the referee collected against the simulated
+/// transcript; then serve a whole session and compare it against
+/// model::run_protocol.
 template <typename Output>
 void expect_wire_equals_sim(const Graph& g,
-                            const model::SketchingProtocol<Output>& protocol,
+                            const model::Protocol<Output>& protocol,
                             std::uint64_t seed) {
   const model::PublicCoins coins(seed);
-  model::CommStats sim_comm;
-  const std::vector<util::BitString> sim_sketches =
-      model::collect_sketches(g, protocol, coins, sim_comm);
-
-  LoopbackCluster cluster = make_cluster(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    (void)service::send_sketches(
-        *cluster.players[i], g,
-        service::shard_vertices(g.num_vertices(), 2, i), protocol, coins);
+  const std::string name = protocol.name();
+  constexpr std::size_t kPlayers = 2;
+  const engine::EngineResult<Output> transcript =
+      simulate(g, protocol, coins);
+  {
+    LoopbackCluster cluster = make_cluster(kPlayers);
+    service::ShardedWireSource source(cluster.referee.links(),
+                                      g.num_vertices(),
+                                      wire::protocol_id(name), 2000ms);
+    for (unsigned round = 0; round < protocol.num_rounds(); ++round) {
+      const auto seen = std::span(transcript.broadcasts).first(round);
+      for (std::size_t i = 0; i < kPlayers; ++i) {
+        (void)service::send_sketches(
+            *cluster.players[i], g,
+            service::shard_vertices(g.num_vertices(), kPlayers, i),
+            protocol, coins, round, seen);
+      }
+      const std::vector<util::BitString> sketches =
+          source.collect(round, seen);
+      const std::string label = name + " round " + std::to_string(round);
+      expect_same_sketches(sketches, transcript.all_rounds[round], label);
+      expect_same_comm(service::comm_from_sketches(sketches),
+                       transcript.by_round[round], label);
+    }
+    // The accounting contract itself: payload alone is the model cost;
+    // framing is real but never part of it.
+    EXPECT_EQ(source.uplink().payload_bits, transcript.comm.total_bits)
+        << name;
+    EXPECT_EQ(source.uplink().rejected_frames, 0u) << name;
+    EXPECT_GT(source.uplink().framing_bits, 0u) << name;
   }
-  const Collected round =
-      collect_round(cluster, g.num_vertices(), protocol.name());
 
-  expect_same_sketches(round.sketches, sim_sketches, protocol.name());
-  expect_same_comm(service::comm_from_sketches(round.sketches), sim_comm,
-                   protocol.name());
-  // The accounting contract itself: payload alone is the model cost;
-  // framing is real but never part of it.
-  EXPECT_EQ(round.wire.payload_bits, sim_comm.total_bits) << protocol.name();
-  EXPECT_EQ(round.wire.rejected_frames, 0u) << protocol.name();
-  EXPECT_GT(round.wire.framing_bits, 0u) << protocol.name();
+  LoopbackCluster cluster = make_cluster(kPlayers);
+  std::vector<std::thread> threads;
+  threads.reserve(kPlayers);
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    threads.emplace_back([&, i] {
+      (void)service::play_protocol(
+          *cluster.players[i], g,
+          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
+          coins, 5000ms);
+    });
+  }
+  const service::ServeResult<Output> served =
+      service::serve_protocol(cluster.referee.links(), protocol,
+                              g.num_vertices(), coins, 5000ms);
+  for (std::thread& t : threads) t.join();
+
+  const auto sim = model::run_protocol(g, protocol, coins);
+  EXPECT_TRUE(served.output == sim.output) << name;
+  expect_same_comm(served.comm, sim.comm, name);
+  EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << name;
+  ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << name;
+  for (std::size_t r = 0; r < served.by_round.size(); ++r) {
+    expect_same_comm(served.by_round[r], sim.by_round[r],
+                     name + " round " + std::to_string(r));
+  }
+  EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits) << name;
 }
 
 TEST(WireAudit, SketchingProtocolZooPayloadsMatchSimulation) {
@@ -169,62 +210,25 @@ TEST(WireAudit, WeightedProtocolPayloadsMatchSimulation) {
         *cluster.players[i], wg,
         service::shard_vertices(wg.num_vertices(), 2, i), protocol, coins);
   }
-  const Collected round =
-      collect_round(cluster, wg.num_vertices(), protocol.name());
+  service::ShardedWireSource source(cluster.referee.links(),
+                                    wg.num_vertices(),
+                                    wire::protocol_id(protocol.name()),
+                                    2000ms);
+  const std::vector<util::BitString> sketches = source.collect(0, {});
 
-  expect_same_sketches(round.sketches, sim_sketches, protocol.name());
-  expect_same_comm(service::comm_from_sketches(round.sketches), sim_comm,
+  expect_same_sketches(sketches, sim_sketches, protocol.name());
+  expect_same_comm(service::comm_from_sketches(sketches), sim_comm,
                    protocol.name());
-  EXPECT_EQ(round.wire.payload_bits, sim_comm.total_bits);
-}
-
-/// Adaptive protocols: the full multi-round session over loopback must
-/// reproduce run_adaptive's accounting — per-round CommStats, totals, and
-/// the once-per-round broadcast charge.
-template <typename Output>
-void expect_adaptive_wire_equals_sim(
-    const Graph& g, const model::AdaptiveProtocol<Output>& protocol,
-    std::uint64_t seed) {
-  const model::PublicCoins coins(seed);
-  constexpr std::size_t kPlayers = 2;
-
-  LoopbackCluster cluster = make_cluster(kPlayers);
-  std::vector<std::thread> threads;
-  threads.reserve(kPlayers);
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    threads.emplace_back([&, i] {
-      (void)service::play_adaptive(
-          *cluster.players[i], g,
-          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-          coins, 5000ms);
-    });
-  }
-  const service::ServeResult<Output> served =
-      service::serve_adaptive(cluster.referee.links(), protocol,
-                              g.num_vertices(), coins, 5000ms);
-  for (std::thread& t : threads) t.join();
-
-  const auto sim = model::run_adaptive(g, protocol, coins);
-  EXPECT_TRUE(served.output == sim.output) << protocol.name();
-  expect_same_comm(served.comm, sim.comm, protocol.name());
-  EXPECT_EQ(served.broadcast_bits, sim.broadcast_bits) << protocol.name();
-  ASSERT_EQ(served.by_round.size(), sim.by_round.size()) << protocol.name();
-  for (std::size_t r = 0; r < served.by_round.size(); ++r) {
-    expect_same_comm(served.by_round[r], sim.by_round[r],
-                     protocol.name() + " round " + std::to_string(r));
-  }
-  EXPECT_EQ(served.uplink.payload_bits, sim.comm.total_bits)
-      << protocol.name();
+  EXPECT_EQ(source.uplink().payload_bits, sim_comm.total_bits);
 }
 
 TEST(WireAudit, AdaptiveProtocolPayloadsMatchSimulation) {
   const Graph g = test_graph(31, 20, 0.3);
-  expect_adaptive_wire_equals_sim(g, protocols::TwoRoundMatching{4, 8}, 201);
-  expect_adaptive_wire_equals_sim(g, protocols::TwoRoundMis{0.3, 8}, 202);
-  expect_adaptive_wire_equals_sim(
-      g, protocols::BudgetedTwoRoundMatching{48, 48}, 203);
-  expect_adaptive_wire_equals_sim(
-      g, protocols::make_luby_bcc(g.num_vertices()), 204);
+  expect_wire_equals_sim(g, protocols::TwoRoundMatching{4, 8}, 201);
+  expect_wire_equals_sim(g, protocols::TwoRoundMis{0.3, 8}, 202);
+  expect_wire_equals_sim(g, protocols::BudgetedTwoRoundMatching{48, 48},
+                         203);
+  expect_wire_equals_sim(g, protocols::make_luby_bcc(g.num_vertices()), 204);
 }
 
 }  // namespace

@@ -77,8 +77,8 @@ EncodeCount count_encode(const graph::Graph& g,
                          engine::SketchArena* arena) {
   parallel::ThreadPool pool(1);
   auto source = engine::make_local_source(
-      g.num_vertices(), engine::graph_view_fn(g, coins),
-      model::detail::one_round_encode(protocol), &pool, arena);
+      g.num_vertices(), engine::graph_view_fn(g, coins), protocol, &pool,
+      arena);
   EncodeCount count;
   const auto round = [&] {
     std::vector<util::BitString> sketches = source.collect(0, {});

@@ -3,13 +3,13 @@
 //
 // The golden values below were captured from the SEED tree (commit
 // d83392a, before src/engine/ existed) by running the then-current
-// model::run_protocol / model::run_adaptive on fixed instances and
-// hashing the serialized sketches and outputs with FNV-1a 64.  Every
-// path that now delegates to engine::run_rounds — the simulated runner,
-// the adaptive runner, the audited runner, and the loopback referee
-// service — must still produce exactly these CommStats, sketch bits and
-// outputs, at 1, 4 and hardware_concurrency threads, with and without a
-// SketchArena.
+// one-round and adaptive runners on fixed instances and hashing the
+// serialized sketches and outputs with FNV-1a 64.  Every path that now
+// delegates to engine::run_rounds — model::run_protocol, the audited
+// runner, and the loopback referee service, each one entry point for
+// one-round and multi-round protocols alike — must still produce exactly
+// these CommStats, sketch bits and outputs, at 1, 4 and
+// hardware_concurrency threads, with and without a SketchArena.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "engine/arena.h"
 #include "graph/generators.h"
 #include "graph/weighted.h"
-#include "model/adaptive.h"
 #include "model/runner.h"
 #include "parallel/thread_pool.h"
 #include "protocols/bridge_finding.h"
@@ -88,6 +87,7 @@ struct OneRoundGolden {
   std::size_t num_players;
   std::uint64_t sketch_hash;
   std::uint64_t output_hash;
+  static constexpr std::size_t broadcast_bits = 0;  // R = 1: no downlink
 };
 
 struct AdaptiveGolden {
@@ -128,31 +128,46 @@ std::vector<std::size_t> thread_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-path checkers.  Each runs one execution path and compares against
-// a golden row; SCOPED_TRACE names the protocol on failure.
+// Per-path checkers, one per entry point, for one-round and multi-round
+// protocols alike.  Each runs one execution path and compares against a
+// golden row; SCOPED_TRACE names the protocol on failure.
 
+/// One-round goldens also pin the round's sketches, through the
+/// collect-only path; the adaptive capture hashed outputs only.
 template <typename Graph, typename Output>
-void expect_simulated(const Graph& g,
-                      const model::SketchingProtocol<Output>& protocol,
-                      const OneRoundGolden& want) {
+void expect_sketches(const Graph& g,
+                     const model::SketchingProtocol<Output>& protocol,
+                     const OneRoundGolden& want, parallel::ThreadPool& pool) {
+  const model::PublicCoins coins(want.coin_seed);
+  model::CommStats comm;
+  const std::vector<util::BitString> sketches =
+      model::collect_sketches(g, protocol, coins, comm, &pool);
+  EXPECT_EQ(hash_sketches(sketches), want.sketch_hash);
+  EXPECT_EQ(comm.max_bits, want.max_bits);
+  EXPECT_EQ(comm.total_bits, want.total_bits);
+  EXPECT_EQ(comm.num_players, want.num_players);
+}
+
+template <typename Graph, typename Protocol>
+void expect_sketches(const Graph&, const Protocol&, const AdaptiveGolden&,
+                     parallel::ThreadPool&) {}
+
+template <typename Graph, typename Protocol, typename Golden>
+void expect_simulated(const Graph& g, const Protocol& protocol,
+                      const Golden& want) {
   SCOPED_TRACE(want.label);
   const model::PublicCoins coins(want.coin_seed);
   for (const std::size_t threads : thread_counts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     parallel::ThreadPool pool(threads);
-    model::CommStats comm;
-    const std::vector<util::BitString> sketches =
-        model::collect_sketches(g, protocol, coins, comm, &pool);
-    EXPECT_EQ(hash_sketches(sketches), want.sketch_hash);
-    EXPECT_EQ(comm.max_bits, want.max_bits);
-    EXPECT_EQ(comm.total_bits, want.total_bits);
-    EXPECT_EQ(comm.num_players, want.num_players);
+    expect_sketches(g, protocol, want, pool);
 
     // Full run, without and (twice, to reach steady state) with an arena.
     const auto plain = model::run_protocol(g, protocol, coins, &pool);
     EXPECT_EQ(plain.comm.max_bits, want.max_bits);
     EXPECT_EQ(plain.comm.total_bits, want.total_bits);
     EXPECT_EQ(plain.comm.num_players, want.num_players);
+    EXPECT_EQ(plain.broadcast_bits, want.broadcast_bits);
     EXPECT_EQ(hash_output(plain.output), want.output_hash);
 
     engine::SketchArena arena;
@@ -161,32 +176,34 @@ void expect_simulated(const Graph& g,
           model::run_protocol(g, protocol, coins, &pool, &arena);
       EXPECT_EQ(pooled.comm.total_bits, want.total_bits);
       EXPECT_EQ(pooled.comm.max_bits, want.max_bits);
+      EXPECT_EQ(pooled.broadcast_bits, want.broadcast_bits);
       EXPECT_EQ(hash_output(pooled.output), want.output_hash);
       EXPECT_TRUE(pooled.output == plain.output);
     }
   }
 }
 
-template <typename Graph, typename Output>
-void expect_audited(const Graph& g,
-                    const model::SketchingProtocol<Output>& protocol,
-                    const OneRoundGolden& want) {
+/// Audited path: same engine loop with the audit source.
+template <typename Graph, typename Output, typename Golden>
+void expect_audited(const Graph& g, const model::Protocol<Output>& protocol,
+                    const Golden& want) {
   SCOPED_TRACE(want.label);
   const audit::AuditedRunner runner(want.coin_seed);
   const auto run = runner.run(g, protocol);
   EXPECT_EQ(run.comm.max_bits, want.max_bits);
   EXPECT_EQ(run.comm.total_bits, want.total_bits);
   EXPECT_EQ(run.comm.num_players, want.num_players);
+  EXPECT_EQ(run.broadcast_bits, want.broadcast_bits);
   EXPECT_EQ(hash_output(run.output), want.output_hash);
   EXPECT_GE(run.report.players_audited, want.num_players);
 }
 
 /// Loopback service path: kPlayers client threads shard the vertices and
 /// the served CommStats/output must match the simulated golden exactly.
-template <typename Output>
+template <typename Output, typename Golden>
 void expect_served(const graph::Graph& g,
-                   const model::SketchingProtocol<Output>& protocol,
-                   const OneRoundGolden& want) {
+                   const model::Protocol<Output>& protocol,
+                   const Golden& want) {
   SCOPED_TRACE(want.label);
   const model::PublicCoins coins(want.coin_seed);
   constexpr std::size_t kPlayers = 3;
@@ -217,80 +234,6 @@ void expect_served(const graph::Graph& g,
   EXPECT_EQ(served.comm.total_bits, want.total_bits);
   EXPECT_EQ(served.comm.num_players, want.num_players);
   EXPECT_EQ(served.uplink.payload_bits, want.total_bits);
-  EXPECT_EQ(hash_output(served.output), want.output_hash);
-}
-
-template <typename Output>
-void expect_adaptive(const graph::Graph& g,
-                     const model::AdaptiveProtocol<Output>& protocol,
-                     const AdaptiveGolden& want) {
-  SCOPED_TRACE(want.label);
-  const model::PublicCoins coins(want.coin_seed);
-  for (const std::size_t threads : thread_counts()) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    parallel::ThreadPool pool(threads);
-    const auto plain = model::run_adaptive(g, protocol, coins, &pool);
-    EXPECT_EQ(plain.comm.max_bits, want.max_bits);
-    EXPECT_EQ(plain.comm.total_bits, want.total_bits);
-    EXPECT_EQ(plain.comm.num_players, want.num_players);
-    EXPECT_EQ(plain.broadcast_bits, want.broadcast_bits);
-    EXPECT_EQ(hash_output(plain.output), want.output_hash);
-
-    engine::SketchArena arena;
-    for (int trial = 0; trial < 2; ++trial) {
-      const auto pooled =
-          model::run_adaptive(g, protocol, coins, &pool, &arena);
-      EXPECT_EQ(pooled.comm.total_bits, want.total_bits);
-      EXPECT_EQ(pooled.broadcast_bits, want.broadcast_bits);
-      EXPECT_EQ(hash_output(pooled.output), want.output_hash);
-      EXPECT_TRUE(pooled.output == plain.output);
-    }
-  }
-
-  // Audited path: same engine loop with the audit source.
-  const audit::AuditedRunner runner(want.coin_seed);
-  const auto audited = runner.run_adaptive(g, protocol);
-  EXPECT_EQ(audited.result.comm.max_bits, want.max_bits);
-  EXPECT_EQ(audited.result.comm.total_bits, want.total_bits);
-  EXPECT_EQ(audited.result.broadcast_bits, want.broadcast_bits);
-  EXPECT_EQ(hash_output(audited.result.output), want.output_hash);
-  EXPECT_GE(audited.report.players_audited, want.num_players);
-}
-
-/// Loopback service path for an adaptive protocol.
-template <typename Output>
-void expect_served_adaptive(const graph::Graph& g,
-                            const model::AdaptiveProtocol<Output>& protocol,
-                            const AdaptiveGolden& want) {
-  SCOPED_TRACE(want.label);
-  const model::PublicCoins coins(want.coin_seed);
-  constexpr std::size_t kPlayers = 2;
-  std::vector<std::unique_ptr<wire::Link>> referee_links;
-  std::vector<std::unique_ptr<wire::Link>> player_links;
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    wire::LoopbackPair pair = wire::make_loopback_pair();
-    referee_links.push_back(std::move(pair.referee_side));
-    player_links.push_back(std::move(pair.player_side));
-  }
-  const service::RefereeService referee(std::move(referee_links),
-                                        want.coin_seed, 5000ms);
-  std::vector<std::thread> clients;
-  clients.reserve(kPlayers);
-  for (std::size_t i = 0; i < kPlayers; ++i) {
-    clients.emplace_back([&, i] {
-      (void)service::play_adaptive(
-          *player_links[i], g,
-          service::shard_vertices(g.num_vertices(), kPlayers, i), protocol,
-          coins, 5000ms);
-    });
-  }
-  const auto served = service::serve_adaptive(
-      referee.links(), protocol, g.num_vertices(), coins, 5000ms);
-  for (std::thread& t : clients) t.join();
-
-  EXPECT_EQ(served.comm.max_bits, want.max_bits);
-  EXPECT_EQ(served.comm.total_bits, want.total_bits);
-  EXPECT_EQ(served.comm.num_players, want.num_players);
   EXPECT_EQ(served.broadcast_bits, want.broadcast_bits);
   EXPECT_EQ(hash_output(served.output), want.output_hash);
 }
@@ -373,18 +316,25 @@ TEST(EngineEquivalence, LoopbackServiceMatchesSeedGoldens) {
 
 TEST(EngineEquivalence, AdaptiveRunnerMatchesSeedGoldens) {
   const graph::Graph g = adaptive_graph();
-  expect_adaptive(g, protocols::TwoRoundMatching{4, 8}, kTwoRoundMatching);
-  expect_adaptive(g, protocols::TwoRoundMis{0.3, 8}, kTwoRoundMis);
-  expect_adaptive(g, protocols::BudgetedTwoRoundMatching{48, 48},
-                  kBudgetedTwoRound);
-  expect_adaptive(g, protocols::make_luby_bcc(g.num_vertices()), kLubyBcc);
+  const protocols::TwoRoundMatching two_round_matching{4, 8};
+  const protocols::TwoRoundMis two_round_mis{0.3, 8};
+  const protocols::BudgetedTwoRoundMatching budgeted{48, 48};
+  const protocols::LubyBroadcastMis luby =
+      protocols::make_luby_bcc(g.num_vertices());
+  expect_simulated(g, two_round_matching, kTwoRoundMatching);
+  expect_audited(g, two_round_matching, kTwoRoundMatching);
+  expect_simulated(g, two_round_mis, kTwoRoundMis);
+  expect_audited(g, two_round_mis, kTwoRoundMis);
+  expect_simulated(g, budgeted, kBudgetedTwoRound);
+  expect_audited(g, budgeted, kBudgetedTwoRound);
+  expect_simulated(g, luby, kLubyBcc);
+  expect_audited(g, luby, kLubyBcc);
 }
 
 TEST(EngineEquivalence, LoopbackAdaptiveServiceMatchesSeedGoldens) {
   const graph::Graph g = adaptive_graph();
-  expect_served_adaptive(g, protocols::TwoRoundMatching{4, 8},
-                         kTwoRoundMatching);
-  expect_served_adaptive(g, protocols::TwoRoundMis{0.3, 8}, kTwoRoundMis);
+  expect_served(g, protocols::TwoRoundMatching{4, 8}, kTwoRoundMatching);
+  expect_served(g, protocols::TwoRoundMis{0.3, 8}, kTwoRoundMis);
 }
 
 /// An arena handed fewer slots than vertices must still be safe: prepare

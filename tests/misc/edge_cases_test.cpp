@@ -14,12 +14,6 @@
 namespace ds {
 namespace {
 
-TEST(EdgeCases, KWiseHashRangeOne) {
-  util::Rng rng(1);
-  const util::KWiseHash h(2, rng);
-  for (std::uint64_t x = 0; x < 50; ++x) EXPECT_EQ(h.bounded(x, 1), 0u);
-}
-
 TEST(EdgeCases, DmmWithSingleCopy) {
   // k = 1: no sharing across copies, but the machinery must still work.
   const rs::RsGraph base = rs::book_rs(2, 3);

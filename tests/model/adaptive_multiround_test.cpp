@@ -1,11 +1,11 @@
-// Exercises the adaptive runner beyond two rounds and assorted edge
+// Exercises the runner on protocols beyond two rounds and assorted edge
 // cases that no earlier suite touches directly.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "graph/generators.h"
-#include "model/adaptive.h"
+#include "model/runner.h"
 
 namespace ds::model {
 namespace {
@@ -17,7 +17,7 @@ using graph::Vertex;
 /// coded number; the referee broadcasts the running total; the final
 /// output is the grand total.  Checks round sequencing, broadcast
 /// visibility, and per-round accounting over >2 rounds.
-class PingPongSum final : public AdaptiveProtocol<std::uint64_t> {
+class PingPongSum final : public Protocol<std::uint64_t> {
  public:
   explicit PingPongSum(unsigned rounds) : rounds_(rounds) {}
   unsigned num_rounds() const override { return rounds_; }
@@ -50,10 +50,10 @@ class PingPongSum final : public AdaptiveProtocol<std::uint64_t> {
     return util::BitString(writer);
   }
 
-  std::uint64_t decode(Vertex n,
-                       std::span<const std::vector<util::BitString>> all,
-                       std::span<const util::BitString> broadcasts,
-                       const PublicCoins&) const override {
+  std::uint64_t decode_rounds(
+      Vertex n, std::span<const std::vector<util::BitString>> all,
+      std::span<const util::BitString> broadcasts,
+      const PublicCoins&) const override {
     EXPECT_EQ(all.size(), rounds_);
     EXPECT_EQ(broadcasts.size(), rounds_ - 1);
     std::uint64_t total = 0;
@@ -76,7 +76,7 @@ TEST(AdaptiveMultiRound, FiveRoundsSequenceCorrectly) {
   const Graph g = graph::path(12);
   const PublicCoins coins(1);
   const PingPongSum protocol(5);
-  const auto run = run_adaptive(g, protocol, coins);
+  const auto run = run_protocol(g, protocol, coins);
   EXPECT_EQ(run.by_round.size(), 5u);
   EXPECT_GT(run.broadcast_bits, 0u);
 
@@ -98,7 +98,7 @@ TEST(AdaptiveMultiRound, PerPlayerTotalsAreSummedAcrossRounds) {
   const Graph g = graph::cycle(8);
   const PublicCoins coins(2);
   const PingPongSum protocol(3);
-  const auto run = run_adaptive(g, protocol, coins);
+  const auto run = run_protocol(g, protocol, coins);
   std::size_t per_round_total = 0;
   for (const auto& round : run.by_round) per_round_total += round.total_bits;
   EXPECT_EQ(run.comm.total_bits, per_round_total);
@@ -109,7 +109,7 @@ TEST(AdaptiveMultiRound, SingleRoundDegeneratesToSimultaneous) {
   const Graph g = graph::path(5);
   const PublicCoins coins(3);
   const PingPongSum protocol(1);
-  const auto run = run_adaptive(g, protocol, coins);
+  const auto run = run_protocol(g, protocol, coins);
   EXPECT_EQ(run.broadcast_bits, 0u);  // no broadcast after the last round
   EXPECT_EQ(run.by_round.size(), 1u);
   EXPECT_EQ(run.output, 0u + 1 + 2 + 3 + 4);

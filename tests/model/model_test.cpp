@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "graph/generators.h"
-#include "model/adaptive.h"
 
 namespace ds::model {
 namespace {
@@ -107,7 +106,7 @@ TEST(PublicCoins, SharedHashFunctionsAgree) {
 
 /// Two-round echo protocol: round 0 sends degree; referee broadcasts the
 /// max; round 1 each vertex sends 1 iff its degree equals the max.
-class MaxDegreeLocator final : public AdaptiveProtocol<std::vector<Vertex>> {
+class MaxDegreeLocator final : public Protocol<std::vector<Vertex>> {
  public:
   unsigned num_rounds() const override { return 2; }
 
@@ -137,10 +136,9 @@ class MaxDegreeLocator final : public AdaptiveProtocol<std::vector<Vertex>> {
     return util::BitString(w);
   }
 
-  std::vector<Vertex> decode(Vertex n,
-                             std::span<const std::vector<util::BitString>> all,
-                             std::span<const util::BitString>,
-                             const PublicCoins&) const override {
+  std::vector<Vertex> decode_rounds(
+      Vertex n, std::span<const std::vector<util::BitString>> all,
+      std::span<const util::BitString>, const PublicCoins&) const override {
     std::vector<Vertex> result;
     for (Vertex v = 0; v < n; ++v) {
       util::BitReader r(all[1][v]);
@@ -158,7 +156,7 @@ TEST(Adaptive, TwoRoundMaxDegree) {
   for (Vertex v = 1; v < 10; ++v) edges.push_back({0, v});
   const Graph g = Graph::from_edges(10, edges);
   const PublicCoins coins(10);
-  const auto result = run_adaptive(g, MaxDegreeLocator{}, coins);
+  const auto result = run_protocol(g, MaxDegreeLocator{}, coins);
   ASSERT_EQ(result.output.size(), 1u);
   EXPECT_EQ(result.output[0], 0u);
   EXPECT_EQ(result.by_round.size(), 2u);

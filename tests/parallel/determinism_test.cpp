@@ -209,10 +209,10 @@ TEST(ParallelDeterminism, AdaptiveRunIdenticalAcrossThreadCounts) {
   const model::PublicCoins coins(99);
 
   parallel::ThreadPool serial(1);
-  const auto reference = model::run_adaptive(g, protocol, coins, &serial);
+  const auto reference = model::run_protocol(g, protocol, coins, &serial);
   for (const std::size_t threads : kThreadCounts) {
     parallel::ThreadPool pool(threads);
-    const auto run = model::run_adaptive(g, protocol, coins, &pool);
+    const auto run = model::run_protocol(g, protocol, coins, &pool);
     EXPECT_EQ(run.output, reference.output) << "at " << threads << " threads";
     expect_same_comm(reference.comm, run.comm, threads);
     EXPECT_EQ(run.broadcast_bits, reference.broadcast_bits);

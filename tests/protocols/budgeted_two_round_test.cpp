@@ -5,7 +5,7 @@
 #include "graph/generators.h"
 #include "graph/matching.h"
 #include "lowerbound/dmm.h"
-#include "model/adaptive.h"
+#include "model/runner.h"
 #include "rs/rs_graph.h"
 
 namespace ds::protocols {
@@ -19,7 +19,7 @@ TEST(BudgetedTwoRound, GenerousBudgetsAreMaximal) {
     const Graph g = graph::gnp(60, 0.12, rng);
     const model::PublicCoins coins(100 + rep);
     const BudgetedTwoRoundMatching protocol(1 << 14, 1 << 14);
-    const auto run = model::run_adaptive(g, protocol, coins);
+    const auto run = model::run_protocol(g, protocol, coins);
     EXPECT_TRUE(graph::is_maximal_matching(g, run.output));
   }
 }
@@ -30,7 +30,7 @@ TEST(BudgetedTwoRound, OutputAlwaysValid) {
     const Graph g = graph::gnp(50, 0.2, rng);
     const model::PublicCoins coins(200 + budget);
     const BudgetedTwoRoundMatching protocol(budget, budget);
-    const auto run = model::run_adaptive(g, protocol, coins);
+    const auto run = model::run_protocol(g, protocol, coins);
     EXPECT_TRUE(graph::is_valid_matching(g, run.output));
   }
 }
@@ -40,7 +40,7 @@ TEST(BudgetedTwoRound, RespectsPerRoundBudgets) {
   const Graph g = graph::gnp(80, 0.3, rng);
   const model::PublicCoins coins(4);
   const BudgetedTwoRoundMatching protocol(100, 50);
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
   ASSERT_EQ(run.by_round.size(), 2u);
   EXPECT_LE(run.by_round[0].max_bits, 100u);
   EXPECT_LE(run.by_round[1].max_bits, 50u);
@@ -60,12 +60,12 @@ TEST(BudgetedTwoRound, AdaptivityBeatsOneRoundOnDmm) {
     const auto inst = lowerbound::sample_dmm(base, base.t(), rng);
     const model::PublicCoins coins(util::mix64(300, trial));
     const BudgetedTwoRoundMatching two(half_budget, half_budget);
-    const auto run2 = model::run_adaptive(inst.g, two, coins);
+    const auto run2 = model::run_protocol(inst.g, two, coins);
     two_round_ok += graph::is_maximal_matching(inst.g, run2.output);
 
     // One round with the combined budget.
     const BudgetedTwoRoundMatching one(2 * half_budget, 0);
-    const auto run1 = model::run_adaptive(inst.g, one, coins);
+    const auto run1 = model::run_protocol(inst.g, one, coins);
     one_round_ok += graph::is_maximal_matching(inst.g, run1.output);
   }
   EXPECT_GE(two_round_ok, one_round_ok);
@@ -76,7 +76,7 @@ TEST(BudgetedTwoRound, ZeroBudgetsProduceEmptyMatching) {
   const Graph g = graph::gnp(30, 0.2, rng);
   const model::PublicCoins coins(7);
   const BudgetedTwoRoundMatching protocol(0, 0);
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
   EXPECT_TRUE(run.output.empty());
 }
 

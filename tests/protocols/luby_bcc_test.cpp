@@ -4,7 +4,7 @@
 
 #include "graph/generators.h"
 #include "graph/independent_set.h"
-#include "model/adaptive.h"
+#include "model/runner.h"
 
 namespace ds::protocols {
 namespace {
@@ -18,7 +18,7 @@ TEST(LubyBcc, ProducesMisOnRandomGraphs) {
     const Graph g = graph::gnp(60, 0.1, rng);
     const model::PublicCoins coins(100 + rep);
     const auto protocol = make_luby_bcc(g.num_vertices());
-    const auto run = model::run_adaptive(g, protocol, coins);
+    const auto run = model::run_protocol(g, protocol, coins);
     EXPECT_TRUE(graph::is_maximal_independent_set(g, run.output))
         << "rep " << rep;
   }
@@ -29,7 +29,7 @@ TEST(LubyBcc, StructuredGraphs) {
   for (const Graph& g :
        {graph::path(30), graph::cycle(31), graph::complete(12), Graph(9)}) {
     const auto protocol = make_luby_bcc(std::max<Vertex>(g.num_vertices(), 2));
-    const auto run = model::run_adaptive(g, protocol, coins);
+    const auto run = model::run_protocol(g, protocol, coins);
     EXPECT_TRUE(graph::is_maximal_independent_set(g, run.output));
   }
 }
@@ -39,7 +39,7 @@ TEST(LubyBcc, PerPlayerCostIsTwoBitsPerPhase) {
   const Graph g = graph::gnp(100, 0.08, rng);
   const model::PublicCoins coins(4);
   const auto protocol = make_luby_bcc(100);
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
   EXPECT_TRUE(graph::is_maximal_independent_set(g, run.output));
   // Exactly one bit per round per player.
   EXPECT_EQ(run.comm.max_bits, protocol.num_rounds());
@@ -55,7 +55,7 @@ TEST(LubyBcc, TotalBitsAreLogarithmicNotSqrt) {
   const Graph g = graph::gnp(400, 0.02, rng);
   const model::PublicCoins coins(6);
   const auto protocol = make_luby_bcc(400);
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
   EXPECT_TRUE(graph::is_maximal_independent_set(g, run.output));
   EXPECT_LT(run.comm.max_bits, 64u);  // ~2 * (2 log2 400 + 4) bits
 }
@@ -79,7 +79,7 @@ TEST(LubyBcc, TooFewPhasesDegradesGracefully) {
   const Graph g = graph::gnp(80, 0.05, rng);
   const model::PublicCoins coins(9);
   const LubyBroadcastMis protocol(1);
-  const auto run = model::run_adaptive(g, protocol, coins);
+  const auto run = model::run_protocol(g, protocol, coins);
   EXPECT_TRUE(graph::is_independent_set(g, run.output));
   EXPECT_FALSE(graph::is_maximal_independent_set(g, run.output));
 }

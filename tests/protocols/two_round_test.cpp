@@ -5,7 +5,7 @@
 #include "graph/generators.h"
 #include "graph/independent_set.h"
 #include "graph/matching.h"
-#include "model/adaptive.h"
+#include "model/runner.h"
 #include "protocols/two_round_matching.h"
 #include "protocols/two_round_mis.h"
 
@@ -23,7 +23,7 @@ TEST(TwoRoundMatching, MaximalOnRandomGraphs) {
     const model::PublicCoins coins(400 + rep);
     const std::size_t c = static_cast<std::size_t>(std::sqrt(80.0)) + 2;
     const auto result =
-        model::run_adaptive(g, TwoRoundMatching{c, 80}, coins);
+        model::run_protocol(g, TwoRoundMatching{c, 80}, coins);
     if (graph::is_maximal_matching(g, result.output)) ++successes;
   }
   EXPECT_GE(successes, kReps - 1);
@@ -34,7 +34,7 @@ TEST(TwoRoundMatching, OutputIsAlwaysValidMatching) {
   for (std::uint64_t rep = 0; rep < 10; ++rep) {
     const Graph g = graph::gnp(60, 0.2, rng);
     const model::PublicCoins coins(500 + rep);
-    const auto result = model::run_adaptive(g, TwoRoundMatching{4, 10}, coins);
+    const auto result = model::run_protocol(g, TwoRoundMatching{4, 10}, coins);
     EXPECT_TRUE(graph::is_valid_matching(g, result.output));
   }
 }
@@ -44,7 +44,7 @@ TEST(TwoRoundMatching, DenseGraphsStayCheapPerPlayer) {
   // (almost everyone is matched): per-player bits ~ c*log n, not n.
   const Graph g = graph::complete(64);
   const model::PublicCoins coins(3);
-  const auto result = model::run_adaptive(g, TwoRoundMatching{8, 64}, coins);
+  const auto result = model::run_protocol(g, TwoRoundMatching{8, 64}, coins);
   EXPECT_TRUE(graph::is_maximal_matching(g, result.output));
   EXPECT_LT(result.comm.max_bits, 64u * 3);  // << 64 * log2(64) raw edges
 }
@@ -52,7 +52,7 @@ TEST(TwoRoundMatching, DenseGraphsStayCheapPerPlayer) {
 TEST(TwoRoundMatching, HandlesEmptyGraph) {
   const Graph g(10);
   const model::PublicCoins coins(4);
-  const auto result = model::run_adaptive(g, TwoRoundMatching{4, 10}, coins);
+  const auto result = model::run_protocol(g, TwoRoundMatching{4, 10}, coins);
   EXPECT_TRUE(result.output.empty());
 }
 
@@ -64,7 +64,7 @@ TEST(TwoRoundMis, MaximalOnRandomGraphs) {
     const Graph g = graph::gnp(80, 0.08, rng);
     const model::PublicCoins coins(600 + rep);
     const auto result =
-        model::run_adaptive(g, TwoRoundMis{0.35, 200}, coins);
+        model::run_protocol(g, TwoRoundMis{0.35, 200}, coins);
     if (graph::is_maximal_independent_set(g, result.output)) ++successes;
   }
   EXPECT_GE(successes, kReps - 1);
@@ -78,7 +78,7 @@ TEST(TwoRoundMis, IndependenceNeverViolatedWithoutCapPressure) {
     const Graph g = graph::gnp(50, 0.15, rng);
     const model::PublicCoins coins(700 + rep);
     const auto result =
-        model::run_adaptive(g, TwoRoundMis{0.3, 100000}, coins);
+        model::run_protocol(g, TwoRoundMis{0.3, 100000}, coins);
     EXPECT_TRUE(graph::is_maximal_independent_set(g, result.output))
         << "rep " << rep;
   }
@@ -97,7 +97,7 @@ TEST(TwoRoundMis, StructuredGraphs) {
   for (const Graph& g : {graph::path(30), graph::cycle(30),
                          graph::complete(20)}) {
     const auto result =
-        model::run_adaptive(g, TwoRoundMis{0.5, 100000}, coins);
+        model::run_protocol(g, TwoRoundMis{0.5, 100000}, coins);
     EXPECT_TRUE(graph::is_maximal_independent_set(g, result.output));
   }
 }
@@ -105,7 +105,7 @@ TEST(TwoRoundMis, StructuredGraphs) {
 TEST(TwoRoundMis, EdgelessGraphTakesAllVertices) {
   const Graph g(12);
   const model::PublicCoins coins(9);
-  const auto result = model::run_adaptive(g, TwoRoundMis{0.3, 10}, coins);
+  const auto result = model::run_protocol(g, TwoRoundMis{0.3, 10}, coins);
   EXPECT_EQ(result.output.size(), 12u);
 }
 

@@ -143,7 +143,7 @@ TEST(RefereeService, AdaptiveTwoRoundCompletesOverTcp) {
           wire::tcp_connect("127.0.0.1", listener.port(), 5000ms);
       const std::vector<graph::Vertex> owned =
           service::shard_vertices(g.num_vertices(), kPlayers, i);
-      player_results[i] = service::play_adaptive(*link, g, owned, protocol,
+      player_results[i] = service::play_protocol(*link, g, owned, protocol,
                                                  coins, 5000ms);
     });
   }
@@ -155,11 +155,11 @@ TEST(RefereeService, AdaptiveTwoRoundCompletesOverTcp) {
   }
   const service::RefereeService referee(std::move(links), kCoinSeed, 5000ms);
   const service::ServeResult<model::MatchingOutput> served =
-      service::serve_adaptive(referee.links(), protocol, g.num_vertices(),
+      service::serve_protocol(referee.links(), protocol, g.num_vertices(),
                               coins, 5000ms);
   for (std::thread& t : threads) t.join();
 
-  const auto simulated = model::run_adaptive(g, protocol, coins);
+  const auto simulated = model::run_protocol(g, protocol, coins);
   EXPECT_EQ(served.output, simulated.output);
   EXPECT_EQ(served.comm.max_bits, simulated.comm.max_bits);
   EXPECT_EQ(served.comm.total_bits, simulated.comm.total_bits);

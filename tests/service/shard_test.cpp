@@ -214,15 +214,15 @@ TEST(ShardedReferee, AdaptiveTwoRoundOverFourShards) {
     threads.emplace_back([&, i] {
       const std::vector<graph::Vertex> owned =
           service::shard_vertices(g.num_vertices(), kPlayers, i);
-      player_results[i] = service::play_adaptive(
+      player_results[i] = service::play_protocol(
           *cluster.players[i], g, owned, protocol, coins, 5000ms);
     });
   }
   const service::ServeResult<model::MatchingOutput> served =
-      cluster.referee.run_adaptive(protocol, g.num_vertices());
+      cluster.referee.run(protocol, g.num_vertices());
   for (std::thread& t : threads) t.join();
 
-  const auto simulated = model::run_adaptive(g, protocol, coins);
+  const auto simulated = model::run_protocol(g, protocol, coins);
   EXPECT_EQ(served.output, simulated.output);
   EXPECT_EQ(served.comm.max_bits, simulated.comm.max_bits);
   EXPECT_EQ(served.comm.total_bits, simulated.comm.total_bits);

@@ -56,11 +56,6 @@ TEST(BatchEquivalence, KWiseHashBatchMatchesScalar) {
     for (std::size_t i = 0; i < xs.size(); ++i) {
       ASSERT_EQ(batch[i], h(xs[i])) << "k=" << k << " i=" << i;
     }
-
-    h.bounded_batch(xs, 12, batch);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      ASSERT_EQ(batch[i], h.bounded(xs[i], 12)) << "k=" << k << " i=" << i;
-    }
   }
 }
 

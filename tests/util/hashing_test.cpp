@@ -20,21 +20,16 @@ TEST(KWiseHash, OutputsBelowPrime) {
   for (std::uint64_t x = 0; x < 1000; ++x) EXPECT_LT(h(x), h.prime());
 }
 
-TEST(KWiseHash, BoundedInRange) {
-  Rng rng(7);
-  KWiseHash h(2, rng);
-  for (std::uint64_t x = 0; x < 1000; ++x) EXPECT_LT(h.bounded(x, 17), 17u);
-}
-
 TEST(KWiseHash, BoundedApproximatelyUniformAcrossFunctions) {
-  // Pairwise independence: for fixed x, h(x) is uniform over the draw of h.
+  // Pairwise independence: for fixed x, h(x) is uniform over the draw of
+  // h, and stays near-uniform reduced mod a range << p.
   Rng rng(8);
   constexpr int kFunctions = 4000;
   constexpr std::uint64_t kRange = 8;
   std::map<std::uint64_t, int> histogram;
   for (int i = 0; i < kFunctions; ++i) {
     KWiseHash h(2, rng);
-    ++histogram[h.bounded(12345, kRange)];
+    ++histogram[h(12345) % kRange];
   }
   for (std::uint64_t b = 0; b < kRange; ++b) {
     EXPECT_NEAR(histogram[b], kFunctions / kRange,
@@ -50,7 +45,7 @@ TEST(KWiseHash, PairwiseCollisionRate) {
   int collisions = 0;
   for (int i = 0; i < kFunctions; ++i) {
     KWiseHash h(2, rng);
-    if (h.bounded(3, kRange) == h.bounded(77, kRange)) ++collisions;
+    if (h(3) % kRange == h(77) % kRange) ++collisions;
   }
   EXPECT_NEAR(collisions / static_cast<double>(kFunctions), 1.0 / kRange,
               0.02);

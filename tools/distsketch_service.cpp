@@ -16,8 +16,11 @@
 // real dataset; the referee never sees the graph, only the frames.
 //
 // Protocols: spanning-forest (default; AGM, the O(log^3 n) upper bound),
-// connectivity, two-round-matching (adaptive, exercises the multi-round
-// broadcast loop).
+// connectivity, two-round-matching (two rounds, exercises the referee's
+// inter-round broadcast).
+//
+// Numeric flags are checked (tools/flags.h): a value that is not all
+// digits, or does not fit its field, exits 2 naming the flag.
 //
 // Scenario mode: `--scenario <id>` replaces the ad-hoc --protocol/--n/--p
 // plumbing with a registered instance family (scenario::find).  Both
@@ -37,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "flags.h"
 #include "graph/generators.h"
 #include "obs/obs.h"
 #include "protocols/spanning_forest.h"
@@ -160,6 +164,12 @@ void print_scenarios(std::ostream& out) {
   }
 }
 
+/// A numeric flag's value, checked (tools/flags.h): bad input exits 2.
+template <typename T>
+T number(const std::string& key, const std::string& value) {
+  return ds::tools::parse_flag<T>("distsketch_service", key, value);
+}
+
 Options parse(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
   Options opt;
@@ -177,45 +187,51 @@ Options parse(int argc, char** argv) {
     }
     if (i + 1 >= argc) usage(argv[0]);
     const std::string value = argv[++i];
+    using Ms = std::chrono::milliseconds;
     if (key == "--host") {
       opt.host = value;
     } else if (key == "--port") {
-      opt.port = static_cast<std::uint16_t>(std::stoul(value));
+      opt.port = number<std::uint16_t>(key, value);
     } else if (key == "--protocol") {
       opt.protocol = value;
       opt.protocol_set = true;
     } else if (key == "--scenario") {
       opt.scenario = value;
     } else if (key == "--budget") {
-      opt.budget = std::stoul(value);
+      opt.budget = number<std::size_t>(key, value);
     } else if (key == "--trial-seed") {
-      opt.trial_seed = std::stoull(value);
+      opt.trial_seed = number<std::uint64_t>(key, value);
     } else if (key == "--n") {
-      opt.n = static_cast<ds::graph::Vertex>(std::stoul(value));
+      opt.n = number<ds::graph::Vertex>(key, value);
     } else if (key == "--p") {
-      opt.p = std::stod(value);
+      opt.p = number<double>(key, value);
     } else if (key == "--graph-seed") {
-      opt.graph_seed = std::stoull(value);
+      opt.graph_seed = number<std::uint64_t>(key, value);
     } else if (key == "--coin-seed") {
-      opt.coin_seed = std::stoull(value);
+      opt.coin_seed = number<std::uint64_t>(key, value);
     } else if (key == "--players") {
-      opt.players = std::stoul(value);
+      opt.players = number<std::size_t>(key, value);
     } else if (key == "--index") {
-      opt.index = std::stoul(value);
+      opt.index = number<std::size_t>(key, value);
     } else if (key == "--shards") {
-      opt.shards = std::stoul(value);
+      opt.shards = number<std::size_t>(key, value);
     } else if (key == "--timeout-ms") {
-      opt.timeout = std::chrono::milliseconds(std::stoul(value));
+      opt.timeout = Ms(number<Ms::rep>(key, value));
     } else if (key == "--metrics-out") {
       opt.metrics_out = value;
     } else if (key == "--metrics-interval-ms") {
-      opt.metrics_interval = std::chrono::milliseconds(std::stoul(value));
+      opt.metrics_interval = Ms(number<Ms::rep>(key, value));
     } else {
       usage(argv[0]);
     }
   }
   if (opt.shards == 0) {
     std::cerr << "distsketch_service: --shards must be at least 1\n";
+    usage(argv[0]);
+  }
+  if (opt.players == 0 || opt.index >= opt.players) {
+    std::cerr << "distsketch_service: --players must be at least 1 and"
+                 " --index below it\n";
     usage(argv[0]);
   }
   if (!opt.metrics_out.empty() || opt.metrics_interval.count() > 0) {
@@ -280,7 +296,7 @@ int serve_protocols(ds::service::RefereeService& referee,
     print_serve_wire(r);
   } else if (opt.protocol == "two-round-matching") {
     const ds::protocols::TwoRoundMatching protocol{8, 16};
-    const auto r = referee.run_adaptive(protocol, opt.n);
+    const auto r = referee.run(protocol, opt.n);
     std::cout << "referee: matching of size " << r.output.size() << " in "
               << r.by_round.size() << " rounds; max player "
               << r.comm.max_bits << " bits, broadcast "
@@ -381,7 +397,7 @@ int run_player(const Options& opt) {
               << " component(s)\n";
   } else if (opt.protocol == "two-round-matching") {
     const ds::protocols::TwoRoundMatching protocol{8, 16};
-    const auto matching = ds::service::play_adaptive(
+    const auto matching = ds::service::play_protocol(
         *link, g, owned, protocol, coins, opt.timeout);
     std::cout << "player " << opt.index << ": matching size "
               << matching.size() << "\n";

@@ -19,17 +19,20 @@
 //       configured pool width.  A header whose n asks for more sketch
 //       state than the host's physical memory is refused before any
 //       state is allocated (`invalid header: state-too-large`, exit 1).
+//
+// Numeric flags are checked (tools/flags.h): a value that is not all
+// digits, or does not fit its field, exits 2 naming the flag.
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "parallel/thread_pool.h"
 #include "sketch/agm.h"
 #include "streamio/generator_stream.h"
@@ -82,15 +85,14 @@ struct Args {
     }
     return fallback;
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& name,
-                                      std::uint64_t fallback) const {
-    const std::string v = get(name, "");
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const {
-    const std::string v = get(name, "");
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+  /// A numeric flag's value as the T it sets, checked (tools/flags.h):
+  /// bad input exits 2 naming the flag.
+  template <typename T>
+  [[nodiscard]] T get_number(const std::string& name, T fallback) const {
+    for (const auto& [k, v] : flags_) {
+      if (k == name) return tools::parse_flag<T>("distsketch_stream", k, v);
+    }
+    return fallback;
   }
 
  private:
@@ -138,11 +140,11 @@ int cmd_generate(const Args& args) {
     std::cerr << "unknown family: " << family << "\n";
     return 2;
   }
-  config.n = static_cast<graph::Vertex>(args.get_u64("--n", 1u << 16));
-  config.edges = args.get_u64("--edges", 4 * config.n);
-  config.delete_fraction = args.get_double("--delete-fraction", 0.1);
-  config.seed = args.get_u64("--seed", 1);
-  config.chung_lu_exponent = args.get_double("--exponent", 2.5);
+  config.n = args.get_number<graph::Vertex>("--n", 1u << 16);
+  config.edges = args.get_number<std::uint64_t>("--edges", 4 * config.n);
+  config.delete_fraction = args.get_number("--delete-fraction", 0.1);
+  config.seed = args.get_number<std::uint64_t>("--seed", 1);
+  config.chung_lu_exponent = args.get_number("--exponent", 2.5);
 
   streamio::GeneratorStream source(config);
   streamio::BinaryStreamWriter writer(out, config.n, config.seed);
@@ -200,14 +202,14 @@ int cmd_ingest(const Args& args) {
     return 1;
   }
 
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_u64("--threads", 0));
+  const auto threads = args.get_number<std::size_t>("--threads", 0);
   streamio::IngestOptions options;
   options.batch_updates =
-      static_cast<std::size_t>(args.get_u64("--batch", std::size_t{1} << 16));
-  options.query_interval = args.get_u64("--query-interval", 0);
+      args.get_number<std::size_t>("--batch", std::size_t{1} << 16);
+  options.query_interval =
+      args.get_number<std::uint64_t>("--query-interval", 0);
   options.serial = args.get("--serial", "").empty() ? false : true;
-  const auto rounds = static_cast<unsigned>(args.get_u64("--rounds", 2));
+  const auto rounds = args.get_number<unsigned>("--rounds", 2);
 
   // A header may claim any n below 2^32: check what that n costs before
   // allocating any of it.
@@ -227,8 +229,8 @@ int cmd_ingest(const Args& args) {
     pool = std::make_unique<parallel::ThreadPool>(threads);
     options.pool = pool.get();
   }
-  stream::DynamicConnectivity state(n, args.get_u64("--sketch-seed", 2020),
-                                    rounds);
+  stream::DynamicConnectivity state(
+      n, args.get_number<std::uint64_t>("--sketch-seed", 2020), rounds);
   const streamio::IngestReport report =
       streamio::ingest(reader, state, options);
   if (report.status != streamio::ReadStatus::kEnd) {
