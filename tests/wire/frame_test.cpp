@@ -4,7 +4,9 @@
 // mismatch, truncation).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -237,6 +239,86 @@ TEST(FrameCodec, BatchStopsAtCorruptionAndKeepsEarlierFrames) {
   EXPECT_EQ(batch.frames.size(), 1u);
   EXPECT_NE(batch.status, DecodeStatus::kOk);
   EXPECT_EQ(batch.rest_offset, first_len);
+}
+
+/// Bits [0, bits) of a fixed byte pattern, rotated per word and salted.
+util::BitString pattern_payload(std::size_t bits, unsigned salt) {
+  util::BitWriter w;
+  std::uint64_t word = 0x0F1E2D3C4B5A6978ull ^ (0x0101010101010101ull * salt);
+  for (std::size_t done = 0; done < bits; done += 64) {
+    w.put_bits(word, static_cast<unsigned>(
+                         std::min<std::size_t>(64, bits - done)));
+    word = std::rotl(word, 8);
+  }
+  return util::BitString(std::move(w));
+}
+
+/// Bytes from hex pairs; spaces and '|' (field separators) are skipped.
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  const auto nibble = [](char c) {
+    return static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  };
+  for (std::size_t i = 0; i < hex.size(); ++i) {
+    if (hex[i] == ' ' || hex[i] == '|') continue;
+    bytes.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 |
+                                              nibble(hex[i + 1])));
+    ++i;
+  }
+  return bytes;
+}
+
+TEST(FrameCodec, BatchEncodesToPinnedBytes) {
+  // Every varint width boundary in every header field, and payloads on
+  // both sides of the byte and word boundaries, against bytes captured
+  // from the codec before it wrote frames in place.  Fields read:
+  // magic version | type | protocol | vertex | round | bits | payload |
+  // crc32 (little-endian).
+  constexpr std::uint32_t kEdges[] = {0, 127, 128, 16383, 16384,
+                                      0xFFFFFFFFu};
+  constexpr std::size_t kBits[] = {0, 1, 7, 8, 63, 64, 65, 130};
+  constexpr FrameType kTypes[] = {FrameType::kSketch, FrameType::kBroadcast,
+                                  FrameType::kResult};
+  constexpr std::string_view kPinned[] = {
+      "d5 01 | 01 | 00 | 80 01 | 80 80 01 | 00 | | 34 99 c4 b7",
+      "d5 01 | 02 | 7f | ff 7f | ff ff ff ff 0f | 01 | 01 | 50 25 dc 44",
+      "d5 01 | 03 | 80 01 | 80 80 01 | 00 | 07 | 7a | 4a e1 f7 de",
+      "d5 01 | 01 | ff 7f | ff ff ff ff 0f | 7f | 08 | 7b | 59 92 d0 bd",
+      "d5 01 | 02 | 80 80 01 | 00 | 80 01 | 3f |"
+      " 7c 6d 5e 4f 38 29 1a 0b | 9a 9c 2e 18",
+      "d5 01 | 03 | ff ff ff ff 0f | 7f | ff 7f | 40 |"
+      " 7d 6c 5f 4e 39 28 1b 0a | d0 aa 67 b0",
+      "d5 01 | 01 | 00 | 80 01 | 80 80 01 | 41 |"
+      " 7e 6f 5c 4d 3a 2b 18 09 01 | 4f 1f b5 a5",
+      "d5 01 | 02 | 7f | ff 7f | ff ff ff ff 0f | 82 01 |"
+      " 7f 6e 5d 4c 3b 2a 19 08 08 7f 6e 5d 4c 3b 2a 19 01 | 03 00 16 ba",
+  };
+
+  std::vector<FrameHeader> headers;
+  std::vector<util::BitString> payloads;
+  std::vector<std::uint8_t> batch;
+  std::vector<std::uint8_t> pinned;
+  for (unsigned i = 0; i < std::size(kBits); ++i) {
+    headers.push_back({kTypes[i % 3], kEdges[i % 6], kEdges[(i + 2) % 6],
+                       kEdges[(i + 4) % 6]});
+    payloads.push_back(pattern_payload(kBits[i], i));
+    (void)wire::encode_frame(headers[i], payloads[i], batch);
+    const std::vector<std::uint8_t> frame = from_hex(kPinned[i]);
+    pinned.insert(pinned.end(), frame.begin(), frame.end());
+  }
+  EXPECT_EQ(batch, pinned);
+
+  const wire::BatchDecode decoded = wire::decode_frames(pinned);
+  ASSERT_EQ(decoded.status, DecodeStatus::kOk);
+  ASSERT_EQ(decoded.frames.size(), std::size(kBits));
+  for (std::size_t i = 0; i < std::size(kBits); ++i) {
+    EXPECT_EQ(decoded.frames[i].header, headers[i]) << "frame " << i;
+    EXPECT_TRUE(same_bits(decoded.frames[i].payload, payloads[i]))
+        << "frame " << i;
+    EXPECT_EQ(decoded.frames[i].payload.words().size(),
+              (kBits[i] + 63) / 64)
+        << "frame " << i;
+  }
 }
 
 TEST(FrameCodec, ProtocolIdIsStableAndDiscriminating) {
