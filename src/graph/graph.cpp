@@ -9,7 +9,7 @@ Graph::Graph(Vertex n) : n_(n), offsets_(static_cast<std::size_t>(n) + 1, 0) {}
 
 Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
   // Counting sort straight into CSR: histogram both endpoints, scatter the
-  // 2m half-edges into their owners' blocks, then drop each block's
+  // 2m half-edges forward into their owners' blocks, then drop each block's
   // repeats with a last-owner stamp and sort only what is left.  Transient
   // memory is the half-edge array plus O(n).
   Graph g(n);
@@ -17,27 +17,30 @@ Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
   for (const Edge& e : edges) {
     assert(e.u != e.v && "self-loops are not supported");
     assert(e.u < n && e.v < n);
-    ++offsets[e.u];
-    ++offsets[e.v];
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
   }
-  // offsets[v] becomes the end of v's raw block; the scatter below walks
-  // each cursor back down to its block's start.
+  // Counted one slot up, the prefix sums make offsets[v] the start of v's
+  // raw block, and the scatter walks each cursor forward to its block's
+  // end.  Forward keeps list order within a block, so a list in (u, v)
+  // order, or grouped by sender as a referee's reports are, lands sorted.
   for (Vertex v = 1; v < n; ++v) offsets[v] += offsets[v - 1];
   offsets[n] = 2 * edges.size();
   std::vector<Vertex> adjacency(offsets[n]);
   for (const Edge& e : edges) {
-    adjacency[--offsets[e.u]] = e.v;
-    adjacency[--offsets[e.v]] = e.u;
+    adjacency[offsets[e.u]++] = e.v;
+    adjacency[offsets[e.v]++] = e.u;
   }
 
   // Compact in place (writes never pass reads): a neighbor is kept the
   // first time owner v meets it.  Owners are < n <= 2^32 - 1, so ~0 is
-  // never one.
+  // never one.  Each cursor now marks its raw block's end, and the
+  // block's start is where the block before it ended.
   std::vector<Vertex> last_owner(n, ~Vertex{0});
   std::size_t kept = 0;
+  std::size_t begin = 0;
   for (Vertex v = 0; v < n; ++v) {
-    const std::size_t begin = offsets[v];
-    const std::size_t end = offsets[v + 1];
+    const std::size_t end = offsets[v];
     offsets[v] = kept;
     for (std::size_t i = begin; i < end; ++i) {
       const Vertex w = adjacency[i];
@@ -47,6 +50,7 @@ Graph Graph::from_edges(Vertex n, std::span<const Edge> edges) {
     }
     std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
               adjacency.begin() + static_cast<std::ptrdiff_t>(kept));
+    begin = end;
   }
   offsets[n] = kept;
   adjacency.resize(kept);

@@ -41,7 +41,9 @@ class Graph {
   /// block. Self-loops and endpoints >= n are rejected (assert); duplicate
   /// edges, in either orientation, are collapsed. The result is the
   /// canonical CSR whatever the input order: sorted blocks, exactly 2|E|
-  /// adjacency entries.
+  /// adjacency entries. Blocks keep the list's order until that sort, so
+  /// a list in (u, v) order, or grouped by sender with each sender's
+  /// neighbors ascending, reaches it already sorted.
   static Graph from_edges(Vertex n, std::span<const Edge> edges);
 
   [[nodiscard]] Vertex num_vertices() const noexcept { return n_; }

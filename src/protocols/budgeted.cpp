@@ -1,7 +1,6 @@
 #include "protocols/budgeted.h"
 
 #include <algorithm>
-
 #include <vector>
 
 #include "util/rng.h"
@@ -38,10 +37,12 @@ void encode_edge_report(const model::VertexView& view, std::size_t budget_bits,
   const std::size_t capacity =
       edges_fitting_budget(budget_bits, view.n, view.neighbors.size());
 
-  std::vector<std::uint32_t> reported;
   if (capacity >= view.neighbors.size()) {
-    reported.assign(view.neighbors.begin(), view.neighbors.end());
-  } else if (capacity > 0) {
+    out.put_u32_span(view.neighbors, width);
+    return;
+  }
+  std::vector<std::uint32_t> reported;
+  if (capacity > 0) {
     util::Rng rng = view.coins->stream(
         model::coin_tag(model::CoinTag::kEdgeSample, view.id));
     for (std::uint64_t pick :
@@ -55,15 +56,22 @@ void encode_edge_report(const model::VertexView& view, std::size_t budget_bits,
 Graph decode_reported_graph(Vertex n,
                             std::span<const util::BitString> sketches) {
   const unsigned width = util::bit_width_for(n);
-  std::vector<Edge> edges;
   // One-sided runs hand in fewer sketches than vertices; parse what is
   // there.
   const Vertex senders =
       static_cast<Vertex>(std::min<std::size_t>(n, sketches.size()));
+  // Every reported id takes `width` bits, so the reports' bits bound the
+  // edge count: one list, read into in place, sender by sender.
+  std::size_t report_bits = 0;
+  for (Vertex v = 0; v < senders; ++v) report_bits += sketches[v].bit_count();
+  std::vector<Edge> edges;
+  edges.reserve(width == 0 ? 0 : report_bits / width);
   for (Vertex v = 0; v < senders; ++v) {
     util::BitReader reader(sketches[v]);
     if (reader.bits_remaining() == 0) continue;
-    for (std::uint32_t w : reader.get_u32_span(width)) {
+    const std::uint64_t count = reader.get_span_length(width);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto w = static_cast<Vertex>(reader.get_bits(width));
       if (w < n && w != v) edges.push_back({v, w});
     }
   }

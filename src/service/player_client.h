@@ -8,6 +8,12 @@
 // graph shard (engine::graph_view_fn, the engine's LocalSource views), so
 // a player's uplink bits are byte-for-byte the bits the simulated runner
 // charges.
+//
+// Allocation: a send encodes every owned vertex into one writer, whose
+// words are recycled through each finished sketch (as engine::SketchArena
+// does for local runs), and appends each frame straight into the batch.
+// So after the first few vertices a send allocates only for the batch's
+// own growth (tests/engine/arena_alloc_test.cpp counts it).
 #pragma once
 
 #include <algorithm>
@@ -42,13 +48,14 @@ PlayerSendStats send_sketches(
   const auto view_of = engine::graph_view_fn(g, coins);
   std::vector<std::uint8_t> batch;
   PlayerSendStats stats;
+  util::BitWriter writer;
   for (const graph::Vertex v : owned) {
-    util::BitWriter writer;
     protocol.encode_round(view_of(v), round, broadcasts, writer);
-    const util::BitString sketch(std::move(writer));
+    util::BitString sketch(std::move(writer));
     stats.framing_bits += append_sketch_frame(batch, proto, v, round, sketch);
     stats.payload_bits += sketch.bit_count();
     ++stats.frames;
+    writer = util::BitWriter(sketch.release_words());
   }
   if (!link.send(batch)) {
     throw ServiceError("player: referee link rejected the sketch batch");

@@ -157,24 +157,27 @@ std::size_t RoundCollector::offer_message(
   const auto sender = [&] {
     return std::string(from) + ' ' + std::to_string(from_index) + ": ";
   };
-  wire::BatchDecode batch = wire::decode_frames(message);
-  if (batch.status != wire::DecodeStatus::kOk) {
-    std::ostringstream os;
-    os << sender() << wire::decode_status_name(batch.status) << " at byte "
-       << batch.rest_offset << " of a " << message.size()
-       << "-byte message; dropped the rest of the message";
-    reject(RejectReason::kCorrupt, os.str());
-  }
+  // One pass: each frame is checked in place, and only an accepted one
+  // has its payload copied out.
+  wire::FrameWalker walker(message);
+  wire::FrameView frame;
   std::size_t taken = 0;
-  for (wire::Frame& frame : batch.frames) {
+  while (walker.next(frame)) {
     const wire::FrameHeader& h = frame.header;
     if (const auto why = check_frame(h, spec_, have_)) {
       reject(*why, sender() + frame_detail(*why, h, spec_));
       continue;
     }
     have_[h.vertex] = true;
-    sketches_[h.vertex] = std::move(frame.payload);
+    sketches_[h.vertex] = frame.copy_payload();
     ++taken;
+  }
+  if (walker.status() != wire::DecodeStatus::kOk) {
+    std::ostringstream os;
+    os << sender() << wire::decode_status_name(walker.status())
+       << " at byte " << walker.offset() << " of a " << message.size()
+       << "-byte message; dropped the rest of the message";
+    reject(RejectReason::kCorrupt, os.str());
   }
   accepted_ += static_cast<graph::Vertex>(taken);
   return taken;
@@ -256,17 +259,22 @@ wire::Frame await_referee_frame(wire::Link& link,
     if (msg.status != wire::RecvStatus::kOk) {
       throw ServiceError("referee link lost while awaiting a response");
     }
-    wire::BatchDecode batch = wire::decode_frames(msg.message);
-    if (batch.status != wire::DecodeStatus::kOk) {
-      throw ServiceError(std::string("corrupt referee message: ") +
-                         std::string(wire::decode_status_name(batch.status)));
-    }
-    for (wire::Frame& frame : batch.frames) {
-      if (frame.header.type == expected_type &&
+    // The whole message must parse, even past the frame we want.
+    wire::FrameWalker walker(msg.message);
+    wire::FrameView frame;
+    std::optional<wire::FrameView> wanted;
+    while (walker.next(frame)) {
+      if (!wanted && frame.header.type == expected_type &&
           frame.header.protocol_id == protocol_id) {
-        return std::move(frame);
+        wanted = frame;
       }
     }
+    if (walker.status() != wire::DecodeStatus::kOk) {
+      throw ServiceError(
+          std::string("corrupt referee message: ") +
+          std::string(wire::decode_status_name(walker.status())));
+    }
+    if (wanted) return {wanted->header, wanted->copy_payload()};
   }
   throw ServiceError("timed out awaiting the referee's response");
 }

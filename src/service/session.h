@@ -2,6 +2,11 @@
 // client: separated byte accounting, the round collector every referee
 // shard drives, and the failure type.
 //
+// Allocation: the collector and await_referee_frame walk a message frame
+// by frame in place (wire::FrameWalker) and copy out only the payloads
+// they keep, one exact-size buffer each; a rejected or corrupt frame
+// allocates nothing but its reject detail.
+//
 // Accounting contract (docs/WIRE.md): WireStats::payload_bits counts
 // exactly the bits the model charges — BitWriter::bit_count() of each
 // sketch or broadcast — and must match model::CommStats bit for bit (the
@@ -82,7 +87,8 @@ struct Reject {
 struct CollectedRound {
   std::vector<util::BitString> sketches;  // indexed by vertex, all present
   WireStats wire;
-  std::vector<Reject> rejects;  // in arrival order
+  std::vector<Reject> rejects;  // in arrival order: a damaged message's
+                                // earlier frames before its kCorrupt
 };
 
 /// Contiguous vertex range [first, second) owned by shard `index` of
@@ -111,13 +117,14 @@ class RoundCollector {
   RoundCollector() = default;
   explicit RoundCollector(const RoundSpec& spec);
 
-  /// Decode one transport message and offer every frame in it.  A frame
-  /// is accepted iff it is a kSketch frame of this spec's protocol and
-  /// round, for a vertex below n that holds no sketch yet; anything else
-  /// becomes a Reject, as does a message that fails to decode (frames
-  /// before the damage still count).  `from` and `from_index` label the
-  /// sender in reject details ("shard 0 conn", 3).  Returns the frames
-  /// accepted.
+  /// Walk one transport message and offer every frame in it, in order.
+  /// A frame is accepted iff it is a kSketch frame of this spec's
+  /// protocol and round, for a vertex below n that holds no sketch yet;
+  /// only then is its payload copied out.  Anything else becomes a
+  /// Reject, as does a message that fails to parse: its frames before the
+  /// damage still count, and its kCorrupt reject follows theirs.  `from`
+  /// and `from_index` label the sender in reject details ("shard 0 conn",
+  /// 3).  Returns the frames accepted.
   std::size_t offer_message(std::span<const std::uint8_t> message,
                             std::string_view from, std::size_t from_index);
 
@@ -162,7 +169,8 @@ std::size_t append_sketch_frame(std::vector<std::uint8_t>& batch,
 
 /// Player side: wait for the referee frame of `expected_type` for
 /// `protocol_id` (skipping anything else), or throw ServiceError on
-/// timeout / closed link / corrupt referee message.
+/// timeout / closed link / corrupt referee message.  A message that fails
+/// to parse anywhere throws, even after a matching frame.
 [[nodiscard]] wire::Frame await_referee_frame(
     wire::Link& link, wire::FrameType expected_type,
     std::uint32_t protocol_id, std::chrono::milliseconds timeout);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -106,7 +107,11 @@ IngestReport ingest(UpdateSource& source,
                     stream::DynamicConnectivity& state,
                     const IngestOptions& options) {
   assert(source.num_vertices() == state.num_vertices());
-  assert(options.batch_updates > 0);
+  if (options.batch_updates == 0) {
+    // An empty batch would end the drain at once with a clean status.
+    throw std::invalid_argument(
+        "streamio::ingest: batch_updates must be at least 1");
+  }
   IngestMetrics& m = metrics();
   IngestReport report;
 

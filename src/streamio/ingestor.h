@@ -36,7 +36,8 @@
 namespace ds::streamio {
 
 struct IngestOptions {
-  /// Updates pulled from the source per batch (the bucketing window).
+  /// Updates pulled from the source per batch (the bucketing window);
+  /// at least 1.
   std::size_t batch_updates = std::size_t{1} << 16;
   /// Take a components snapshot every `query_interval` updates, at
   /// batch granularity (first batch boundary past each multiple).
@@ -77,7 +78,8 @@ struct IngestReport {
 };
 
 /// Drain `source` into `state`.  Requires source.num_vertices() ==
-/// state.num_vertices().
+/// state.num_vertices().  Throws std::invalid_argument if
+/// options.batch_updates is 0: a batch holds at least one update.
 [[nodiscard]] IngestReport ingest(UpdateSource& source,
                                   stream::DynamicConnectivity& state,
                                   const IngestOptions& options = {});

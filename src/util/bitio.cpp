@@ -108,13 +108,17 @@ std::uint64_t BitReader::get_delta() {
   return value;
 }
 
-std::vector<std::uint32_t> BitReader::get_u32_span(unsigned width) {
-  std::uint64_t count = get_gamma() - 1;
+std::uint64_t BitReader::get_span_length(unsigned width) {
+  const std::uint64_t count = get_gamma() - 1;
   // Robustness clamp: a well-formed message cannot contain more elements
-  // than it has bits left; garbage counts must not drive allocation.
+  // than it has bits left.
   const std::uint64_t max_possible =
       width == 0 ? bits_remaining() : bits_remaining() / width;
-  if (count > max_possible) count = max_possible;
+  return std::min(count, max_possible);
+}
+
+std::vector<std::uint32_t> BitReader::get_u32_span(unsigned width) {
+  const std::uint64_t count = get_span_length(width);
   std::vector<std::uint32_t> values;
   values.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i)

@@ -213,6 +213,11 @@ class BitReader {
 
   [[nodiscard]] std::uint64_t get_gamma();
   [[nodiscard]] std::uint64_t get_delta();
+
+  /// The gamma-coded length put_u32_span writes, clamped to the elements
+  /// of `width` bits the remaining bits can hold: a garbage count must
+  /// not drive allocation or a long loop.  The elements follow.
+  [[nodiscard]] std::uint64_t get_span_length(unsigned width);
   [[nodiscard]] std::vector<std::uint32_t> get_u32_span(unsigned width);
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }

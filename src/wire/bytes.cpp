@@ -6,21 +6,20 @@ namespace ds::wire {
 
 void ByteWriter::put_varint(std::uint64_t value) {
   while (value >= 0x80) {
-    bytes_.push_back(static_cast<std::uint8_t>(value) | 0x80);
+    out_->push_back(static_cast<std::uint8_t>(value) | 0x80);
     value >>= 7;
   }
-  bytes_.push_back(static_cast<std::uint8_t>(value));
+  out_->push_back(static_cast<std::uint8_t>(value));
 }
 
 void ByteWriter::put_u32_le(std::uint32_t value) {
-  bytes_.push_back(static_cast<std::uint8_t>(value));
-  bytes_.push_back(static_cast<std::uint8_t>(value >> 8));
-  bytes_.push_back(static_cast<std::uint8_t>(value >> 16));
-  bytes_.push_back(static_cast<std::uint8_t>(value >> 24));
+  for (unsigned i = 0; i < 4; ++i) {
+    out_->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
 }
 
 void ByteWriter::put_bytes(std::span<const std::uint8_t> bytes) {
-  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  out_->insert(out_->end(), bytes.begin(), bytes.end());
 }
 
 std::optional<std::uint8_t> ByteReader::get_u8() {

@@ -1,5 +1,6 @@
-// Byte-level primitives for the wire layer: an append-only byte buffer,
-// LEB128 varints, and CRC-32.
+// Byte-level primitives for the wire layer: a writer that appends to a
+// borrowed byte buffer, a bounds-checked reader, LEB128 varints, and
+// CRC-32.
 //
 // The sketching model's cost measure is bits (util/bitio); the wire layer
 // moves those bits between real processes and therefore needs a byte
@@ -17,10 +18,15 @@
 
 namespace ds::wire {
 
-/// Append-only byte buffer with varint support.
+/// Appends bytes and varints to a caller-owned buffer.  The writer
+/// borrows the buffer and only ever appends to it, so a frame is written
+/// straight into the batch that carries it (wire/frame.h).
 class ByteWriter {
  public:
-  void put_u8(std::uint8_t value) { bytes_.push_back(value); }
+  explicit ByteWriter(std::vector<std::uint8_t>& out) noexcept
+      : out_(&out) {}
+
+  void put_u8(std::uint8_t value) { out_->push_back(value); }
 
   /// Unsigned LEB128: 7 value bits per byte, high bit = continuation.
   void put_varint(std::uint64_t value);
@@ -30,16 +36,8 @@ class ByteWriter {
 
   void put_bytes(std::span<const std::uint8_t> bytes);
 
-  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return bytes_;
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() && {
-    return std::move(bytes_);
-  }
-
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t>* out_;
 };
 
 /// Sequential decoder over a byte span.  All getters return nullopt on

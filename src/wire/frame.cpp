@@ -1,6 +1,9 @@
 #include "wire/frame.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace ds::wire {
 
@@ -27,16 +30,14 @@ std::uint32_t protocol_id(std::string_view name) noexcept {
 
 namespace {
 
+// Payload bytes and BitString words are the same memory on a
+// little-endian host: byte i holds bits [8i, 8i+8) LSB first, the order
+// BitWriter packs its 64-bit words.  Both directions copy them as bytes.
+static_assert(std::endian::native == std::endian::little,
+              "the payload copies assume a little-endian host");
+
 constexpr std::size_t payload_byte_count(std::uint64_t bits) noexcept {
   return static_cast<std::size_t>((bits + 7) / 8);
-}
-
-/// Byte i of the wire payload holds BitString bits [8i, 8i+8), LSB first —
-/// the same order BitWriter packs its 64-bit words.
-std::uint8_t payload_byte(const util::BitString& payload,
-                          std::size_t i) noexcept {
-  const std::uint64_t word = payload.words()[i / 8];
-  return static_cast<std::uint8_t>(word >> (8 * (i % 8)));
 }
 
 }  // namespace
@@ -56,8 +57,14 @@ std::size_t encode_frame(const FrameHeader& header,
   const std::size_t payload_bits = payload.bit_count();
   assert(payload_bits <= kMaxPayloadBits);
   const std::size_t start = out.size();
+  const std::size_t size = encoded_frame_size(header, payload_bits);
+  // Grow the batch at most once for this frame, geometrically, so a batch
+  // of frames costs only its own doubling.
+  if (start + size > out.capacity()) {
+    out.reserve(std::max(start + size, 2 * out.capacity()));
+  }
 
-  ByteWriter w;
+  ByteWriter w(out);
   w.put_u8(kFrameMagic);
   w.put_u8(kWireVersion);
   w.put_varint(static_cast<std::uint64_t>(header.type));
@@ -65,31 +72,24 @@ std::size_t encode_frame(const FrameHeader& header,
   w.put_varint(header.vertex);
   w.put_varint(header.round);
   w.put_varint(payload_bits);
-  const std::size_t payload_bytes = payload_byte_count(payload_bits);
-  // Whole words serialize as 8 little-endian bytes at a time (byte i is
-  // bits [8i, 8i+8) LSB first, so word w is bytes [8w, 8w+8) in order);
-  // the tail falls back to the per-byte extractor.
-  std::size_t i = 0;
-  for (; i + 8 <= payload_bytes; i += 8) {
-    const std::uint64_t word = payload.words()[i / 8];
-    std::uint8_t chunk[8];
-    for (unsigned b = 0; b < 8; ++b) {
-      chunk[b] = static_cast<std::uint8_t>(word >> (8 * b));
-    }
-    w.put_bytes(chunk);
-  }
-  for (; i < payload_bytes; ++i) {
-    w.put_u8(payload_byte(payload, i));
-  }
-  w.put_u32_le(crc32(w.bytes()));
-
-  const std::vector<std::uint8_t> frame = std::move(w).take();
-  out.insert(out.end(), frame.begin(), frame.end());
-  return (out.size() - start) * 8 - payload_bits;
+  // The words' unused high bits are zero, so the final byte's padding is.
+  w.put_bytes({reinterpret_cast<const std::uint8_t*>(payload.words().data()),
+               payload_byte_count(payload_bits)});
+  w.put_u32_le(crc32(std::span<const std::uint8_t>(out).subspan(start)));
+  assert(out.size() == start + size);
+  return size * 8 - payload_bits;
 }
 
-DecodeStatus decode_frame(std::span<const std::uint8_t> bytes, Frame& frame,
-                          std::size_t& consumed) {
+util::BitString FrameView::copy_payload() const {
+  std::vector<std::uint64_t> words((payload_bits + 63) / 64);
+  if (!payload.empty()) {
+    std::memcpy(words.data(), payload.data(), payload.size());
+  }
+  return util::BitString(std::move(words), payload_bits);
+}
+
+DecodeStatus parse_frame(std::span<const std::uint8_t> bytes,
+                         FrameView& frame, std::size_t& consumed) {
   consumed = 0;
   ByteReader r(bytes);
 
@@ -166,52 +166,36 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> bytes, Frame& frame,
     return DecodeStatus::kBadCrc;
   }
 
-  // Reassemble the BitString through the public BitWriter API so the
-  // result is bit-for-bit what the encoder charged.  Eight wire bytes
-  // form one LSB-first 64-bit word (the inverse of the encoder's word
-  // serialization), so full words go through put_bits(word, 64) — a
-  // word-aligned append — and only the tail pays per-byte costs.
-  util::BitWriter w;
-  std::size_t pi = 0;
-  for (; (pi + 8) * 8 <= payload_bits; pi += 8) {
-    std::uint64_t word = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      word |= static_cast<std::uint64_t>((*payload)[pi + b]) << (8 * b);
-    }
-    w.put_bits(word, 64);
-  }
-  for (; pi < payload_bytes; ++pi) {
-    const unsigned width = static_cast<unsigned>(
-        payload_bits - 8 * pi >= 8 ? 8 : payload_bits - 8 * pi);
-    w.put_bits((*payload)[pi], width);
-  }
   frame.header.type = static_cast<FrameType>(type_raw);
   frame.header.protocol_id = static_cast<std::uint32_t>(proto);
   frame.header.vertex = static_cast<std::uint32_t>(vertex);
   frame.header.round = static_cast<std::uint32_t>(round);
-  frame.payload = util::BitString(w);
+  frame.payload_bits = static_cast<std::size_t>(payload_bits);
+  frame.payload = *payload;
   consumed = r.position();
   return DecodeStatus::kOk;
 }
 
-BatchDecode decode_frames(std::span<const std::uint8_t> bytes) {
-  BatchDecode batch;
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeStatus status =
-        decode_frame(bytes.subspan(offset), frame, consumed);
-    if (status != DecodeStatus::kOk) {
-      batch.status = status;
-      batch.rest_offset = offset;
-      return batch;
-    }
-    batch.frames.push_back(std::move(frame));
-    offset += consumed;
+DecodeStatus decode_frame(std::span<const std::uint8_t> bytes, Frame& frame,
+                          std::size_t& consumed) {
+  FrameView view;
+  const DecodeStatus status = parse_frame(bytes, view, consumed);
+  if (status == DecodeStatus::kOk) {
+    frame.header = view.header;
+    frame.payload = view.copy_payload();
   }
-  batch.rest_offset = offset;
-  return batch;
+  return status;
+}
+
+bool FrameWalker::next(FrameView& frame) {
+  if (status_ != DecodeStatus::kOk || offset_ == message_.size()) {
+    return false;
+  }
+  std::size_t consumed = 0;
+  status_ = parse_frame(message_.subspan(offset_), frame, consumed);
+  if (status_ != DecodeStatus::kOk) return false;
+  offset_ += consumed;
+  return true;
 }
 
 }  // namespace ds::wire

@@ -19,6 +19,15 @@
 // bytes follow, so a batch of frames can be concatenated into one
 // transport message and peeled off one at a time.
 //
+// Allocation (docs/WIRE.md): encode_frame writes a frame straight into the
+// caller's batch, which grows once per frame at most and only by its own
+// geometric growth.  Decoding is split in two.  parse_frame checks a
+// frame in place and allocates nothing; it yields the header and a view
+// of the payload bytes.  A payload becomes a BitString only when the
+// caller keeps it (FrameView::copy_payload), in one exact-size word
+// buffer.  So nothing is allocated before the CRC check, and nothing from
+// a declared length alone.  FrameWalker walks a whole message this way.
+//
 // Accounting contract (docs/WIRE.md): `payload bits` is the model cost —
 // it must match util::BitWriter::bit_count() and hence CommStats bit for
 // bit.  Everything else (header, byte-rounding padding, CRC) is framing
@@ -26,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,8 +89,9 @@ enum class DecodeStatus : std::uint8_t {
 /// is rejected at the frame level.
 [[nodiscard]] std::uint32_t protocol_id(std::string_view name) noexcept;
 
-/// Serialize one frame, appending to `out`.  Returns the number of
-/// framing bits added (total frame bits minus payload.bit_count()).
+/// Serialize one frame, appending it to `out` in place.  Returns the
+/// number of framing bits added (total frame bits minus
+/// payload.bit_count()).
 std::size_t encode_frame(const FrameHeader& header,
                          const util::BitString& payload,
                          std::vector<std::uint8_t>& out);
@@ -89,22 +100,54 @@ std::size_t encode_frame(const FrameHeader& header,
 [[nodiscard]] std::size_t encoded_frame_size(
     const FrameHeader& header, std::size_t payload_bits) noexcept;
 
-/// Decode one frame from the front of `bytes`.  On kOk, `frame` holds the
-/// result and `consumed` the frame's byte length; on kNeedMoreData nothing
-/// is consumed; on any error, `consumed` is the number of bytes to skip
-/// (>= 1) so a resynchronizing caller can make progress.
+/// A frame checked in place: its header and a view of its payload bytes
+/// inside the buffer it was parsed from, which must outlive the view.
+struct FrameView {
+  FrameHeader header;
+  std::size_t payload_bits = 0;
+  std::span<const std::uint8_t> payload;  // ceil(payload_bits / 8) bytes
+
+  /// The payload as a BitString, in one exact-size word buffer.
+  [[nodiscard]] util::BitString copy_payload() const;
+};
+
+/// Parse one frame from the front of `bytes`, checking magic, version,
+/// varint bounds, field ranges, kMaxPayloadBits, zero padding and CRC, and
+/// allocating nothing.  On kOk, `frame` holds the result and `consumed` the
+/// frame's byte length; on kNeedMoreData nothing is consumed; on any
+/// error, `consumed` is the number of bytes to skip (>= 1) so a
+/// resynchronizing caller can make progress.
+[[nodiscard]] DecodeStatus parse_frame(std::span<const std::uint8_t> bytes,
+                                       FrameView& frame,
+                                       std::size_t& consumed);
+
+/// parse_frame, then copy the payload: one frame, kept.
 [[nodiscard]] DecodeStatus decode_frame(std::span<const std::uint8_t> bytes,
                                         Frame& frame, std::size_t& consumed);
 
-/// Decode a batch of concatenated frames.  Stops at the first error and
-/// reports it (kOk if the whole buffer decoded cleanly); frames decoded
-/// before the error are kept.  A trailing partial frame yields
-/// kNeedMoreData with `rest` pointing at its first byte.
-struct BatchDecode {
-  std::vector<Frame> frames;
-  DecodeStatus status = DecodeStatus::kOk;
-  std::size_t rest_offset = 0;  // offset of the first undecoded byte
+/// Walks a message of concatenated frames front to back, one parse_frame
+/// each, and stops at the first frame that fails to parse.  A trailing
+/// partial frame stops it with kNeedMoreData.
+class FrameWalker {
+ public:
+  explicit FrameWalker(std::span<const std::uint8_t> message) noexcept
+      : message_(message) {}
+
+  /// Parse the next frame into `frame`; false at the end of the message
+  /// or at the first damage (status() then says which).
+  [[nodiscard]] bool next(FrameView& frame);
+
+  /// kOk unless a frame failed to parse; then why.
+  [[nodiscard]] DecodeStatus status() const noexcept { return status_; }
+
+  /// Offset of the first byte not parsed yet: the damaged frame's first
+  /// byte once the walk has failed.
+  [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
+
+ private:
+  std::span<const std::uint8_t> message_;
+  std::size_t offset_ = 0;
+  DecodeStatus status_ = DecodeStatus::kOk;
 };
-[[nodiscard]] BatchDecode decode_frames(std::span<const std::uint8_t> bytes);
 
 }  // namespace ds::wire

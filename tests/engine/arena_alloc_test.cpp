@@ -1,6 +1,10 @@
-// The arena allocation gate (engine/arena.h): once a SketchArena is warm,
-// the encode loop performs no per-vertex heap allocation, and pooling
-// never changes a bit of any sketch.
+// The allocation gates.  The arena (engine/arena.h): once a SketchArena
+// is warm, the encode loop performs no per-vertex heap allocation, and
+// pooling never changes a bit of any sketch.  The wire path (docs/WIRE.md):
+// on one easy-cc trial, a player's encode allocates nothing per vertex,
+// its frames allocate only for the batch's growth, the collector copies
+// each accepted payload once, and the referee's decode allocates a number
+// of buffers that does not grow with n.
 //
 // Allocations are counted by a global operator-new override, so this
 // file is its own executable (ds_alloc_tests): linked into ds_tests, the
@@ -21,10 +25,14 @@
 #include "graph/generators.h"
 #include "model/runner.h"
 #include "parallel/thread_pool.h"
+#include "protocols/sampled_matching.h"
 #include "protocols/spanning_forest.h"
 #include "protocols/trivial.h"
+#include "scenario/builtin.h"
 #include "scenario/registry.h"
 #include "scenario/typed.h"
+#include "service/player_client.h"
+#include "service/session.h"
 #include "util/rng.h"
 
 namespace {
@@ -185,6 +193,138 @@ TEST(ArenaAlloc, EasyCcSweepTrialSavesABufferPerVertex) {
   EXPECT_LE(pooled + kRuns * n, unpooled)
       << "pooled " << pooled << ", unpooled " << unpooled << " over "
       << kRuns << " trials, n = " << n;
+}
+
+// ---------------------------------------------------------------------
+// The wire path, on one trial shaped like wire-easycc's: n = 4096 in
+// clusters of 16, a 1024-bit budget that fits every neighbor list, two
+// players of 2048 vertices each.
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kWireBudget = 1024;
+constexpr std::size_t kWirePlayers = 2;
+constexpr std::uint64_t kWireSeed = 51;
+
+class WireTrial {
+ public:
+  WireTrial()
+      : g_(scenario::EasyCcScenario(256, 16, 0.9).sample(kWireSeed).g),
+        coins_(scenario::trial_coins(kWireSeed)),
+        proto_(wire::protocol_id(protocol_.name())) {}
+
+  [[nodiscard]] graph::Vertex n() const { return g_.num_vertices(); }
+  [[nodiscard]] const protocols::BudgetedMatching& protocol() const {
+    return protocol_;
+  }
+  [[nodiscard]] std::uint32_t proto() const { return proto_; }
+  [[nodiscard]] const model::PublicCoins& coins() const { return coins_; }
+  [[nodiscard]] std::vector<graph::Vertex> owned(std::size_t player) const {
+    return service::shard_vertices(n(), kWirePlayers, player);
+  }
+
+  [[nodiscard]] auto view_fn() const {
+    return engine::graph_view_fn(g_, coins_);
+  }
+
+  /// Every vertex's sketch, in vertex order.
+  [[nodiscard]] std::vector<util::BitString> sketches() const {
+    const auto view_of = view_fn();
+    std::vector<util::BitString> out;
+    for (graph::Vertex v = 0; v < n(); ++v) {
+      util::BitWriter w;
+      protocol_.encode(view_of(v), w);
+      out.emplace_back(std::move(w));
+    }
+    return out;
+  }
+
+  /// Player `player`'s batch of sketch frames.
+  [[nodiscard]] std::vector<std::uint8_t> message(
+      std::size_t player, std::span<const util::BitString> sketches) const {
+    std::vector<std::uint8_t> batch;
+    for (const graph::Vertex v : owned(player)) {
+      (void)service::append_sketch_frame(batch, proto_, v, 0, sketches[v]);
+    }
+    return batch;
+  }
+
+ private:
+  graph::Graph g_;
+  model::PublicCoins coins_;
+  protocols::BudgetedMatching protocol_{kWireBudget};
+  std::uint32_t proto_;
+};
+
+TEST(WireAlloc, PlayerEncodeIntoOneWriterAllocatesNothingPerVertex) {
+  const WireTrial trial;
+  const std::vector<graph::Vertex> owned = trial.owned(0);
+  const auto view_of = trial.view_fn();
+  util::BitWriter writer;
+  const auto encode_all = [&] {
+    for (const graph::Vertex v : owned) {
+      writer.clear();
+      trial.protocol().encode(view_of(v), writer);
+    }
+  };
+  encode_all();  // grows the writer to the longest sketch
+  const std::size_t before = allocs();
+  encode_all();
+  EXPECT_EQ(allocs() - before, 0u) << owned.size() << " vertices";
+}
+
+TEST(WireAlloc, SketchFramesAllocateOnlyForTheBatchGrowth) {
+  const WireTrial trial;
+  const std::vector<util::BitString> sketches = trial.sketches();
+  const std::vector<graph::Vertex> owned = trial.owned(0);
+  std::vector<std::uint8_t> batch;
+  std::size_t growths = 0;
+  const std::size_t before = allocs();
+  for (const graph::Vertex v : owned) {
+    const std::size_t capacity = batch.capacity();
+    (void)service::append_sketch_frame(batch, trial.proto(), v, 0,
+                                       sketches[v]);
+    if (batch.capacity() != capacity) ++growths;
+  }
+  EXPECT_EQ(allocs() - before, growths) << owned.size() << " frames";
+  EXPECT_EQ(batch, trial.message(0, sketches));
+}
+
+TEST(WireAlloc, CollectorCopiesEachAcceptedPayloadOnce) {
+  const WireTrial trial;
+  const std::vector<util::BitString> sketches = trial.sketches();
+  const std::vector<std::uint8_t> first = trial.message(0, sketches);
+  const std::vector<std::uint8_t> second = trial.message(1, sketches);
+  service::RoundCollector collector({trial.n(), trial.proto(), 0});
+  const std::size_t before = allocs();
+  const std::size_t accepted = collector.offer_message(first, "conn", 0) +
+                               collector.offer_message(second, "conn", 1);
+  const std::size_t count = allocs() - before;
+  ASSERT_EQ(accepted, trial.n());
+  // Every sketch holds at least its count header, so each accepted frame
+  // takes exactly one word buffer.
+  EXPECT_EQ(count, accepted);
+
+  const service::CollectedRound round = std::move(collector).finish();
+  ASSERT_EQ(round.sketches.size(), sketches.size());
+  for (graph::Vertex v = 0; v < trial.n(); ++v) {
+    ASSERT_EQ(round.sketches[v].bit_count(), sketches[v].bit_count()) << v;
+    ASSERT_EQ(round.sketches[v].words(), sketches[v].words()) << v;
+  }
+}
+
+TEST(WireAlloc, ReportedGraphDecodeAllocatesNothingPerVertex) {
+  const WireTrial trial;
+  const std::vector<util::BitString> sketches = trial.sketches();
+  const std::size_t before = allocs();
+  const model::MatchingOutput matching =
+      trial.protocol().decode(trial.n(), sketches, trial.coins());
+  const std::size_t count = allocs() - before;
+  // The edge list, the CSR's arrays and scratch, the shuffled edge order
+  // and the matching's own doubling growth: a few dozen buffers at most,
+  // where reading each report into a vector of its own took one per
+  // vertex.
+  EXPECT_LE(count, 32u) << "n = " << trial.n();
+  EXPECT_GT(matching.size(), trial.n() / 4);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // count, place and sort each block), writing into a bare CSR.  Graph's
 // defaulted == compares exactly this triple (n, offsets, adjacency), read
 // back here through the public API, so equal CSRs mean equal Graphs.
+// Besides random lists, the inputs include the orders the builder's
+// forward scatter keeps sorted (edges in (u, v) order, and a referee's
+// reports grouped by sender) and the order it reverses (descending).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "scenario/builtin.h"
 #include "util/rng.h"
 
 namespace ds::graph {
@@ -122,6 +126,36 @@ TEST(FromEdgesProperty, DuplicatedHubMatchesSortBasedBuilder) {
   EXPECT_GT(g.degree(kHub), 100u);
   EXPECT_LT(g.degree(kHub), 300u);
   expect_matches_oracle(kN, edges);
+}
+
+/// Three orders of g's edges: (u, v) order, descending, and the shape a
+/// referee reads from full reports (each edge once from each endpoint,
+/// grouped by sender, each sender's neighbors ascending).
+void expect_ordered_lists_match_oracle(const Graph& g) {
+  const std::vector<Edge> ascending = g.edges();
+  expect_matches_oracle(g.num_vertices(), ascending);
+  const std::vector<Edge> descending(ascending.rbegin(), ascending.rend());
+  expect_matches_oracle(g.num_vertices(), descending);
+  std::vector<Edge> reported;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (const Vertex w : g.neighbors(v)) reported.push_back({v, w});
+  }
+  expect_matches_oracle(g.num_vertices(), reported);
+  EXPECT_EQ(Graph::from_edges(g.num_vertices(), reported), g);
+}
+
+TEST(FromEdgesProperty, OrderedListsAtEasyCcSize) {
+  const scenario::EasyCcScenario easy_cc(256, 16, 0.9);
+  const Graph g = easy_cc.sample(11).g;
+  ASSERT_EQ(g.num_vertices(), 4096u);
+  expect_ordered_lists_match_oracle(g);
+}
+
+TEST(FromEdgesProperty, OrderedListsOnADmmSample) {
+  const scenario::DmmMatchingScenario dmm(64);
+  const Graph g = dmm.sample(11).g;
+  ASSERT_GT(g.num_edges(), 0u);
+  expect_ordered_lists_match_oracle(g);
 }
 
 TEST(FromEdgesProperty, EmptyAndTinyInputs) {

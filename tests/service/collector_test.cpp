@@ -94,6 +94,32 @@ TEST_F(RoundCollectorTest, EveryRejectReasonIsCountedUnderItsOwnName) {
   EXPECT_EQ(round.sketches[0].words()[0], 5u);
 }
 
+TEST_F(RoundCollectorTest, DamagedMessageRejectsFollowArrivalOrder) {
+  // Frames before the damage are offered first, so their rejects come
+  // before the message's kCorrupt; the frame after it is never seen.
+  service::RoundCollector collector({2, kProto, 0});
+  std::vector<std::uint8_t> message;
+  (void)service::append_sketch_frame(message, kProto, 0, 0, bits_of(1, 4));
+  (void)service::append_sketch_frame(message, kProto, 0, 0, bits_of(2, 4));
+  const std::size_t damaged_at = message.size();
+  (void)service::append_sketch_frame(message, kProto, 1, 0, bits_of(3, 4));
+  message[damaged_at] ^= 0xFF;  // the third frame's magic
+  EXPECT_EQ(collector.offer_message(message, "link", 0), 1u);
+  EXPECT_FALSE(collector.has(1));
+
+  std::vector<std::uint8_t> last;
+  (void)service::append_sketch_frame(last, kProto, 1, 0, bits_of(3, 4));
+  EXPECT_EQ(collector.offer_message(last, "link", 0), 1u);
+  const service::CollectedRound round = std::move(collector).finish();
+  ASSERT_EQ(round.rejects.size(), 2u);
+  EXPECT_EQ(round.rejects[0].reason, service::RejectReason::kDuplicate);
+  EXPECT_EQ(round.rejects[1].reason, service::RejectReason::kCorrupt);
+  EXPECT_NE(round.rejects[1].detail.find(
+                "bad-magic at byte " + std::to_string(damaged_at)),
+            std::string::npos)
+      << round.rejects[1].detail;
+}
+
 TEST_F(RoundCollectorTest, WireStatsAreThoseOfTheAcceptedFrames) {
   const service::RoundSpec spec{5, kProto, 2};
   service::RoundCollector collector(spec);

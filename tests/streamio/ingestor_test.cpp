@@ -5,6 +5,7 @@
 // at every thread count, for every batch size, with metrics on or off.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "graph/connectivity.h"
@@ -101,6 +102,19 @@ TEST(StreamIngestEquivalence, BatchSizeDoesNotChangeFinalState) {
     EXPECT_EQ(report.updates, updates.size());
     EXPECT_EQ(state.state_hash(), want) << "batch=" << batch;
   }
+}
+
+TEST(StreamIngest, EmptyBatchIsRefusedBeforeAnyUpdate) {
+  // A batch of 0 updates would end the drain at once and report a clean
+  // kEnd over nothing.
+  constexpr Vertex kN = 64;
+  const auto updates = sample_updates(kN, 256, /*seed=*/5);
+  stream::DynamicConnectivity state(kN, kSketchSeed);
+  const std::uint64_t untouched = state.state_hash();
+  MemorySource source(kN, updates);
+  EXPECT_THROW((void)ingest(source, state, {.batch_updates = 0}),
+               std::invalid_argument);
+  EXPECT_EQ(state.state_hash(), untouched);
 }
 
 TEST(StreamIngestEquivalence, SerialIngestOptionMatchesDirectApply) {

@@ -1,11 +1,14 @@
 #!/bin/sh
-# Numeric flags of both command-line tools are checked: a value with
-# letters in it, one too large for the field it sets, or a player count
-# of 0 must exit 2 with a message naming the flag, before the tool does
-# any work.
+# Flags of both command-line tools are checked: a value with letters in
+# it, one too large for the field it sets, a player count or batch size
+# of 0, or a flag the command does not read must exit 2 with a message
+# naming the flag, before the tool does any work.
 #
 #   distsketch_stream ingest --rounds 4294967298   (does not fit unsigned)
 #   distsketch_stream ingest --rounds abc
+#   distsketch_stream ingest --batch 0             (a batch holds an update)
+#   distsketch_stream generate ... --roundz 3      (misspelled flags)
+#   distsketch_stream ingest ... --theads 4
 #   distsketch_service serve --port 70000          (does not fit uint16_t)
 #   distsketch_service serve --players abc
 #   distsketch_service player --players 0          (no vertex shard to own)
@@ -38,6 +41,11 @@ expect_bad_flag() {
 expect_bad_flag --rounds "$stream_tool" ingest "$dir/s.stream" \
   --rounds 4294967298
 expect_bad_flag --rounds "$stream_tool" ingest "$dir/s.stream" --rounds abc
+expect_bad_flag --batch "$stream_tool" ingest "$dir/s.stream" --batch 0
+expect_bad_flag --roundz "$stream_tool" generate --out "$dir/t.stream" \
+  --n 256 --edges 1024 --roundz 3 --sede 9
+expect_bad_flag --theads "$stream_tool" ingest "$dir/s.stream" --rounds 2 \
+  --theads 4
 # A short --timeout-ms keeps a tool that accepts the port from waiting
 # long for players that never come.
 expect_bad_flag --port "$service_tool" serve --timeout-ms 200 --port 70000

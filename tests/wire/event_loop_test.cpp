@@ -336,13 +336,15 @@ TEST_F(EventLoopTest, SketchFramesSurviveTheLoopBitForBit) {
   poll_until_messages(events, 1);
   ASSERT_EQ(events.messages.size(), 1u);
 
-  const wire::BatchDecode decoded =
-      wire::decode_frames(events.messages[0].second);
-  ASSERT_EQ(decoded.status, wire::DecodeStatus::kOk);
-  ASSERT_EQ(decoded.frames.size(), 1u);
-  EXPECT_EQ(decoded.frames[0].header, header);
-  EXPECT_EQ(decoded.frames[0].payload.bit_count(), payload.bit_count());
-  EXPECT_EQ(decoded.frames[0].payload.words(), payload.words());
+  wire::FrameWalker walker(events.messages[0].second);
+  wire::FrameView frame;
+  ASSERT_TRUE(walker.next(frame));
+  EXPECT_EQ(frame.header, header);
+  const util::BitString decoded = frame.copy_payload();
+  EXPECT_EQ(decoded.bit_count(), payload.bit_count());
+  EXPECT_EQ(decoded.words(), payload.words());
+  EXPECT_FALSE(walker.next(frame));
+  EXPECT_EQ(walker.status(), wire::DecodeStatus::kOk);
 }
 
 }  // namespace

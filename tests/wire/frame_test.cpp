@@ -1,7 +1,8 @@
-// The frame codec: exact round-trips, self-delimiting batches, the
-// payload-vs-framing accounting split, and rejection of every corruption
-// class (bad magic, bad version, overlong varints, nonzero padding, CRC
-// mismatch, truncation).
+// The frame codec: exact round-trips, bytes pinned field by field,
+// self-delimiting batches walked in place, the payload-vs-framing
+// accounting split, and rejection of every corruption class (bad magic,
+// bad version, overlong varints, nonzero padding, CRC mismatch,
+// truncation).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -38,15 +39,35 @@ bool same_bits(const util::BitString& a, const util::BitString& b) {
   return a.bit_count() == b.bit_count() && a.words() == b.words();
 }
 
+/// A message walked to its end or its first damage, every payload kept.
+struct Walked {
+  std::vector<Frame> frames;
+  DecodeStatus status = DecodeStatus::kOk;
+  std::size_t offset = 0;  // first byte not parsed
+};
+
+Walked walk(std::span<const std::uint8_t> message) {
+  wire::FrameWalker walker(message);
+  wire::FrameView view;
+  Walked out;
+  while (walker.next(view)) {
+    out.frames.push_back({view.header, view.copy_payload()});
+  }
+  out.status = walker.status();
+  out.offset = walker.offset();
+  return out;
+}
+
 TEST(Varint, RoundTripsAndSizes) {
   const std::uint64_t cases[] = {0,   1,    127,        128,
                                  300, 1u << 20, 0xFFFFFFFFu,
                                  std::uint64_t(-1)};
   for (const std::uint64_t v : cases) {
-    wire::ByteWriter w;
+    std::vector<std::uint8_t> bytes;
+    wire::ByteWriter w(bytes);
     w.put_varint(v);
-    EXPECT_EQ(w.size(), wire::varint_size(v));
-    wire::ByteReader r(w.bytes());
+    EXPECT_EQ(bytes.size(), wire::varint_size(v));
+    wire::ByteReader r(bytes);
     const auto got = r.get_varint();
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, v);
@@ -120,8 +141,9 @@ TEST(FrameCodec, BatchOfFramesIsSelfDelimiting) {
     wire::encode_frame({FrameType::kSketch, 99, v, 0}, payloads.back(),
                        bytes);
   }
-  const wire::BatchDecode batch = wire::decode_frames(bytes);
+  const Walked batch = walk(bytes);
   ASSERT_EQ(batch.status, DecodeStatus::kOk);
+  ASSERT_EQ(batch.offset, bytes.size());
   ASSERT_EQ(batch.frames.size(), 9u);
   for (std::uint32_t v = 0; v < 9; ++v) {
     EXPECT_EQ(batch.frames[v].header.vertex, v);
@@ -212,7 +234,8 @@ TEST(FrameCodec, RejectsBadMagicAndVersion) {
 TEST(FrameCodec, RejectsOversizedPayloadLengthWithoutAllocating) {
   // Hand-build a frame claiming an absurd payload length; the decoder
   // must refuse at the header, long before any allocation.
-  wire::ByteWriter w;
+  std::vector<std::uint8_t> bytes;
+  wire::ByteWriter w(bytes);
   w.put_u8(wire::kFrameMagic);
   w.put_u8(wire::kWireVersion);
   w.put_varint(static_cast<std::uint64_t>(FrameType::kSketch));
@@ -222,7 +245,7 @@ TEST(FrameCodec, RejectsOversizedPayloadLengthWithoutAllocating) {
   w.put_varint(wire::kMaxPayloadBits + 1);
   Frame frame;
   std::size_t consumed = 0;
-  EXPECT_EQ(wire::decode_frame(w.bytes(), frame, consumed),
+  EXPECT_EQ(wire::decode_frame(bytes, frame, consumed),
             DecodeStatus::kMalformed);
 }
 
@@ -235,10 +258,10 @@ TEST(FrameCodec, BatchStopsAtCorruptionAndKeepsEarlierFrames) {
   wire::encode_frame({FrameType::kSketch, 9, 1, 0},
                      random_payload(rng, 21), bytes);
   bytes[first_len + 10] ^= 0xFF;  // corrupt the second frame
-  const wire::BatchDecode batch = wire::decode_frames(bytes);
+  const Walked batch = walk(bytes);
   EXPECT_EQ(batch.frames.size(), 1u);
   EXPECT_NE(batch.status, DecodeStatus::kOk);
-  EXPECT_EQ(batch.rest_offset, first_len);
+  EXPECT_EQ(batch.offset, first_len);
 }
 
 /// Bits [0, bits) of a fixed byte pattern, rotated per word and salted.
@@ -308,7 +331,7 @@ TEST(FrameCodec, BatchEncodesToPinnedBytes) {
   }
   EXPECT_EQ(batch, pinned);
 
-  const wire::BatchDecode decoded = wire::decode_frames(pinned);
+  const Walked decoded = walk(pinned);
   ASSERT_EQ(decoded.status, DecodeStatus::kOk);
   ASSERT_EQ(decoded.frames.size(), std::size(kBits));
   for (std::size_t i = 0; i < std::size(kBits); ++i) {

@@ -21,15 +21,19 @@
 //       state is allocated (`invalid header: state-too-large`, exit 1).
 //
 // Numeric flags are checked (tools/flags.h): a value that is not all
-// digits, or does not fit its field, exits 2 naming the flag.
+// digits, or does not fit its field, exits 2 naming the flag, as do
+// `--batch 0` and any flag the command does not read.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flags.h"
@@ -78,6 +82,14 @@ struct Args {
   }
 
   [[nodiscard]] bool bad() const noexcept { return bad_; }
+  /// The first flag not in `known`, or null if every flag is known.
+  [[nodiscard]] const std::string* unknown_flag(
+      std::span<const std::string_view> known) const {
+    for (const auto& [k, v] : flags_) {
+      if (std::find(known.begin(), known.end(), k) == known.end()) return &k;
+    }
+    return nullptr;
+  }
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const {
     for (const auto& [k, v] : flags_) {
@@ -206,6 +218,11 @@ int cmd_ingest(const Args& args) {
   streamio::IngestOptions options;
   options.batch_updates =
       args.get_number<std::size_t>("--batch", std::size_t{1} << 16);
+  if (options.batch_updates == 0) {
+    std::cerr << "distsketch_stream: --batch must be at least 1 (a batch"
+                 " holds at least one update)\n";
+    return 2;
+  }
   options.query_interval =
       args.get_number<std::uint64_t>("--query-interval", 0);
   options.serial = args.get("--serial", "").empty() ? false : true;
@@ -255,6 +272,23 @@ int cmd_ingest(const Args& args) {
   return 0;
 }
 
+/// Each command and the flags it reads; any other flag exits 2 naming it.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"generate", cmd_generate,
+     {"--out", "--family", "--n", "--edges", "--delete-fraction", "--seed",
+      "--exponent"}},
+    {"info", cmd_info, {}},
+    {"ingest", cmd_ingest,
+     {"--threads", "--batch", "--query-interval", "--rounds", "--sketch-seed",
+      "--serial"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -262,8 +296,14 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args(argc - 2, argv + 2);
   if (args.bad()) return usage();
-  if (cmd == "generate") return cmd_generate(args);
-  if (cmd == "info") return cmd_info(args);
-  if (cmd == "ingest") return cmd_ingest(args);
+  for (const Command& c : kCommands) {
+    if (cmd != c.name) continue;
+    if (const std::string* flag = args.unknown_flag(c.flags)) {
+      std::cerr << "distsketch_stream: unknown flag " << *flag << " for "
+                << cmd << "\n";
+      return 2;
+    }
+    return c.run(args);
+  }
   return usage();
 }
