@@ -13,9 +13,10 @@ void ByteWriter::put_varint(std::uint64_t value) {
 }
 
 void ByteWriter::put_u32_le(std::uint32_t value) {
-  for (unsigned i = 0; i < 4; ++i) {
-    out_->push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
+  out_->push_back(static_cast<std::uint8_t>(value));
+  out_->push_back(static_cast<std::uint8_t>(value >> 8));
+  out_->push_back(static_cast<std::uint8_t>(value >> 16));
+  out_->push_back(static_cast<std::uint8_t>(value >> 24));
 }
 
 void ByteWriter::put_bytes(std::span<const std::uint8_t> bytes) {
