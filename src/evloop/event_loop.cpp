@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,8 +10,7 @@
 #include <cstring>
 
 #include "obs/obs.h"
-#include "wire/tcp.h"
-#include "wire/test_hooks.h"
+#include "wire/stream_framing.h"
 
 namespace ds::wire {
 
@@ -20,17 +18,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-ssize_t sys_recv(int fd, void* buf, std::size_t len, int flags) {
-  const testhooks::RecvFn fn = testhooks::recv_hook();
-  return fn != nullptr ? fn(fd, buf, len, flags)
-                       : ::recv(fd, buf, len, flags);
-}
-
-ssize_t sys_send(int fd, const void* buf, std::size_t len, int flags) {
-  const testhooks::SendFn fn = testhooks::send_hook();
-  return fn != nullptr ? fn(fd, buf, len, flags)
-                       : ::send(fd, buf, len, flags);
-}
+// Sentinel epoll tag for the wake fd: never collides with a connection
+// id (ids index conns_, which stays far below 2^64 - 1).
+constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 
 /// Event-loop counters, one name family per docs/OBSERVABILITY.md; the
 /// failure rows mirror the blocking transport's table in docs/WIRE.md.
@@ -71,21 +61,15 @@ int time_left_ms(Clock::time_point deadline) {
 
 }  // namespace
 
-/// One connection's session state: the incremental reassembly of the
-/// in-flight inbound message (same prefix/body machine as the blocking
-/// TcpLink, advanced by readiness instead of by a blocking fill) and the
-/// outbound backlog.
+/// One connection's session state: the in-flight inbound message (the
+/// same assembler a blocking Link keeps, advanced by readiness instead of
+/// by a poll before each read) and the outbound backlog.
 struct EventLoop::Conn {
   int fd = -1;
   bool open = false;
   bool want_write = false;  // EPOLLOUT armed
 
-  // Inbound partial-read state.
-  std::uint8_t prefix[4] = {};
-  std::size_t prefix_done = 0;
-  bool have_len = false;
-  std::vector<std::uint8_t> body;
-  std::size_t body_done = 0;
+  MessageAssembler in;
 
   // Outbound backlog: length-prefixed messages corked back to back;
   // [out_done, out.size()) is still owed to the kernel.
@@ -97,329 +81,228 @@ struct EventLoop::Conn {
   }
 };
 
-class EventLoop::Impl {
- public:
-  Impl() {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd_ < 0) {
-      throw WireError("event loop: epoll_create1 failed");
-    }
+EventLoop::EventLoop() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) {
+    throw WireError("event loop: epoll_create1 failed");
   }
-
-  ~Impl() {
-    for (auto& conn : conns_) {
-      if (conn->open) ::close(conn->fd);
-    }
-    ::close(epfd_);
-  }
-
-  void add_wake_fd(int fd) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeTag;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      throw WireError("event loop: epoll_ctl(ADD wake fd) failed");
-    }
-    wake_fd_ = fd;
-  }
-
-  std::size_t add(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->open = true;
-    const std::size_t id = conns_.size();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      throw WireError("event loop: epoll_ctl(ADD) failed");
-    }
-    conns_.push_back(std::move(conn));
-    ++open_;
-    metrics().connections.increment();
-    return id;
-  }
-
-  std::size_t poll_once(std::chrono::milliseconds timeout,
-                        const MessageFn& on_message,
-                        const CloseFn& on_close) {
-    const Clock::time_point deadline = Clock::now() + timeout;
-    events_.resize(conns_.size() + 1);  // +1: the wake fd's slot
-    int n = 0;
-    for (;;) {
-      n = ::epoll_wait(epfd_, events_.data(),
-                       static_cast<int>(events_.size()),
-                       time_left_ms(deadline));
-      if (n >= 0) break;
-      if (errno == EINTR) {
-        metrics().eintr_retries.increment();
-        continue;
-      }
-      throw WireError("event loop: epoll_wait failed");
-    }
-    metrics().polls.increment();
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-      const std::size_t id = static_cast<std::size_t>(events_[i].data.u64);
-      if (id == kWakeTag) {
-        // Consume one wake unit (EFD_SEMAPHORE leaves units for sibling
-        // loops sharing the fd); the wake's only job was ending the wait.
-        std::uint64_t unit = 0;
-        (void)!::read(wake_fd_, &unit, sizeof(unit));
-        metrics().wakeups.increment();
-        continue;
-      }
-      Conn& conn = *conns_[id];
-      if (!conn.open) continue;  // closed earlier in this same pass
-      if ((events_[i].events & EPOLLOUT) != 0) {
-        flush_some(id, on_close);
-      }
-      if (!conn.open) continue;
-      if ((events_[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        drain_read(id, on_message, on_close);
-      }
-    }
-    return static_cast<std::size_t>(n);
-  }
-
-  bool send(std::size_t id, std::span<const std::uint8_t> message,
-            const CloseFn& on_close) {
-    if (id >= conns_.size() || !conns_[id]->open) return false;
-    if (message.size() > kMaxMessageBytes) return false;
-    Conn& conn = *conns_[id];
-    const auto len = static_cast<std::uint32_t>(message.size());
-    // Cork prefix + body (and any messages already queued) into one
-    // contiguous backlog: the next flush hands them to the kernel in a
-    // single send syscall.
-    conn.out.push_back(static_cast<std::uint8_t>(len));
-    conn.out.push_back(static_cast<std::uint8_t>(len >> 8));
-    conn.out.push_back(static_cast<std::uint8_t>(len >> 16));
-    conn.out.push_back(static_cast<std::uint8_t>(len >> 24));
-    conn.out.insert(conn.out.end(), message.begin(), message.end());
-    metrics().messages_sent.increment();
-    flush_some(id, on_close);
-    return conns_[id]->open;
-  }
-
-  bool flush_all(Clock::time_point deadline, const MessageFn& on_message,
-                 const CloseFn& on_close) {
-    for (;;) {
-      bool pending = false;
-      for (const auto& conn : conns_) {
-        if (conn->open && conn->backlog()) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) return true;
-      const int left = time_left_ms(deadline);
-      if (left <= 0) return false;
-      poll_once(std::chrono::milliseconds(left), on_message, on_close);
-    }
-  }
-
-  [[nodiscard]] std::size_t open_connections() const noexcept {
-    return open_;
-  }
-  [[nodiscard]] bool is_open(std::size_t id) const noexcept {
-    return id < conns_.size() && conns_[id]->open;
-  }
-  [[nodiscard]] std::size_t bytes_sent() const noexcept { return sent_; }
-  [[nodiscard]] std::size_t bytes_received() const noexcept {
-    return received_;
-  }
-
- private:
-  void close_conn(std::size_t id, RecvStatus reason,
-                  const CloseFn& on_close) {
-    Conn& conn = *conns_[id];
-    if (!conn.open) return;
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-    ::close(conn.fd);
-    conn.open = false;
-    --open_;
-    if (reason == RecvStatus::kClosed) {
-      metrics().clean_closes.increment();
-    }
-    if (on_close) on_close(id, reason);
-  }
-
-  void update_interest(Conn& conn, std::size_t id) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (conn.want_write ? EPOLLOUT : 0u);
-    ev.data.u64 = id;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
-  }
-
-  /// Push the backlog toward the kernel until it drains or the socket
-  /// stops accepting; arm EPOLLOUT exactly while a remainder exists.
-  void flush_some(std::size_t id, const CloseFn& on_close) {
-    Conn& conn = *conns_[id];
-    while (conn.backlog()) {
-      const ssize_t n =
-          sys_send(conn.fd, conn.out.data() + conn.out_done,
-                   conn.out.size() - conn.out_done, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) {
-          metrics().eintr_retries.increment();
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          metrics().partial_writes.increment();
-          break;
-        }
-        metrics().send_errors.increment();
-        close_conn(id, RecvStatus::kError, on_close);
-        return;
-      }
-      conn.out_done += static_cast<std::size_t>(n);
-      sent_ += static_cast<std::size_t>(n);
-      metrics().bytes_sent.add(static_cast<std::size_t>(n));
-    }
-    if (!conn.backlog()) {
-      conn.out.clear();
-      conn.out_done = 0;
-    }
-    const bool want = conn.backlog();
-    if (want != conn.want_write) {
-      conn.want_write = want;
-      update_interest(conn, id);
-    }
-  }
-
-  /// Drain one readiness event: advance the prefix/body state machine
-  /// until the socket runs dry, emitting every completed message.
-  void drain_read(std::size_t id, const MessageFn& on_message,
-                  const CloseFn& on_close) {
-    Conn& conn = *conns_[id];
-    while (conn.open) {
-      std::uint8_t* target = nullptr;
-      std::size_t want = 0;
-      std::size_t* done = nullptr;
-      if (conn.prefix_done < sizeof(conn.prefix)) {
-        target = conn.prefix;
-        want = sizeof(conn.prefix);
-        done = &conn.prefix_done;
-      } else {
-        if (!conn.have_len) {
-          const std::uint32_t len =
-              static_cast<std::uint32_t>(conn.prefix[0]) |
-              static_cast<std::uint32_t>(conn.prefix[1]) << 8 |
-              static_cast<std::uint32_t>(conn.prefix[2]) << 16 |
-              static_cast<std::uint32_t>(conn.prefix[3]) << 24;
-          if (len > kMaxMessageBytes) {  // reject before allocating
-            metrics().oversized_prefix.increment();
-            close_conn(id, RecvStatus::kError, on_close);
-            return;
-          }
-          conn.body.assign(len, 0);
-          conn.body_done = 0;
-          conn.have_len = true;
-        }
-        if (conn.body_done == conn.body.size()) {
-          finish_message(id, on_message);
-          continue;
-        }
-        target = conn.body.data();
-        want = conn.body.size();
-        done = &conn.body_done;
-      }
-      const ssize_t n = sys_recv(conn.fd, target + *done, want - *done, 0);
-      if (n == 0) {
-        // EOF at a message boundary is a clean close; mid-prefix or
-        // mid-body the boundary is lost — a short read.
-        const bool boundary = conn.prefix_done == 0 && !conn.have_len;
-        if (!boundary) metrics().short_reads.increment();
-        close_conn(id, boundary ? RecvStatus::kClosed : RecvStatus::kError,
-                   on_close);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EINTR) {
-          metrics().eintr_retries.increment();
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained
-        metrics().recv_errors.increment();
-        close_conn(id, RecvStatus::kError, on_close);
-        return;
-      }
-      *done += static_cast<std::size_t>(n);
-      if (conn.prefix_done == sizeof(conn.prefix) && conn.have_len &&
-          conn.body_done == conn.body.size()) {
-        finish_message(id, on_message);
-      }
-    }
-  }
-
-  void finish_message(std::size_t id, const MessageFn& on_message) {
-    Conn& conn = *conns_[id];
-    received_ += sizeof(conn.prefix) + conn.body.size();
-    metrics().messages_received.increment();
-    metrics().bytes_received.add(sizeof(conn.prefix) + conn.body.size());
-    std::vector<std::uint8_t> message = std::move(conn.body);
-    conn.prefix_done = 0;
-    conn.have_len = false;
-    conn.body = {};
-    conn.body_done = 0;
-    if (on_message) on_message(id, std::move(message));
-  }
-
-  // Sentinel epoll tag for the wake fd: never collides with a connection
-  // id (ids index conns_, which stays far below 2^64 - 1).
-  static constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
-
-  int epfd_ = -1;
-  int wake_fd_ = -1;  // not owned; -1 until add_wake_fd
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<epoll_event> events_;
-  std::size_t open_ = 0;
-  std::size_t sent_ = 0;
-  std::size_t received_ = 0;
-};
-
-EventLoop::EventLoop() : impl_(std::make_unique<Impl>()) {}
-EventLoop::~EventLoop() = default;
-
-std::size_t EventLoop::add(int fd) { return impl_->add(fd); }
-
-void EventLoop::add_wake_fd(int fd) { impl_->add_wake_fd(fd); }
-
-std::size_t EventLoop::open_connections() const noexcept {
-  return impl_->open_connections();
 }
 
-bool EventLoop::is_open(std::size_t conn) const noexcept {
-  return impl_->is_open(conn);
+EventLoop::~EventLoop() {
+  for (auto& conn : conns_) {
+    if (conn->open) ::close(conn->fd);
+  }
+  ::close(epfd_);
+}
+
+void EventLoop::add_wake_fd(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeTag;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    throw WireError("event loop: epoll_ctl(ADD wake fd) failed");
+  }
+  wake_fd_ = fd;
+}
+
+std::size_t EventLoop::add(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->open = true;
+  const std::size_t id = conns_.size();
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ::close(fd);
+    throw WireError("event loop: epoll_ctl(ADD) failed");
+  }
+  conns_.push_back(std::move(conn));
+  ++open_;
+  metrics().connections.increment();
+  return id;
+}
+
+bool EventLoop::is_open(std::size_t id) const noexcept {
+  return id < conns_.size() && conns_[id]->open;
 }
 
 std::size_t EventLoop::poll_once(std::chrono::milliseconds timeout,
                                  const MessageFn& on_message,
                                  const CloseFn& on_close) {
-  return impl_->poll_once(timeout, on_message, on_close);
+  const Clock::time_point deadline = Clock::now() + timeout;
+  events_.resize(conns_.size() + 1);  // +1: the wake fd's slot
+  int n = 0;
+  for (;;) {
+    n = ::epoll_wait(epfd_, events_.data(), static_cast<int>(events_.size()),
+                     time_left_ms(deadline));
+    if (n >= 0) break;
+    if (errno == EINTR) {
+      metrics().eintr_retries.increment();
+      continue;
+    }
+    throw WireError("event loop: epoll_wait failed");
+  }
+  metrics().polls.increment();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+    const std::size_t id = static_cast<std::size_t>(events_[i].data.u64);
+    if (id == kWakeTag) {
+      // Consume one wake unit (EFD_SEMAPHORE leaves units for sibling
+      // loops sharing the fd); the wake's only job was ending the wait.
+      std::uint64_t unit = 0;
+      (void)!::read(wake_fd_, &unit, sizeof(unit));
+      metrics().wakeups.increment();
+      continue;
+    }
+    Conn& conn = *conns_[id];
+    if (!conn.open) continue;  // closed earlier in this same pass
+    if ((events_[i].events & EPOLLOUT) != 0) {
+      flush_some(id, on_close);
+    }
+    if (!conn.open) continue;
+    if ((events_[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+      drain_read(id, on_message, on_close);
+    }
+  }
+  return static_cast<std::size_t>(n);
 }
 
-bool EventLoop::send(std::size_t conn, std::span<const std::uint8_t> message) {
-  return impl_->send(conn, message, nullptr);
+bool EventLoop::send(std::size_t id, std::span<const std::uint8_t> message) {
+  if (id >= conns_.size() || !conns_[id]->open) return false;
+  std::uint8_t prefix[kPrefixBytes] = {};
+  if (!write_prefix(message.size(), prefix)) return false;
+  Conn& conn = *conns_[id];
+  // Cork prefix + body (and any messages already queued) into one
+  // contiguous backlog: the next flush hands them to the kernel in a
+  // single send syscall.
+  conn.out.insert(conn.out.end(), prefix, prefix + kPrefixBytes);
+  conn.out.insert(conn.out.end(), message.begin(), message.end());
+  metrics().messages_sent.increment();
+  flush_some(id, nullptr);
+  return conn.open;
 }
 
-bool EventLoop::flush_all(std::chrono::steady_clock::time_point deadline,
+bool EventLoop::flush_all(Clock::time_point deadline,
                           const MessageFn& on_message,
                           const CloseFn& on_close) {
-  return impl_->flush_all(deadline, on_message, on_close);
+  for (;;) {
+    bool pending = false;
+    for (const auto& conn : conns_) {
+      if (conn->open && conn->backlog()) {
+        pending = true;
+        break;
+      }
+    }
+    if (!pending) return true;
+    const int left = time_left_ms(deadline);
+    if (left <= 0) return false;
+    poll_once(std::chrono::milliseconds(left), on_message, on_close);
+  }
 }
 
-std::size_t EventLoop::bytes_sent() const noexcept {
-  return impl_->bytes_sent();
+void EventLoop::close_conn(std::size_t id, RecvStatus reason,
+                           const CloseFn& on_close) {
+  Conn& conn = *conns_[id];
+  if (!conn.open) return;
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
+  conn.open = false;
+  --open_;
+  if (reason == RecvStatus::kClosed) {
+    metrics().clean_closes.increment();
+  }
+  if (on_close) on_close(id, reason);
 }
 
-std::size_t EventLoop::bytes_received() const noexcept {
-  return impl_->bytes_received();
+void EventLoop::update_interest(const Conn& conn, std::size_t id) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (conn.want_write ? EPOLLOUT : 0u);
+  ev.data.u64 = id;
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
+}
+
+/// Push the backlog toward the kernel until it drains or the socket
+/// stops accepting; arm EPOLLOUT exactly while a remainder exists.
+void EventLoop::flush_some(std::size_t id, const CloseFn& on_close) {
+  Conn& conn = *conns_[id];
+  while (conn.backlog()) {
+    const ssize_t n = sys_send(conn.fd, conn.out.data() + conn.out_done,
+                               conn.out.size() - conn.out_done, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        metrics().eintr_retries.increment();
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        metrics().partial_writes.increment();
+        break;
+      }
+      metrics().send_errors.increment();
+      close_conn(id, RecvStatus::kError, on_close);
+      return;
+    }
+    conn.out_done += static_cast<std::size_t>(n);
+    sent_ += static_cast<std::size_t>(n);
+    metrics().bytes_sent.add(static_cast<std::size_t>(n));
+  }
+  if (!conn.backlog()) {
+    conn.out.clear();
+    conn.out_done = 0;
+  }
+  const bool want = conn.backlog();
+  if (want != conn.want_write) {
+    conn.want_write = want;
+    update_interest(conn, id);
+  }
+}
+
+/// Drain one readiness event: read into the connection's assembler until
+/// the socket runs dry, emitting every completed message.
+void EventLoop::drain_read(std::size_t id, const MessageFn& on_message,
+                           const CloseFn& on_close) {
+  Conn& conn = *conns_[id];
+  while (conn.open) {
+    const std::span<std::uint8_t> space = conn.in.space();
+    const ssize_t n = sys_recv(conn.fd, space.data(), space.size(), 0);
+    if (n == 0) {
+      // EOF at a message boundary is a clean close; mid-prefix or
+      // mid-body the boundary is lost — a short read.
+      const bool boundary = conn.in.at_boundary();
+      if (!boundary) metrics().short_reads.increment();
+      close_conn(id, boundary ? RecvStatus::kClosed : RecvStatus::kError,
+                 on_close);
+      return;
+    }
+    if (n < 0) {
+      if (errno == EINTR) {
+        metrics().eintr_retries.increment();
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // drained
+      metrics().recv_errors.increment();
+      close_conn(id, RecvStatus::kError, on_close);
+      return;
+    }
+    const MessageAssembler::Step step =
+        conn.in.fill(static_cast<std::size_t>(n));
+    if (step == MessageAssembler::Step::kOversized) {
+      metrics().oversized_prefix.increment();
+      close_conn(id, RecvStatus::kError, on_close);
+      return;
+    }
+    if (step == MessageAssembler::Step::kMessage) {
+      std::vector<std::uint8_t> message = conn.in.take();
+      received_ += kPrefixBytes + message.size();
+      metrics().messages_received.increment();
+      metrics().bytes_received.add(kPrefixBytes + message.size());
+      if (on_message) on_message(id, std::move(message));
+    }
+  }
 }
 
 }  // namespace ds::wire

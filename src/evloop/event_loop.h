@@ -1,28 +1,29 @@
 // Epoll-driven event loop: the referee's ingestion path.
 //
-// A blocking link (wire/tcp.h) waits on one socket per recv; a referee
-// multiplexing hundreds of players cannot.  wire::EventLoop instead owns
-// N nonblocking fds behind one epoll instance and drives a
-// per-connection partial-read state machine, so a single poll_once()
-// drains every connection that has bytes — a message is reassembled
-// incrementally across as many readiness events as the kernel delivers
-// it in, never requiring a whole message per syscall slice.
+// A blocking link (wire/transport.h) waits on one socket per recv; a
+// referee multiplexing hundreds of players cannot.  wire::EventLoop
+// instead owns N nonblocking fds behind one epoll instance and keeps a
+// per-connection MessageAssembler (wire/stream_framing.h), so a single
+// poll_once() drains every connection that has bytes — a message is
+// reassembled incrementally across as many readiness events as the
+// kernel delivers it in, never requiring a whole message per syscall
+// slice.
 //
-// Message framing is byte-identical to the blocking TCP transport: a
-// 4-byte little-endian length prefix followed by the body (a batch of
-// self-delimiting CRC'd frames, wire/frame.h), with the same
-// kMaxMessageBytes cap rejected before allocation.  A peer speaking to a
-// TcpLink and a peer speaking to an EventLoop connection cannot tell the
-// difference — that is what lets the referee's shards serve the blocking
-// player client.
+// The loop is the second driver of the link's framing machine, not a
+// copy of it: the same prefix writer, the same assembler, the same
+// kMaxMessageBytes cap rejected before allocation, the same hooked
+// syscalls.  A peer speaking to a wire::Link and a peer speaking to an
+// EventLoop connection cannot tell the difference — that is what lets
+// the referee's shards serve the blocking player client.
 //
-// Failure modes mirror the blocking transport's taxonomy (docs/WIRE.md):
-// EOF at a message boundary -> kClosed; EOF mid-prefix or mid-body ->
-// kError (short read); an oversized prefix -> kError before allocating; a
-// socket error -> kError; EINTR is retried transparently and EAGAIN
-// simply ends the drain for that readiness event.  The syscall test hooks
-// (wire/test_hooks.h) interpose here exactly as they do on the blocking
-// path, so the failure-injection suite drives both with one harness.
+// Failure modes are the link's taxonomy (docs/WIRE.md), counted under
+// wire.evloop.*: EOF at a message boundary -> kClosed; EOF mid-prefix or
+// mid-body -> kError (short read); an oversized prefix -> kError before
+// allocating; a socket error -> kError; EINTR is retried transparently
+// and EAGAIN simply ends the drain for that readiness event.  The
+// syscall test hooks (wire/test_hooks.h) reach the loop exactly as they
+// reach the link, so the failure-injection suite drives both with one
+// harness.
 //
 // Writes are queued per connection in one contiguous backlog (prefix and
 // body corked together, several messages coalescing into one send
@@ -30,6 +31,8 @@
 // while a backlog exists.  The loop is single-threaded by design: one
 // shard = one loop = one thread (service/shard.h).
 #pragma once
+
+#include <sys/epoll.h>
 
 #include <chrono>
 #include <cstddef>
@@ -74,7 +77,9 @@ class EventLoop {
   void add_wake_fd(int fd);
 
   /// Connections still registered (added minus closed).
-  [[nodiscard]] std::size_t open_connections() const noexcept;
+  [[nodiscard]] std::size_t open_connections() const noexcept {
+    return open_;
+  }
   [[nodiscard]] bool is_open(std::size_t conn) const noexcept;
 
   /// One epoll_wait pass: waits at most `timeout` for readiness, then
@@ -100,13 +105,27 @@ class EventLoop {
 
   /// Transport-level byte accounting, aggregated over all connections
   /// (prefixes included), same contract as Link::bytes_sent/received.
-  [[nodiscard]] std::size_t bytes_sent() const noexcept;
-  [[nodiscard]] std::size_t bytes_received() const noexcept;
+  [[nodiscard]] std::size_t bytes_sent() const noexcept { return sent_; }
+  [[nodiscard]] std::size_t bytes_received() const noexcept {
+    return received_;
+  }
 
  private:
   struct Conn;
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+
+  void close_conn(std::size_t id, RecvStatus reason, const CloseFn& on_close);
+  void update_interest(const Conn& conn, std::size_t id);
+  void flush_some(std::size_t id, const CloseFn& on_close);
+  void drain_read(std::size_t id, const MessageFn& on_message,
+                  const CloseFn& on_close);
+
+  int epfd_ = -1;
+  int wake_fd_ = -1;  // not owned; -1 until add_wake_fd
+  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<epoll_event> events_;
+  std::size_t open_ = 0;
+  std::size_t sent_ = 0;
+  std::size_t received_ = 0;
 };
 
 }  // namespace ds::wire

@@ -1,12 +1,12 @@
-// In-process transport: a connected AF_UNIX socketpair with a TcpLink on
-// each end.
+// In-process transport: a connected AF_UNIX socketpair with a wire::Link
+// on each end.
 //
 // Loopback exists so the referee service, the audit cross-check, and the
 // benches can run the full frame path — encode, batch, send, decode,
-// verify — with no network and no flakiness.  Both ends speak the TCP
-// transport's length-prefixed framing (wire/tcp.h), so the referee end
-// moves into the referee's event loop (wire::release_fd) exactly as an
-// accepted TCP connection does.  send() blocks once the kernel's socket
+// verify — with no network and no flakiness.  Both ends speak the
+// length-prefixed stream framing (wire/stream_framing.h), so the referee
+// end moves into the referee's event loop (wire::release_fd) exactly as
+// an accepted TCP connection does.  send() blocks once the kernel's socket
 // buffer is full (about 208 KiB by default on Linux), so a thread that
 // sends a batch and then serves must keep the batch under that, or send
 // from another thread.

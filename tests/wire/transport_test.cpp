@@ -2,7 +2,9 @@
 // timeouts, clean close vs short read, oversized-length rejection, byte
 // counters, and handing a socket back (release_fd).  The TCP cases run
 // against a real socket pair on 127.0.0.1 so the failure modes are the
-// genuine article.
+// genuine article.  The MessageAssembler cases drive the framing machine
+// both transports share directly, at the edge of the length cap and under
+// every chunking of a stream.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -10,9 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
+#include <span>
 #include <thread>
 
 #include "wire/loopback.h"
+#include "wire/stream_framing.h"
 #include "wire/tcp.h"
 
 namespace ds {
@@ -255,6 +261,80 @@ TEST(Tcp, ConnectToClosedPortFails) {
 TEST(Tcp, ListenerAcceptTimesOut) {
   wire::TcpListener listener;
   EXPECT_EQ(listener.accept(20ms), nullptr);
+}
+
+/// Hand a fresh assembler the prefix announcing `len`, in one fill.  It
+/// is written by hand: write_prefix refuses a length above the cap.
+wire::MessageAssembler::Step fill_prefix(wire::MessageAssembler& in,
+                                         std::uint32_t len) {
+  const std::span<std::uint8_t> space = in.space();
+  if (space.size() != wire::kPrefixBytes) {
+    ADD_FAILURE() << "a fresh assembler reads the prefix first";
+    return wire::MessageAssembler::Step::kMore;
+  }
+  for (std::size_t i = 0; i < wire::kPrefixBytes; ++i) {
+    space[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  return in.fill(wire::kPrefixBytes);
+}
+
+TEST(MessageAssembler, PrefixAtTheCapIsAcceptedAndItsBodyAllocated) {
+  wire::MessageAssembler in;
+  EXPECT_EQ(fill_prefix(in, wire::kMaxMessageBytes),
+            wire::MessageAssembler::Step::kMore);
+  EXPECT_EQ(in.space().size(), wire::kMaxMessageBytes);
+  EXPECT_FALSE(in.at_boundary());
+  std::uint8_t prefix[wire::kPrefixBytes] = {};
+  EXPECT_TRUE(wire::write_prefix(wire::kMaxMessageBytes, prefix));
+}
+
+TEST(MessageAssembler, PrefixOneOverTheCapIsRefusedBeforeAnyBody) {
+  wire::MessageAssembler in;
+  EXPECT_EQ(fill_prefix(in, wire::kMaxMessageBytes + 1),
+            wire::MessageAssembler::Step::kOversized);
+  EXPECT_TRUE(in.space().empty());  // no body buffer was made
+  std::uint8_t prefix[wire::kPrefixBytes] = {};
+  EXPECT_FALSE(wire::write_prefix(wire::kMaxMessageBytes + 1, prefix));
+}
+
+TEST(MessageAssembler, EveryChunkingYieldsTheSameMessages) {
+  // Messages of 0, 1 and 300 bytes back to back, delivered in slices of
+  // every size from 1 to the whole stream: each slice is read into
+  // space() as a socket read would be, possibly across several fills.
+  std::vector<std::vector<std::uint8_t>> sent = {{}, {0x5A}, {}};
+  for (int i = 0; i < 300; ++i) {
+    sent[2].push_back(static_cast<std::uint8_t>(i * 37 + 11));
+  }
+  std::vector<std::uint8_t> stream;
+  for (const std::vector<std::uint8_t>& body : sent) {
+    std::uint8_t prefix[wire::kPrefixBytes] = {};
+    ASSERT_TRUE(wire::write_prefix(body.size(), prefix));
+    stream.insert(stream.end(), prefix, prefix + wire::kPrefixBytes);
+    stream.insert(stream.end(), body.begin(), body.end());
+  }
+  for (std::size_t slice = 1; slice <= stream.size(); ++slice) {
+    wire::MessageAssembler in;
+    std::vector<std::vector<std::uint8_t>> got;
+    for (std::size_t at = 0; at < stream.size();) {
+      std::size_t left = std::min(slice, stream.size() - at);
+      while (left > 0) {
+        const std::span<std::uint8_t> space = in.space();
+        ASSERT_FALSE(space.empty());
+        const std::size_t n = std::min(left, space.size());
+        std::memcpy(space.data(), stream.data() + at, n);
+        at += n;
+        left -= n;
+        const wire::MessageAssembler::Step step = in.fill(n);
+        ASSERT_NE(step, wire::MessageAssembler::Step::kOversized);
+        if (step == wire::MessageAssembler::Step::kMessage) {
+          got.push_back(in.take());
+          EXPECT_TRUE(in.at_boundary()) << "slice " << slice;
+        }
+      }
+    }
+    EXPECT_EQ(got, sent) << "slice " << slice;
+    EXPECT_TRUE(in.at_boundary()) << "slice " << slice;
+  }
 }
 
 }  // namespace
