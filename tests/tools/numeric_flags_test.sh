@@ -12,6 +12,8 @@
 #   distsketch_service serve --port 70000          (does not fit uint16_t)
 #   distsketch_service serve --players abc
 #   distsketch_service player --players 0          (no vertex shard to own)
+#   distsketch_service serve --portt 5             (misspelled flag)
+#   distsketch_service player --shards 2           (a flag only serve reads)
 #
 # usage: numeric_flags_test.sh <distsketch_stream> <distsketch_service>
 set -u
@@ -53,4 +55,6 @@ expect_bad_flag --players "$service_tool" serve --timeout-ms 200 \
   --players abc
 expect_bad_flag --players "$service_tool" player --timeout-ms 200 \
   --players 0
+expect_bad_flag --portt "$service_tool" serve --timeout-ms 200 --portt 5
+expect_bad_flag --shards "$service_tool" player --timeout-ms 200 --shards 2
 [ "$failures" -eq 0 ]

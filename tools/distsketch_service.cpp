@@ -19,8 +19,9 @@
 // connectivity, two-round-matching (two rounds, exercises the referee's
 // inter-round broadcast).
 //
-// Numeric flags are checked (tools/flags.h): a value that is not all
-// digits, or does not fit its field, exits 2 naming the flag.
+// Flags are checked (tools/flags.h): a value that is not all digits, or
+// does not fit its field, exits 2 naming the flag, as does any flag the
+// command does not read (`player --shards 2`, `serve --portt 5`).
 //
 // Scenario mode: `--scenario <id>` replaces the ad-hoc --protocol/--n/--p
 // plumbing with a registered instance family (scenario::find).  Both
@@ -36,7 +37,9 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -164,11 +167,16 @@ void print_scenarios(std::ostream& out) {
   }
 }
 
-/// A numeric flag's value, checked (tools/flags.h): bad input exits 2.
-template <typename T>
-T number(const std::string& key, const std::string& value) {
-  return ds::tools::parse_flag<T>("distsketch_service", key, value);
-}
+/// The flags each command reads; any other flag exits 2 naming it.
+constexpr std::string_view kServeFlags[] = {
+    "--port", "--shards", "--players", "--protocol", "--n", "--coin-seed",
+    "--scenario", "--budget", "--trial-seed", "--timeout-ms",
+    "--metrics-out", "--metrics-interval-ms", "--list-scenarios"};
+constexpr std::string_view kPlayerFlags[] = {
+    "--host", "--port", "--index", "--players", "--protocol", "--n", "--p",
+    "--graph-seed", "--coin-seed", "--scenario", "--budget", "--trial-seed",
+    "--timeout-ms", "--metrics-out", "--metrics-interval-ms",
+    "--list-scenarios"};
 
 Options parse(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
@@ -178,53 +186,41 @@ Options parse(int argc, char** argv) {
     opt.list_scenarios = true;
     return opt;
   }
-  if (opt.command != "serve" && opt.command != "player") usage(argv[0]);
-  for (int i = 2; i < argc; ++i) {
-    const std::string key = argv[i];
-    if (key == "--list-scenarios") {
-      opt.list_scenarios = true;
-      continue;
-    }
-    if (i + 1 >= argc) usage(argv[0]);
-    const std::string value = argv[++i];
-    using Ms = std::chrono::milliseconds;
-    if (key == "--host") {
-      opt.host = value;
-    } else if (key == "--port") {
-      opt.port = number<std::uint16_t>(key, value);
-    } else if (key == "--protocol") {
-      opt.protocol = value;
-      opt.protocol_set = true;
-    } else if (key == "--scenario") {
-      opt.scenario = value;
-    } else if (key == "--budget") {
-      opt.budget = number<std::size_t>(key, value);
-    } else if (key == "--trial-seed") {
-      opt.trial_seed = number<std::uint64_t>(key, value);
-    } else if (key == "--n") {
-      opt.n = number<ds::graph::Vertex>(key, value);
-    } else if (key == "--p") {
-      opt.p = number<double>(key, value);
-    } else if (key == "--graph-seed") {
-      opt.graph_seed = number<std::uint64_t>(key, value);
-    } else if (key == "--coin-seed") {
-      opt.coin_seed = number<std::uint64_t>(key, value);
-    } else if (key == "--players") {
-      opt.players = number<std::size_t>(key, value);
-    } else if (key == "--index") {
-      opt.index = number<std::size_t>(key, value);
-    } else if (key == "--shards") {
-      opt.shards = number<std::size_t>(key, value);
-    } else if (key == "--timeout-ms") {
-      opt.timeout = Ms(number<Ms::rep>(key, value));
-    } else if (key == "--metrics-out") {
-      opt.metrics_out = value;
-    } else if (key == "--metrics-interval-ms") {
-      opt.metrics_interval = Ms(number<Ms::rep>(key, value));
-    } else {
-      usage(argv[0]);
-    }
+  std::span<const std::string_view> known;
+  if (opt.command == "serve") {
+    known = kServeFlags;
+  } else if (opt.command == "player") {
+    known = kPlayerFlags;
+  } else {
+    usage(argv[0]);
   }
+  const ds::tools::Args args("distsketch_service", argc - 2, argv + 2);
+  if (args.bad() || !args.positional.empty()) usage(argv[0]);
+  if (const std::string* flag = args.unknown_flag(known)) {
+    std::cerr << "distsketch_service: unknown flag " << *flag << " for "
+              << opt.command << "\n";
+    std::exit(2);
+  }
+  using Ms = std::chrono::milliseconds;
+  opt.list_scenarios = args.has("--list-scenarios");
+  opt.host = args.get("--host", opt.host);
+  opt.port = args.get_number("--port", opt.port);
+  opt.protocol = args.get("--protocol", opt.protocol);
+  opt.protocol_set = args.has("--protocol");
+  opt.scenario = args.get("--scenario", opt.scenario);
+  opt.budget = args.get_number("--budget", opt.budget);
+  opt.trial_seed = args.get_number("--trial-seed", opt.trial_seed);
+  opt.n = args.get_number("--n", opt.n);
+  opt.p = args.get_number("--p", opt.p);
+  opt.graph_seed = args.get_number("--graph-seed", opt.graph_seed);
+  opt.coin_seed = args.get_number("--coin-seed", opt.coin_seed);
+  opt.players = args.get_number("--players", opt.players);
+  opt.index = args.get_number("--index", opt.index);
+  opt.shards = args.get_number("--shards", opt.shards);
+  opt.timeout = Ms(args.get_number("--timeout-ms", opt.timeout.count()));
+  opt.metrics_out = args.get("--metrics-out", opt.metrics_out);
+  opt.metrics_interval = Ms(
+      args.get_number("--metrics-interval-ms", opt.metrics_interval.count()));
   if (opt.shards == 0) {
     std::cerr << "distsketch_service: --shards must be at least 1\n";
     usage(argv[0]);

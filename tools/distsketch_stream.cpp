@@ -25,7 +25,6 @@
 // `--batch 0` and any flag the command does not read.
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -60,57 +59,7 @@ int usage() {
   return 2;
 }
 
-/// Pull `--flag value` pairs out of argv; positional args stay in order.
-struct Args {
-  std::vector<std::string> positional;
-
-  explicit Args(int argc, char** argv) {
-    for (int i = 0; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        if (arg == "--serial") {
-          flags_.emplace_back(arg, "1");
-        } else if (i + 1 < argc) {
-          flags_.emplace_back(arg, argv[++i]);
-        } else {
-          bad_ = true;
-        }
-      } else {
-        positional.push_back(arg);
-      }
-    }
-  }
-
-  [[nodiscard]] bool bad() const noexcept { return bad_; }
-  /// The first flag not in `known`, or null if every flag is known.
-  [[nodiscard]] const std::string* unknown_flag(
-      std::span<const std::string_view> known) const {
-    for (const auto& [k, v] : flags_) {
-      if (std::find(known.begin(), known.end(), k) == known.end()) return &k;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] std::string get(const std::string& name,
-                                const std::string& fallback) const {
-    for (const auto& [k, v] : flags_) {
-      if (k == name) return v;
-    }
-    return fallback;
-  }
-  /// A numeric flag's value as the T it sets, checked (tools/flags.h):
-  /// bad input exits 2 naming the flag.
-  template <typename T>
-  [[nodiscard]] T get_number(const std::string& name, T fallback) const {
-    for (const auto& [k, v] : flags_) {
-      if (k == name) return tools::parse_flag<T>("distsketch_stream", k, v);
-    }
-    return fallback;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> flags_;
-  bool bad_ = false;
-};
+using tools::Args;
 
 /// Bytes of sketch state an ingest holds at once: the n-row table, plus
 /// the one snapshot copy a background query takes.  Saturates instead of
@@ -225,7 +174,7 @@ int cmd_ingest(const Args& args) {
   }
   options.query_interval =
       args.get_number<std::uint64_t>("--query-interval", 0);
-  options.serial = args.get("--serial", "").empty() ? false : true;
+  options.serial = args.has("--serial");
   const auto rounds = args.get_number<unsigned>("--rounds", 2);
 
   // A header may claim any n below 2^32: check what that n costs before
@@ -294,7 +243,7 @@ const Command kCommands[] = {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args(argc - 2, argv + 2);
+  const Args args("distsketch_stream", argc - 2, argv + 2);
   if (args.bad()) return usage();
   for (const Command& c : kCommands) {
     if (cmd != c.name) continue;
