@@ -12,40 +12,41 @@ namespace {
 constexpr std::uint32_t kGuardPatternA = 0xA5A5'A5A5u;
 constexpr std::uint32_t kGuardPatternB = 0x5A5A'5A5Au;
 
+/// Canary slots placed before and after each player's row copy; a sketch
+/// that depends on them read outside its own adjacency row.
+constexpr std::size_t kGuardSlots = 8;
+
 /// A player's row (and weights, when present) copied into fresh storage
-/// with `guard_slots` canary entries on each side.  The interior spans are
+/// with kGuardSlots canary entries on each side.  The interior spans are
 /// what the audited view hands to the encoder: an encoder that walks off
 /// either end of its span reads canaries instead of a neighbor's row.
 struct GuardedRow {
   std::vector<graph::Vertex> row_buf;
   std::vector<std::uint32_t> weight_buf;
-  std::size_t guard = 0;
   std::size_t degree = 0;
   bool has_weights = false;
 
   [[nodiscard]] std::span<const graph::Vertex> row() const noexcept {
-    return {row_buf.data() + guard, degree};
+    return {row_buf.data() + kGuardSlots, degree};
   }
   [[nodiscard]] std::span<const std::uint32_t> weights() const noexcept {
     if (!has_weights) return {};
-    return {weight_buf.data() + guard, degree};
+    return {weight_buf.data() + kGuardSlots, degree};
   }
 };
 
 GuardedRow make_guarded_row(std::span<const graph::Vertex> row,
                             std::span<const std::uint32_t> weights,
-                            std::size_t guard_slots, std::uint32_t pattern) {
+                            std::uint32_t pattern) {
   GuardedRow g;
-  g.guard = guard_slots;
   g.degree = row.size();
   g.has_weights = !weights.empty();
-  g.row_buf.assign(row.size() + 2 * guard_slots, pattern);
-  std::copy(row.begin(), row.end(), g.row_buf.begin() +
-                                        static_cast<std::ptrdiff_t>(guard_slots));
+  g.row_buf.assign(row.size() + 2 * kGuardSlots, pattern);
+  std::copy(row.begin(), row.end(), g.row_buf.begin() + kGuardSlots);
   if (g.has_weights) {
-    g.weight_buf.assign(weights.size() + 2 * guard_slots, pattern);
+    g.weight_buf.assign(weights.size() + 2 * kGuardSlots, pattern);
     std::copy(weights.begin(), weights.end(),
-              g.weight_buf.begin() + static_cast<std::ptrdiff_t>(guard_slots));
+              g.weight_buf.begin() + kGuardSlots);
   }
   return g;
 }
@@ -144,47 +145,39 @@ util::BitString audited_encode_player(
     const EncodeFn& encode, graph::Vertex n, graph::Vertex v,
     std::span<const graph::Vertex> row,
     std::span<const std::uint32_t> weights, std::uint64_t coin_seed,
-    const AuditConfig& cfg, AuditReport& report,
-    std::string_view proto_name) {
-  const GuardedRow copy_a =
-      make_guarded_row(row, weights, cfg.guard_slots, kGuardPatternA);
+    AuditReport& report, std::string_view proto_name) {
+  const GuardedRow copy_a = make_guarded_row(row, weights, kGuardPatternA);
   const util::BitString pass1 = encode_on(encode, n, v, copy_a, coin_seed,
                                           report);
+  const GuardedRow copy_b = make_guarded_row(row, weights, kGuardPatternB);
+  const util::BitString pass2 = encode_on(encode, n, v, copy_b, coin_seed,
+                                          report);
+  const util::BitString pass3 = encode_on(encode, n, v, copy_a, coin_seed,
+                                          report);
 
-  if (cfg.check_locality || cfg.check_determinism) {
-    const GuardedRow copy_b =
-        make_guarded_row(row, weights, cfg.guard_slots, kGuardPatternB);
-    const util::BitString pass2 = encode_on(encode, n, v, copy_b, coin_seed,
-                                            report);
-    const util::BitString pass3 = encode_on(encode, n, v, copy_a, coin_seed,
-                                            report);
-
-    // Classification order matters: pass1 and pass3 saw byte-identical
-    // inputs, so any difference is nondeterminism; once replays agree, a
-    // pass1/pass2 difference can only come from the guard canaries.
-    if (cfg.check_determinism && !same_message(pass1, pass3)) {
-      std::ostringstream out;
-      out << player_label(proto_name, v)
-          << ": two encodes with the identical view and identical public "
-             "coins produced different messages ("
-          << pass1.bit_count() << " vs " << pass3.bit_count()
-          << " bits) — sketches must be deterministic functions of "
-             "(view, coins)";
-      fail(Invariant::kCoinDeterminism, out.str());
-    }
-    if (cfg.check_locality && !same_message(pass1, pass2)) {
-      std::ostringstream out;
-      out << player_label(proto_name, v)
-          << ": message changed when only the memory OUTSIDE the player's "
-             "own adjacency row changed — the sketch read beyond its view "
-             "(paper Section 2.1 locality)";
-      fail(Invariant::kLocality, out.str());
-    }
+  // Classification order matters: pass1 and pass3 saw byte-identical
+  // inputs, so any difference is nondeterminism; once replays agree, a
+  // pass1/pass2 difference can only come from the guard canaries.
+  if (!same_message(pass1, pass3)) {
+    std::ostringstream out;
+    out << player_label(proto_name, v)
+        << ": two encodes with the identical view and identical public "
+           "coins produced different messages ("
+        << pass1.bit_count() << " vs " << pass3.bit_count()
+        << " bits) — sketches must be deterministic functions of "
+           "(view, coins)";
+    fail(Invariant::kCoinDeterminism, out.str());
+  }
+  if (!same_message(pass1, pass2)) {
+    std::ostringstream out;
+    out << player_label(proto_name, v)
+        << ": message changed when only the memory OUTSIDE the player's "
+           "own adjacency row changed — the sketch read beyond its view "
+           "(paper Section 2.1 locality)";
+    fail(Invariant::kLocality, out.str());
   }
 
-  if (cfg.check_accounting) {
-    check_message_accounting(pass1, player_label(proto_name, v), report);
-  }
+  check_message_accounting(pass1, player_label(proto_name, v), report);
   ++report.players_audited;
   return pass1;
 }
@@ -193,9 +186,8 @@ util::BitString encode_player_once(
     const EncodeFn& encode, graph::Vertex n, graph::Vertex v,
     std::span<const graph::Vertex> row,
     std::span<const std::uint32_t> weights, std::uint64_t coin_seed,
-    const AuditConfig& cfg, AuditReport& report) {
-  const GuardedRow copy =
-      make_guarded_row(row, weights, cfg.guard_slots, kGuardPatternA);
+    AuditReport& report) {
+  const GuardedRow copy = make_guarded_row(row, weights, kGuardPatternA);
   return encode_on(encode, n, v, copy, coin_seed, report);
 }
 

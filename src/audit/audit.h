@@ -57,15 +57,6 @@ class AuditError : public std::runtime_error {
 /// Report the violation and fail: throws AuditError.
 [[noreturn]] void fail(Invariant inv, const std::string& detail);
 
-struct AuditConfig {
-  /// Canary slots placed before and after each player's row copy; a sketch
-  /// that depends on them read outside its own adjacency row.
-  std::size_t guard_slots = 8;
-  bool check_locality = true;
-  bool check_determinism = true;
-  bool check_accounting = true;
-};
-
 struct AuditReport {
   std::size_t players_audited = 0;
   std::size_t encode_calls = 0;   // including replays and scrub passes
@@ -105,7 +96,7 @@ using EncodeFn =
     const EncodeFn& encode, graph::Vertex n, graph::Vertex v,
     std::span<const graph::Vertex> row,
     std::span<const std::uint32_t> weights, std::uint64_t coin_seed,
-    const AuditConfig& cfg, AuditReport& report, std::string_view proto_name);
+    AuditReport& report, std::string_view proto_name);
 
 /// One additional guarded encode of the player (pattern A, fresh coins),
 /// for order-permutation probes; performs no checks itself.
@@ -113,7 +104,7 @@ using EncodeFn =
     const EncodeFn& encode, graph::Vertex n, graph::Vertex v,
     std::span<const graph::Vertex> row,
     std::span<const std::uint32_t> weights, std::uint64_t coin_seed,
-    const AuditConfig& cfg, AuditReport& report);
+    AuditReport& report);
 
 /// Encode the player on a decoy (degree-zero) view and discard the output.
 /// Honest referees never notice; a referee whose output changes afterwards

@@ -20,7 +20,7 @@ std::string refined_label(const lowerbound::RefinedEncoder& encoder,
 AuditedRefinedResult run_refined_audited(
     const lowerbound::DmmInstance& inst,
     const std::vector<lowerbound::RefinedPlayer>& players,
-    const lowerbound::RefinedEncoder& encoder, const AuditConfig& config) {
+    const lowerbound::RefinedEncoder& encoder) {
   AuditedRefinedResult result;
   result.messages.reserve(players.size());
 
@@ -33,53 +33,47 @@ AuditedRefinedResult run_refined_audited(
     ++result.report.encode_calls;
     util::BitString message(writer);
 
-    if (config.check_determinism) {
-      // Replay from a distinct copy of the player: identical input, fresh
-      // addresses.  The proof fixes the protocol's randomness, so any
-      // difference is a conformance bug.
-      const lowerbound::RefinedPlayer copy = player;
-      util::BitWriter replay_writer;
-      encoder.encode(inst.params, copy, replay_writer);
-      ++result.report.encode_calls;
-      const util::BitString replay(replay_writer);
-      if (!same_message(message, replay)) {
-        fail(Invariant::kCoinDeterminism,
-             who + ": two encodes of the identical player produced "
-                   "different messages — refined encoders must be "
-                   "deterministic (Yao-fixed randomness)");
-      }
+    // Replay from a distinct copy of the player: identical input, fresh
+    // addresses.  The proof fixes the protocol's randomness, so any
+    // difference is a conformance bug.
+    const lowerbound::RefinedPlayer copy = player;
+    util::BitWriter replay_writer;
+    encoder.encode(inst.params, copy, replay_writer);
+    ++result.report.encode_calls;
+    const util::BitString replay(replay_writer);
+    if (!same_message(message, replay)) {
+      fail(Invariant::kCoinDeterminism,
+           who + ": two encodes of the identical player produced "
+                 "different messages — refined encoders must be "
+                 "deterministic (Yao-fixed randomness)");
     }
 
-    if (config.check_accounting) {
-      check_message_accounting(message, who, result.report);
-    }
+    check_message_accounting(message, who, result.report);
 
-    if (config.check_locality) {
-      // Whatever edge list the decoder recovers must be contained in the
-      // player's view; reporting an unseen edge means the encoder consulted
-      // state beyond its input.
-      util::BitReader reader(message);
-      const std::vector<graph::Edge> reported =
-          encoder.decode(inst.params, reader);
-      if (config.check_accounting && reader.position() > message.bit_count()) {
-        fail(Invariant::kBitAccounting,
-             who + ": decoder consumed more bits than the message was "
-                   "charged for");
-      }
-      for (const graph::Edge& e : reported) {
-        const graph::Edge norm = e.normalized();
-        const bool visible = std::any_of(
-            player.edges.begin(), player.edges.end(),
-            [&norm](const graph::Edge& own) {
-              return own.normalized() == norm;
-            });
-        if (!visible) {
-          std::ostringstream out;
-          out << who << ": reported edge (" << e.u << ", " << e.v
-              << ") is not in the player's view — the encoder read an edge "
-                 "it does not hold (locality)";
-          fail(Invariant::kLocality, out.str());
-        }
+    // Whatever edge list the decoder recovers must be contained in the
+    // player's view; reporting an unseen edge means the encoder consulted
+    // state beyond its input.
+    util::BitReader reader(message);
+    const std::vector<graph::Edge> reported =
+        encoder.decode(inst.params, reader);
+    if (reader.position() > message.bit_count()) {
+      fail(Invariant::kBitAccounting,
+           who + ": decoder consumed more bits than the message was "
+                 "charged for");
+    }
+    for (const graph::Edge& e : reported) {
+      const graph::Edge norm = e.normalized();
+      const bool visible = std::any_of(
+          player.edges.begin(), player.edges.end(),
+          [&norm](const graph::Edge& own) {
+            return own.normalized() == norm;
+          });
+      if (!visible) {
+        std::ostringstream out;
+        out << who << ": reported edge (" << e.u << ", " << e.v
+            << ") is not in the player's view — the encoder read an edge "
+               "it does not hold (locality)";
+        fail(Invariant::kLocality, out.str());
       }
     }
 

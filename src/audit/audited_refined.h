@@ -31,6 +31,6 @@ struct AuditedRefinedResult {
 [[nodiscard]] AuditedRefinedResult run_refined_audited(
     const lowerbound::DmmInstance& inst,
     const std::vector<lowerbound::RefinedPlayer>& players,
-    const lowerbound::RefinedEncoder& encoder, const AuditConfig& config = {});
+    const lowerbound::RefinedEncoder& encoder);
 
 }  // namespace ds::audit

@@ -99,10 +99,10 @@ class AuditSource {
  public:
   AuditSource(graph::Vertex n, RowFn row_of, WeightFn weights_of,
               const model::Protocol<Output>& protocol, std::uint64_t seed,
-              const AuditConfig& config, parallel::ThreadPool* pool)
+              parallel::ThreadPool* pool)
       : n_(n), row_of_(std::move(row_of)),
         weights_of_(std::move(weights_of)), protocol_(&protocol),
-        seed_(seed), config_(&config), pool_(pool) {}
+        seed_(seed), pool_(pool) {}
 
   [[nodiscard]] std::vector<util::BitString> collect(
       unsigned round, std::span<const util::BitString> broadcasts) {
@@ -116,8 +116,7 @@ class AuditSource {
           const auto v = static_cast<graph::Vertex>(i);
           sketches[i] =
               audited_encode_player(encode, n_, v, row_of_(v),
-                                    weights_of_(v), seed_, *config_, acc,
-                                    name);
+                                    weights_of_(v), seed_, acc, name);
         },
         [](AuditReport& into, const AuditReport& from) {
           into.merge(from);
@@ -137,7 +136,6 @@ class AuditSource {
   WeightFn weights_of_;
   const model::Protocol<Output>* protocol_;
   std::uint64_t seed_;
-  const AuditConfig* config_;
   parallel::ThreadPool* pool_;
   AuditReport report_;
 };
@@ -167,9 +165,8 @@ template <typename Output>
 class AuditInstrumentation {
  public:
   AuditInstrumentation(const std::string& proto_name,
-                       const AuditConfig& config,
                        AuditReport& report) noexcept
-      : proto_name_(&proto_name), config_(&config), report_(&report) {}
+      : proto_name_(&proto_name), report_(&report) {}
 
   [[nodiscard]] engine::PlainInstrumentation::NoSpan collect_span()
       const noexcept {
@@ -183,7 +180,6 @@ class AuditInstrumentation {
   void on_round(unsigned, unsigned,
                 const model::CommStats&) const noexcept {}
   void on_broadcast(unsigned round, const util::BitString& b) const {
-    if (!config_->check_accounting) return;
     check_message_accounting(
         b, "protocol '" + *proto_name_ + "', broadcast after round " +
                std::to_string(round),
@@ -192,7 +188,6 @@ class AuditInstrumentation {
 
  private:
   const std::string* proto_name_;
-  const AuditConfig* config_;
   AuditReport* report_;
 };
 
@@ -200,11 +195,9 @@ class AuditInstrumentation {
 
 class AuditedRunner {
  public:
-  explicit AuditedRunner(std::uint64_t coin_seed, AuditConfig config = {})
-      : seed_(coin_seed), config_(config) {}
+  explicit AuditedRunner(std::uint64_t coin_seed) : seed_(coin_seed) {}
 
   [[nodiscard]] std::uint64_t coin_seed() const noexcept { return seed_; }
-  [[nodiscard]] const AuditConfig& config() const noexcept { return config_; }
 
   /// Audited equivalent of model::run_protocol on an unweighted graph.
   /// The forward encode pass and the scrub probe fan out across the pool
@@ -246,71 +239,63 @@ class AuditedRunner {
     AuditReport report;
 
     detail::AuditSource<RowFn, WeightFn, Output> source(
-        n, row_of, weights_of, protocol, seed_, config_, pool);
+        n, row_of, weights_of, protocol, seed_, pool);
     const model::PublicCoins coins(seed_);
-    detail::AuditInstrumentation instr(proto_name, config_, report);
+    detail::AuditInstrumentation instr(proto_name, report);
     engine::EngineResult<Output> run =
         engine::run_rounds(n, protocol, coins, source, instr);
     report.merge(source.report());
 
-    if (config_.check_locality) {
-      // Order probe: replaying players back-to-front must reproduce the
-      // forward-pass messages bit for bit, in every round.
-      for (unsigned round = 0; round < rounds; ++round) {
-        const EncodeFn encode =
-            detail::round_encode(protocol, round, run.broadcasts);
-        for (graph::Vertex v = n; v-- > 0;) {
-          const util::BitString replay =
-              encode_player_once(encode, n, v, row_of(v), weights_of(v),
-                                 seed_, config_, report);
-          if (!same_message(replay, run.all_rounds[round][v])) {
-            std::ostringstream out;
-            out << "protocol '"
-                << detail::round_label(proto_name, round, rounds)
-                << "', player " << v
-                << ": message depends on the order in which OTHER players "
-                   "were encoded — state leaks across players (paper "
-                   "Section 2.1 locality)";
-            fail(Invariant::kLocality, out.str());
-          }
+    // Order probe: replaying players back-to-front must reproduce the
+    // forward-pass messages bit for bit, in every round.
+    for (unsigned round = 0; round < rounds; ++round) {
+      const EncodeFn encode =
+          detail::round_encode(protocol, round, run.broadcasts);
+      for (graph::Vertex v = n; v-- > 0;) {
+        const util::BitString replay = encode_player_once(
+            encode, n, v, row_of(v), weights_of(v), seed_, report);
+        if (!same_message(replay, run.all_rounds[round][v])) {
+          std::ostringstream out;
+          out << "protocol '"
+              << detail::round_label(proto_name, round, rounds)
+              << "', player " << v
+              << ": message depends on the order in which OTHER players "
+                 "were encoded — state leaks across players (paper "
+                 "Section 2.1 locality)";
+          fail(Invariant::kLocality, out.str());
         }
       }
     }
-    if (config_.check_accounting) {
-      cross_check_accounting(run.comm, run.all_rounds, n, proto_name);
-    }
-    if (config_.check_determinism &&
-        !detail::referee_replays(protocol, n, run, coins)) {
+    cross_check_accounting(run.comm, run.all_rounds, n, proto_name);
+    if (!detail::referee_replays(protocol, n, run, coins)) {
       fail(Invariant::kCoinDeterminism,
            "protocol '" + proto_name +
                "': referee produced different results from the same round "
                "messages and the same public coins");
     }
-    if (config_.check_accounting) {
-      // Scrub probe: poison any encoder-side state in every round, then
-      // replay the referee.  Decoy encodes are independent per player, so
-      // they fan out too.
-      for (unsigned round = 0; round < rounds; ++round) {
-        const EncodeFn encode =
-            detail::round_encode(protocol, round, run.broadcasts);
-        report.merge(parallel::parallel_reduce(
-            pool, std::size_t{0}, std::size_t{n}, AuditReport{},
-            [&](AuditReport& acc, std::size_t i) {
-              scrub_encode_player(encode, n, static_cast<graph::Vertex>(i),
-                                  seed_, acc);
-            },
-            [](AuditReport& into, const AuditReport& from) {
-              into.merge(from);
-            }));
-      }
-      if (!detail::referee_replays(protocol, n, run, coins)) {
-        fail(Invariant::kBitAccounting,
-             "protocol '" + proto_name +
-                 "': referee output changed after the encoders were re-run "
-                 "on decoy views — information reached the referee outside "
-                 "the serialized messages, so the charged message length "
-                 "under-reports the true communication");
-      }
+    // Scrub probe: poison any encoder-side state in every round, then
+    // replay the referee.  Decoy encodes are independent per player, so
+    // they fan out too.
+    for (unsigned round = 0; round < rounds; ++round) {
+      const EncodeFn encode =
+          detail::round_encode(protocol, round, run.broadcasts);
+      report.merge(parallel::parallel_reduce(
+          pool, std::size_t{0}, std::size_t{n}, AuditReport{},
+          [&](AuditReport& acc, std::size_t i) {
+            scrub_encode_player(encode, n, static_cast<graph::Vertex>(i),
+                                seed_, acc);
+          },
+          [](AuditReport& into, const AuditReport& from) {
+            into.merge(from);
+          }));
+    }
+    if (!detail::referee_replays(protocol, n, run, coins)) {
+      fail(Invariant::kBitAccounting,
+           "protocol '" + proto_name +
+               "': referee output changed after the encoders were re-run "
+               "on decoy views — information reached the referee outside "
+               "the serialized messages, so the charged message length "
+               "under-reports the true communication");
     }
     return {std::move(run.output), run.comm, std::move(run.by_round),
             run.broadcast_bits, report};
@@ -345,7 +330,6 @@ class AuditedRunner {
   }
 
   std::uint64_t seed_;
-  AuditConfig config_;
 };
 
 }  // namespace ds::audit

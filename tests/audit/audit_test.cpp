@@ -413,19 +413,6 @@ TEST(AuditReportTest, CountsReflectReplaysAndScrubs) {
   EXPECT_GT(run.report.bits_verified, 0u);
 }
 
-TEST(AuditConfigTest, ChecksCanBeDisabled) {
-  AuditConfig config;
-  config.check_locality = false;
-  config.check_determinism = false;
-  config.check_accounting = false;
-  const AuditedRunner runner(601, config);
-  // With every check off, even the cheats run to completion.
-  const HiddenStateEncoder nondet;
-  (void)runner.run(test_graph(62, 8, 0.3), nondet);
-  const StashChannelMis stash;
-  (void)runner.run(test_graph(63, 8, 0.3), stash);
-}
-
 TEST(AuditNames, InvariantNamesAreStable) {
   EXPECT_EQ(invariant_name(Invariant::kLocality), "locality");
   EXPECT_EQ(invariant_name(Invariant::kCoinDeterminism), "coin-determinism");
