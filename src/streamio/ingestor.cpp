@@ -55,22 +55,17 @@ struct PendingSnapshot {
   std::unique_ptr<QuerySnapshot> slot;
 
   void start(const stream::DynamicConnectivity& state,
-             std::uint64_t after_updates, bool async) {
+             std::uint64_t after_updates) {
     // The copy is the only part that stalls ingestion.
     auto copy = std::make_unique<stream::DynamicConnectivity>(state);
     slot = std::make_unique<QuerySnapshot>();
     slot->after_updates = after_updates;
     QuerySnapshot* out = slot.get();
-    auto decode = [copy = std::move(copy), out] {
+    thread = std::thread([copy = std::move(copy), out] {
       const auto t0 = Clock::now();
       out->components = copy->query_components();
       out->decode_ms = ms_since(t0);
-    };
-    if (async) {
-      thread = std::thread(std::move(decode));
-    } else {
-      decode();
-    }
+    });
   }
 
   void collect(std::vector<QuerySnapshot>& into) {
@@ -178,7 +173,7 @@ IngestReport ingest(UpdateSource& source,
 
     if (report.updates >= next_query) {
       pending.collect(report.snapshots);
-      pending.start(state, report.updates, options.async_queries);
+      pending.start(state, report.updates);
       while (next_query <= report.updates) {
         next_query += options.query_interval;
       }

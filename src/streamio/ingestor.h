@@ -48,9 +48,6 @@ struct IngestOptions {
   /// True: bypass sharding entirely and run the plain serial
   /// DynamicConnectivity::apply loop (the audit baseline).
   bool serial = false;
-  /// False: decode snapshots inline on the driver thread (determinism
-  /// of the report is unaffected; this only moves the decode cost).
-  bool async_queries = true;
 };
 
 struct QuerySnapshot {

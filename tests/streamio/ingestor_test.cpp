@@ -141,8 +141,7 @@ TEST(StreamIngestEquivalence, InterleavedQueriesObserveTheLiveState) {
   MemorySource source(kN, updates);
   const IngestReport report =
       ingest(source, state,
-             {.batch_updates = 64, .query_interval = 64, .serial = true,
-              .async_queries = true});
+             {.batch_updates = 64, .query_interval = 64, .serial = true});
   ASSERT_FALSE(report.snapshots.empty());
   for (const QuerySnapshot& snap : report.snapshots) {
     // After k path-edge inserts the graph has n - k components.
@@ -155,23 +154,25 @@ TEST(StreamIngestEquivalence, InterleavedQueriesObserveTheLiveState) {
 }
 
 TEST(StreamIngestEquivalence, SyncAndAsyncSnapshotsAgree) {
+  // Each snapshot, decoded on the background thread, must agree with a
+  // serial twin replayed to the snapshot's position and queried inline.
   constexpr Vertex kN = 128;
   const auto updates = sample_updates(kN, 600, /*seed=*/10);
-  auto run = [&](bool async) {
-    stream::DynamicConnectivity state(kN, kSketchSeed);
-    MemorySource source(kN, updates);
-    return ingest(source, state,
-                  {.batch_updates = 100, .query_interval = 200,
-                   .serial = true, .async_queries = async});
-  };
-  const IngestReport sync_report = run(false);
-  const IngestReport async_report = run(true);
-  ASSERT_EQ(sync_report.snapshots.size(), async_report.snapshots.size());
-  for (std::size_t i = 0; i < sync_report.snapshots.size(); ++i) {
-    EXPECT_EQ(sync_report.snapshots[i].after_updates,
-              async_report.snapshots[i].after_updates);
-    EXPECT_EQ(sync_report.snapshots[i].components,
-              async_report.snapshots[i].components);
+  stream::DynamicConnectivity state(kN, kSketchSeed);
+  MemorySource source(kN, updates);
+  const IngestReport report =
+      ingest(source, state,
+             {.batch_updates = 100, .query_interval = 200, .serial = true});
+  ASSERT_FALSE(report.snapshots.empty());
+  stream::DynamicConnectivity twin(kN, kSketchSeed);
+  std::size_t applied = 0;
+  for (const QuerySnapshot& snap : report.snapshots) {
+    ASSERT_LE(snap.after_updates, updates.size());
+    for (; applied < snap.after_updates; ++applied) {
+      twin.apply(updates[applied]);
+    }
+    EXPECT_EQ(snap.components, twin.query_components())
+        << "at " << snap.after_updates;
   }
 }
 
