@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "obs/obs.h"
 #include "wire/stream_framing.h"

@@ -12,8 +12,7 @@
 //     relaxed atomic-bool load (runtime toggles DISTSKETCH_METRICS /
 //     DISTSKETCH_TRACE, or the programmatic setters).
 //   * TSan-clean.  Counters and histogram cells are relaxed atomics; the
-//     registry and the trace ring are mutex-guarded.  The CI tsan job
-//     runs the Obs* suites with metrics forced on.
+//     registry and the trace ring are mutex-guarded.
 //
 // Registered objects are immortal: counter()/histogram() hand out
 // references that stay valid for the life of the process, and reset()

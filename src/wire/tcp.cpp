@@ -268,6 +268,7 @@ std::unique_ptr<Link> tcp_adopt_fd(int fd) {
 }
 
 int release_fd(std::unique_ptr<Link> link) {
+  if (link == nullptr) throw WireError("release_fd: no link");
   // Only at a message boundary: a new reader must start in step.
   if (link->broken_ || !link->in_.at_boundary()) {
     throw WireError("release_fd: the link is broken or mid-message");

@@ -70,9 +70,9 @@ struct RecvResult {
 class Link;
 
 /// Destroy `link` without closing its socket and return the fd, which
-/// the caller now owns.  Throws WireError (closing the fd) if the link
-/// holds part of an inbound message or is latched broken, since a new
-/// reader could not find the next message boundary.
+/// the caller now owns.  Throws WireError if `link` is null, or (closing
+/// the fd) if it holds part of an inbound message or is latched broken,
+/// since a new reader could not find the next message boundary.
 [[nodiscard]] int release_fd(std::unique_ptr<Link> link);
 
 class Link {
