@@ -51,8 +51,17 @@ struct HalfEdge {
 /// At most one snapshot decode runs in the background; joining before
 /// starting the next bounds resident state to 2x (live + one copy).
 struct PendingSnapshot {
-  std::thread thread;
   std::unique_ptr<QuerySnapshot> slot;
+  std::thread thread;  // writes *slot
+
+  PendingSnapshot() = default;
+  PendingSnapshot(const PendingSnapshot&) = delete;
+  PendingSnapshot& operator=(const PendingSnapshot&) = delete;
+  /// An exception leaving ingest() mid-decode must not destroy the
+  /// thread unjoined, which would end the program.
+  ~PendingSnapshot() {
+    if (thread.joinable()) thread.join();
+  }
 
   void start(const stream::DynamicConnectivity& state,
              std::uint64_t after_updates) {

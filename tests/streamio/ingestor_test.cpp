@@ -5,6 +5,7 @@
 // at every thread count, for every batch size, with metrics on or off.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -115,6 +116,33 @@ TEST(StreamIngest, EmptyBatchIsRefusedBeforeAnyUpdate) {
   EXPECT_THROW((void)ingest(source, state, {.batch_updates = 0}),
                std::invalid_argument);
   EXPECT_EQ(state.state_hash(), untouched);
+}
+
+TEST(StreamIngest, SourceErrorWithASnapshotInFlightPropagates) {
+  // The source throws while a snapshot decode may still be running on
+  // its background thread: the exception must reach the caller, and
+  // the thread must be joined, not destroyed running.
+  class ThrowingSource final : public UpdateSource {
+   public:
+    [[nodiscard]] Vertex num_vertices() const noexcept override {
+      return 1024;
+    }
+    [[nodiscard]] std::size_t next_batch(
+        std::span<EdgeUpdate> out) override {
+      if (++calls_ == 3) throw std::runtime_error("source failed");
+      out[0] = {{0, static_cast<Vertex>(calls_)}, true};
+      return 1;
+    }
+
+   private:
+    int calls_ = 0;
+  };
+  stream::DynamicConnectivity state(1024, kSketchSeed);
+  ThrowingSource source;
+  EXPECT_THROW((void)ingest(source, state,
+                            {.batch_updates = 1, .query_interval = 1,
+                             .serial = true}),
+               std::runtime_error);
 }
 
 TEST(StreamIngestEquivalence, SerialIngestOptionMatchesDirectApply) {
