@@ -5,6 +5,7 @@
 #include <atomic>
 #include <utility>
 
+#include "wire/bytes.h"
 #include "wire/test_hooks.h"
 
 namespace ds::wire {
@@ -38,10 +39,7 @@ MessageAssembler::Step MessageAssembler::fill(std::size_t n) {
   if (prefix_done_ < kPrefixBytes) {
     prefix_done_ += n;
     if (prefix_done_ < kPrefixBytes) return Step::kMore;
-    std::uint32_t len = 0;
-    for (std::size_t i = 0; i < kPrefixBytes; ++i) {
-      len |= static_cast<std::uint32_t>(prefix_[i]) << (8 * i);
-    }
+    const std::uint32_t len = ByteReader(prefix_).get_u32_le().value();
     if (len > kMaxMessageBytes) return Step::kOversized;  // before allocating
     body_.assign(len, 0);
   } else {
