@@ -2,8 +2,7 @@
 // boundaries, one binary with two subcommands:
 //
 //   distsketch_service serve  --players K [--port 0] [--shards S]
-//                             [--protocol NAME] [--n N] [--p P]
-//                             [--graph-seed S] [--coin-seed C]
+//                             [--protocol NAME] [--n N] [--coin-seed C]
 //   distsketch_service player --index I --players K --port PORT
 //                             [--host 127.0.0.1] [--protocol NAME]
 //                             [--n N] [--p P] [--graph-seed S] [--coin-seed C]
@@ -132,8 +131,9 @@ void write_metrics_snapshot(const std::string& path) {
       << "  --port P           TCP port (serve default 0 = ephemeral)\n"
       << "  --protocol NAME    spanning-forest | connectivity |"
          " two-round-matching\n"
-      << "  --n N --p P        shared G(n, p) instance\n"
-      << "  --graph-seed S     shared graph seed\n"
+      << "  --n N --p P        shared G(n, p) instance (serve reads only"
+         " --n)\n"
+      << "  --graph-seed S     player: shared graph seed\n"
       << "  --coin-seed C      public coins seed\n"
       << "  --scenario ID      run a registered instance family instead of"
          " --protocol/--n/--p\n"
