@@ -27,7 +27,9 @@
 #include "protocols/budgeted_two_round.h"
 #include "protocols/coloring.h"
 #include "protocols/luby_bcc.h"
+#include "protocols/needle.h"
 #include "protocols/sampled_matching.h"
+#include "protocols/sampled_mis.h"
 #include "protocols/sampling_zoo.h"
 #include "protocols/spanning_forest.h"
 #include "protocols/trivial.h"
@@ -74,6 +76,12 @@ std::uint64_t hash_output(const Output& out) {
   service::OutputCodec<Output>::encode(out, w);
   const util::BitString bits(w);
   return hash_bits(0xcbf29ce484222325ull, bits);
+}
+
+// expect_simulated compares whole outputs, and DensestResult declares no
+// ==: compare its OutputCodec bits.
+bool operator==(const graph::DensestResult& a, const graph::DensestResult& b) {
+  return hash_output(a) == hash_output(b);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,6 +246,27 @@ void expect_served(const graph::Graph& g,
   EXPECT_EQ(hash_output(served.output), want.output_hash);
 }
 
+/// A multi-round run's whole transcript: every round's sketches in round
+/// order, then every broadcast, folded into one FNV-1a hash.
+template <typename Output>
+std::uint64_t hash_transcript(const graph::Graph& g,
+                              const model::Protocol<Output>& protocol,
+                              std::uint64_t coin_seed,
+                              parallel::ThreadPool& pool) {
+  const model::PublicCoins coins(coin_seed);
+  const graph::Vertex n = g.num_vertices();
+  auto source = engine::make_local_source(
+      n, engine::graph_view_fn(g, coins), protocol, &pool);
+  engine::PlainInstrumentation instr;
+  const auto run = engine::run_rounds(n, protocol, coins, source, instr);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::vector<util::BitString>& round : run.all_rounds) {
+    for (const util::BitString& s : round) h = hash_bits(h, s);
+  }
+  for (const util::BitString& b : run.broadcasts) h = hash_bits(h, b);
+  return h;
+}
+
 // ---------------------------------------------------------------------------
 // The goldens, verbatim from the seed capture.
 
@@ -277,6 +306,31 @@ constexpr AdaptiveGolden kBudgetedTwoRound{
     "budgeted-two-round", 203, 48, 724, 20, 20, 0xec1d3a8892b81946ull};
 constexpr AdaptiveGolden kLubyBcc{
     "luby-bcc", 204, 28, 560, 20, 540, 0xf9a6b2c0cf04b042ull};
+
+// Captured at commit 8c8a2dc, before the neighbor-report format moved into
+// protocols/budgeted.{h,cpp}: the report protocols the seed capture left
+// unpinned, and each two-round row's transcript (hash_transcript).
+
+constexpr OneRoundGolden kSampledSubgraph{
+    "sampled-subgraph", 121, 47, 468, 26,
+    0x0367a40054bab5c3ull, 0xfbf31a3f82e689d0ull};
+constexpr OneRoundGolden kSampledDensest{
+    "sampled-densest", 122, 42, 406, 26,
+    0xdd28d1ae1c4979c3ull, 0x872e7610659e1ae4ull};
+constexpr OneRoundGolden kSampledDegeneracy{
+    "sampled-degeneracy", 123, 35, 466, 26,
+    0x5a3145582791ea89ull, 0x476f71be2617aed5ull};
+constexpr OneRoundGolden kNeedleOneSided{
+    "needle-1sided", 124, 30, 356, 26,
+    0xe23b71707c73bd1aull, 0x47a591be264574a5ull};
+constexpr OneRoundGolden kBudgetedMis{
+    "budgeted-mis", 125, 30, 661, 26,
+    0x30dc4bacfa6bfdc9ull, 0xb695887b702a6442ull};
+
+constexpr std::uint64_t kTwoRoundMatchingTranscript = 0xb28112fa7a1a160eull;
+constexpr std::uint64_t kTwoRoundMisTranscript = 0x49daa670e171c22cull;
+constexpr std::uint64_t kBudgetedTwoRoundTranscript = 0x67cf9eb184ca42e5ull;
+constexpr std::uint64_t kLubyBccTranscript = 0x4380ed6b7b2b8e19ull;
 
 // ---------------------------------------------------------------------------
 
@@ -329,6 +383,36 @@ TEST(EngineEquivalence, AdaptiveRunnerMatchesSeedGoldens) {
   expect_audited(g, budgeted, kBudgetedTwoRound);
   expect_simulated(g, luby, kLubyBcc);
   expect_audited(g, luby, kLubyBcc);
+}
+
+TEST(EngineEquivalence, ReportProtocolsMatchParentGoldens) {
+  const graph::Graph g = one_round_graph();
+  expect_simulated(g, protocols::SampledSubgraph{0.5}, kSampledSubgraph);
+  expect_simulated(g, protocols::SampledDensestSubgraph{0.5},
+                   kSampledDensest);
+  expect_simulated(g, protocols::SampledDegeneracy{0.5}, kSampledDegeneracy);
+  expect_simulated(g, protocols::NeedleOneSided{13, 32}, kNeedleOneSided);
+  expect_simulated(g, protocols::BudgetedMis{32}, kBudgetedMis);
+
+  const graph::Graph ag = adaptive_graph();
+  const protocols::TwoRoundMatching two_round_matching{4, 8};
+  const protocols::TwoRoundMis two_round_mis{0.3, 8};
+  const protocols::BudgetedTwoRoundMatching budgeted{48, 48};
+  const protocols::LubyBroadcastMis luby =
+      protocols::make_luby_bcc(ag.num_vertices());
+  for (const std::size_t threads : thread_counts()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    parallel::ThreadPool pool(threads);
+    EXPECT_EQ(hash_transcript(ag, two_round_matching,
+                              kTwoRoundMatching.coin_seed, pool),
+              kTwoRoundMatchingTranscript);
+    EXPECT_EQ(hash_transcript(ag, two_round_mis, kTwoRoundMis.coin_seed, pool),
+              kTwoRoundMisTranscript);
+    EXPECT_EQ(hash_transcript(ag, budgeted, kBudgetedTwoRound.coin_seed, pool),
+              kBudgetedTwoRoundTranscript);
+    EXPECT_EQ(hash_transcript(ag, luby, kLubyBcc.coin_seed, pool),
+              kLubyBccTranscript);
+  }
 }
 
 TEST(EngineEquivalence, LoopbackAdaptiveServiceMatchesSeedGoldens) {
