@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "graph/connectivity.h"
-#include "util/rng.h"
+#include "protocols/budgeted.h"
 
 namespace ds::protocols {
 
@@ -14,21 +14,8 @@ using graph::Vertex;
 
 void BridgeFinding::encode(const model::VertexView& view,
                            util::BitWriter& out) const {
-  const unsigned width = util::bit_width_for(view.n);
-
   // (a) sampled incident edges.
-  util::Rng rng =
-      view.coins->stream(model::coin_tag(model::CoinTag::kEdgeSample, view.id));
-  const std::size_t deg = view.neighbors.size();
-  std::vector<std::uint32_t> reported;
-  if (deg <= samples_) {
-    reported.assign(view.neighbors.begin(), view.neighbors.end());
-  } else {
-    for (std::uint64_t pick : rng.sample_without_replacement(deg, samples_)) {
-      reported.push_back(view.neighbors[pick]);
-    }
-  }
-  out.put_u32_span(reported, width);
+  put_sampled_report(view, view.neighbors, samples_, view.id, out);
 
   // (b) the signed incidence sum, mod 2^64.
   const std::uint64_t n64 = view.n;
@@ -108,17 +95,15 @@ bool try_decode(std::uint64_t x, Vertex n, const std::vector<bool>& in_a,
 
 Edge BridgeFinding::decode(Vertex n, std::span<const util::BitString> sketches,
                            const model::PublicCoins& /*coins*/) const {
-  const unsigned width = util::bit_width_for(n);
-
-  // Parse all sketches.
+  // Parse all sketches.  A sum cut short reads as 0: the length check
+  // keeps a truncated payload off the reader's overrun assert.
   std::vector<Edge> sampled;
   std::vector<std::uint64_t> sums(n);
   for (Vertex v = 0; v < n; ++v) {
     util::BitReader reader(sketches[v]);
-    for (std::uint32_t w : reader.get_u32_span(width)) {
-      if (w < n && w != v) sampled.push_back(Edge{v, w});
-    }
-    sums[v] = reader.get_bits(64);
+    read_report(reader, v, n,
+                [&](Vertex w) { sampled.push_back(Edge{v, w}); });
+    sums[v] = reader.bits_remaining() >= 64 ? reader.get_bits(64) : 0;
   }
   const Graph s = Graph::from_edges(n, sampled);
 

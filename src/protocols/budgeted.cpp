@@ -1,6 +1,7 @@
 #include "protocols/budgeted.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -31,26 +32,34 @@ std::size_t edges_fitting_budget(std::size_t budget_bits, Vertex n,
   return count;
 }
 
-void encode_edge_report(const model::VertexView& view, std::size_t budget_bits,
-                        util::BitWriter& out) {
-  const unsigned width = util::bit_width_for(view.n);
-  const std::size_t capacity =
-      edges_fitting_budget(budget_bits, view.n, view.neighbors.size());
+void put_report(std::span<const Vertex> ids, Vertex n, util::BitWriter& out) {
+  out.put_u32_span(ids, util::bit_width_for(n));
+}
 
-  if (capacity >= view.neighbors.size()) {
-    out.put_u32_span(view.neighbors, width);
+void put_sampled_report(const model::VertexView& view,
+                        std::span<const Vertex> candidates, std::size_t cap,
+                        std::uint64_t key, util::BitWriter& out) {
+  if (cap >= candidates.size()) {
+    put_report(candidates, view.n, out);
     return;
   }
-  std::vector<std::uint32_t> reported;
-  if (capacity > 0) {
+  std::vector<Vertex> reported;
+  if (cap > 0) {
     util::Rng rng = view.coins->stream(
-        model::coin_tag(model::CoinTag::kEdgeSample, view.id));
+        model::coin_tag(model::CoinTag::kEdgeSample, key));
     for (std::uint64_t pick :
-         rng.sample_without_replacement(view.neighbors.size(), capacity)) {
-      reported.push_back(view.neighbors[pick]);
+         rng.sample_without_replacement(candidates.size(), cap)) {
+      reported.push_back(candidates[pick]);
     }
   }
-  out.put_u32_span(reported, width);
+  put_report(reported, view.n, out);
+}
+
+void encode_edge_report(const model::VertexView& view, std::size_t budget_bits,
+                        util::BitWriter& out) {
+  const std::size_t capacity =
+      edges_fitting_budget(budget_bits, view.n, view.neighbors.size());
+  put_sampled_report(view, view.neighbors, capacity, view.id, out);
 }
 
 Graph decode_reported_graph(Vertex n,
@@ -68,14 +77,24 @@ Graph decode_reported_graph(Vertex n,
   edges.reserve(width == 0 ? 0 : report_bits / width);
   for (Vertex v = 0; v < senders; ++v) {
     util::BitReader reader(sketches[v]);
-    if (reader.bits_remaining() == 0) continue;
-    const std::uint64_t count = reader.get_span_length(width);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto w = static_cast<Vertex>(reader.get_bits(width));
-      if (w < n && w != v) edges.push_back({v, w});
-    }
+    read_report(reader, v, n, [&](Vertex w) { edges.push_back({v, w}); });
   }
   return Graph::from_edges(n, edges);
+}
+
+util::BitString vertex_bitmap(const std::vector<bool>& bits) {
+  util::BitWriter writer;
+  for (const bool bit : bits) writer.put_bit(bit);
+  return util::BitString(std::move(writer));
+}
+
+std::vector<bool> read_vertex_bitmap(const util::BitString& bitmap, Vertex n) {
+  util::BitReader reader(bitmap);
+  std::vector<bool> bits(n);
+  for (Vertex v = 0; v < n && reader.bits_remaining() > 0; ++v) {
+    bits[v] = reader.get_bit();
+  }
+  return bits;
 }
 
 }  // namespace ds::protocols

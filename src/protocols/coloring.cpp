@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "protocols/budgeted.h"
+
 namespace ds::protocols {
 
 using graph::Graph;
@@ -86,29 +88,25 @@ bool try_assign(graph::Vertex v, const Graph& conflict,
 
 void PaletteSparsificationColoring::encode(const model::VertexView& view,
                                            util::BitWriter& out) const {
-  const unsigned width = util::bit_width_for(view.n);
   const std::vector<std::uint32_t> mine = color_list(*view.coins, view.id);
-  std::vector<std::uint32_t> conflicts;
+  std::vector<Vertex> conflicts;
   for (Vertex w : view.neighbors) {
     if (lists_intersect(mine, color_list(*view.coins, w))) {
       conflicts.push_back(w);
     }
   }
-  out.put_u32_span(conflicts, width);
+  put_report(conflicts, view.n, out);
 }
 
 model::ColoringOutput PaletteSparsificationColoring::decode(
     Vertex n, std::span<const util::BitString> sketches,
     const model::PublicCoins& coins) const {
   // Rebuild the conflict graph.
-  const unsigned width = util::bit_width_for(n);
   std::vector<graph::Edge> conflict_edges;
   for (Vertex v = 0; v < n; ++v) {
     util::BitReader reader(sketches[v]);
-    if (reader.bits_remaining() == 0) continue;
-    for (std::uint32_t w : reader.get_u32_span(width)) {
-      if (w < n && w != v) conflict_edges.push_back({v, static_cast<Vertex>(w)});
-    }
+    read_report(reader, v, n,
+                [&](Vertex w) { conflict_edges.push_back({v, w}); });
   }
   const Graph conflict = Graph::from_edges(n, conflict_edges);
 

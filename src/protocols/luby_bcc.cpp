@@ -4,6 +4,8 @@
 #include <cassert>
 #include <vector>
 
+#include "protocols/budgeted.h"
+
 namespace ds::protocols {
 
 using graph::Vertex;
@@ -11,14 +13,6 @@ using graph::Vertex;
 namespace {
 
 constexpr std::uint64_t kLubyTag = 0x10B1;
-
-/// Bitmaps from a broadcast.
-std::vector<bool> read_bitmap(const util::BitString& broadcast, Vertex n) {
-  util::BitReader reader(broadcast);
-  std::vector<bool> bits(n);
-  for (Vertex v = 0; v < n; ++v) bits[v] = reader.get_bit();
-  return bits;
-}
 
 }  // namespace
 
@@ -51,7 +45,7 @@ void LubyBroadcastMis::encode_round(
   if (phase == 0) {
     active.assign(view.n, true);
   } else {
-    active = read_bitmap(broadcasts[2 * phase - 1], view.n);
+    active = read_vertex_bitmap(broadcasts[2 * phase - 1], view.n);
   }
 
   if (join_round) {
@@ -74,7 +68,7 @@ void LubyBroadcastMis::encode_round(
 
   // Active-report round: joined bitmap of this phase just arrived.
   const std::vector<bool> joined =
-      read_bitmap(broadcasts[2 * phase], view.n);
+      read_vertex_bitmap(broadcasts[2 * phase], view.n);
   bool still_active = active[view.id] && !joined[view.id];
   if (still_active) {
     for (Vertex w : view.neighbors) {
@@ -92,12 +86,12 @@ util::BitString LubyBroadcastMis::make_broadcast(
     std::span<const std::vector<util::BitString>> rounds_so_far,
     const model::PublicCoins& /*coins*/) const {
   // Relay the n one-bit messages of the round just completed as a bitmap.
-  util::BitWriter writer;
+  std::vector<bool> bits(n);
   for (Vertex v = 0; v < n; ++v) {
     util::BitReader reader(rounds_so_far[round][v]);
-    writer.put_bit(reader.bits_remaining() > 0 && reader.get_bit());
+    bits[v] = reader.bits_remaining() > 0 && reader.get_bit();
   }
-  return util::BitString(writer);
+  return vertex_bitmap(bits);
 }
 
 model::VertexSetOutput LubyBroadcastMis::decode_rounds(

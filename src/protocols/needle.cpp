@@ -40,7 +40,7 @@ void NeedleOneSided::encode(const model::VertexView& view,
   if (view.id < left_) {
     encode_edge_report(view, budget_bits_, out);
   } else {
-    out.put_u32_span({}, util::bit_width_for(view.n));
+    put_report({}, view.n, out);
   }
 }
 

@@ -19,15 +19,14 @@ constexpr std::uint64_t kSampleTag = 0x5A3D;
 /// selects.
 void encode_sampled_edges(const model::VertexView& view, double p,
                           util::BitWriter& out) {
-  const unsigned width = util::bit_width_for(view.n);
-  std::vector<std::uint32_t> reported;
+  std::vector<Vertex> reported;
   for (Vertex w : view.neighbors) {
     const std::uint64_t id = graph::pair_id(view.n, view.id, w);
     if (SampledDensestSubgraph::sampled(*view.coins, id, p)) {
       reported.push_back(w);
     }
   }
-  out.put_u32_span(reported, width);
+  put_report(reported, view.n, out);
 }
 
 }  // namespace

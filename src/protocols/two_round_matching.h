@@ -19,6 +19,13 @@
 
 namespace ds::protocols {
 
+/// The round-1 referee step of both two-round matchings: extend
+/// `matching` greedily, sender by sender in id order, with every reported
+/// edge whose endpoints it leaves unmatched.
+void extend_with_reports(graph::Vertex n,
+                         std::span<const util::BitString> reports,
+                         model::MatchingOutput& matching);
+
 class TwoRoundMatching final
     : public model::Protocol<model::MatchingOutput> {
  public:

@@ -20,15 +20,14 @@ bool TwoRoundMis::is_marked(const model::PublicCoins& coins, Vertex v,
 void TwoRoundMis::encode_round(const model::VertexView& view, unsigned round,
                                std::span<const util::BitString> broadcasts,
                                util::BitWriter& out) const {
-  const unsigned width = util::bit_width_for(view.n);
   if (round == 0) {
-    std::vector<std::uint32_t> reported;
+    std::vector<Vertex> reported;
     if (is_marked(*view.coins, view.id, mark_probability_)) {
       for (Vertex w : view.neighbors) {
         if (is_marked(*view.coins, w, mark_probability_)) reported.push_back(w);
       }
     }
-    out.put_u32_span(reported, width);
+    put_report(reported, view.n, out);
     return;
   }
 
@@ -37,9 +36,7 @@ void TwoRoundMis::encode_round(const model::VertexView& view, unsigned round,
   // neighbors. The flag disambiguates a dominated vertex from an
   // undominated one with no residual neighbors — the latter must join the
   // final MIS, the former must not.
-  util::BitReader bitmap(broadcasts[0]);
-  std::vector<bool> in_i1(view.n);
-  for (Vertex v = 0; v < view.n; ++v) in_i1[v] = bitmap.get_bit();
+  const std::vector<bool> in_i1 = read_vertex_bitmap(broadcasts[0], view.n);
 
   bool undominated = !in_i1[view.id];
   if (undominated) {
@@ -53,14 +50,14 @@ void TwoRoundMis::encode_round(const model::VertexView& view, unsigned round,
 
   out.put_bit(undominated);
   if (undominated) {
-    std::vector<std::uint32_t> residual;
+    std::vector<Vertex> residual;
     for (Vertex w : view.neighbors) {
       if (!in_i1[w]) {
         residual.push_back(w);
         if (residual.size() >= round1_cap_) break;
       }
     }
-    out.put_u32_span(residual, width);
+    put_report(residual, view.n, out);
   }
 }
 
@@ -86,9 +83,7 @@ util::BitString TwoRoundMis::make_broadcast(
   const model::VertexSetOutput i1 = round0_mis(n, rounds_so_far[0], coins);
   std::vector<bool> member(n, false);
   for (Vertex v : i1) member[v] = true;
-  util::BitWriter writer;
-  for (Vertex v = 0; v < n; ++v) writer.put_bit(member[v]);
-  return util::BitString(writer);
+  return vertex_bitmap(member);
 }
 
 model::VertexSetOutput TwoRoundMis::decode_rounds(
@@ -102,7 +97,6 @@ model::VertexSetOutput TwoRoundMis::decode_rounds(
   // Round-1 senders flagged themselves undominated; their reports give
   // the full induced residual graph on undominated vertices (cap
   // permitting — only the cap can cause an error here).
-  const unsigned width = util::bit_width_for(n);
   std::vector<bool> undominated(n, false);
   std::vector<graph::Edge> residual_edges;
   for (Vertex v = 0; v < n; ++v) {
@@ -110,11 +104,8 @@ model::VertexSetOutput TwoRoundMis::decode_rounds(
     if (reader.bits_remaining() == 0) continue;
     if (!reader.get_bit()) continue;  // dominated or in I1
     undominated[v] = true;
-    for (std::uint32_t w : reader.get_u32_span(width)) {
-      if (w < n && w != v) {
-        residual_edges.push_back({v, static_cast<Vertex>(w)});
-      }
-    }
+    read_report(reader, v, n,
+                [&](Vertex w) { residual_edges.push_back({v, w}); });
   }
 
   const Graph residual = Graph::from_edges(n, residual_edges);
