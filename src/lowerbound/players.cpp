@@ -95,11 +95,8 @@ std::vector<Edge> read_edges(const DmmParameters& params,
                              util::BitReader& in) {
   if (in.bits_remaining() == 0) return {};
   const unsigned width = util::bit_width_for(params.n);
-  std::uint64_t count = in.get_gamma() - 1;
   // Robustness clamp against malformed headers.
-  const std::uint64_t max_possible =
-      width == 0 ? in.bits_remaining() : in.bits_remaining() / (2 * width);
-  if (count > max_possible) count = max_possible;
+  const std::uint64_t count = in.get_span_length(2 * width);
   std::vector<Edge> edges;
   edges.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -55,10 +55,7 @@ Matching EdgePartitionMatching::decode(
   for (const util::BitString& raw : sketches) {
     util::BitReader reader(raw);
     if (reader.bits_remaining() == 0) continue;
-    std::uint64_t count = reader.get_gamma() - 1;
-    const std::uint64_t max_possible =
-        width == 0 ? 0 : reader.bits_remaining() / (2 * width);
-    if (count > max_possible) count = max_possible;
+    const std::uint64_t count = reader.get_span_length(2 * width);
     for (std::uint64_t i = 0; i < count; ++i) {
       const Vertex u = static_cast<Vertex>(reader.get_bits(width));
       const Vertex v = static_cast<Vertex>(reader.get_bits(width));

@@ -9,7 +9,6 @@
 // the full wire session including this result hop.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -75,10 +74,8 @@ struct OutputCodec<std::vector<graph::Edge>> {
   }
   static std::vector<graph::Edge> decode(util::BitReader& in) {
     // A hostile count must not drive allocation: a well-formed list has
-    // 64 bits left per edge (the get_u32_span clamp).
-    const std::uint64_t claimed = in.get_gamma() - 1;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(claimed, in.bits_remaining() / 64);
+    // 64 bits left per edge (get_span_length's clamp).
+    const std::uint64_t count = in.get_span_length(64);
     std::vector<graph::Edge> edges;
     edges.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -53,9 +53,7 @@ void KmvSketch::write(util::BitWriter& out) const {
 
 void KmvSketch::read(util::BitReader& in) {
   values_.clear();
-  std::uint64_t count = in.get_gamma() - 1;
-  const std::uint64_t max_possible = in.bits_remaining() / kValueBits;
-  if (count > max_possible) count = max_possible;
+  const std::uint64_t count = in.get_span_length(kValueBits);
   values_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     values_.push_back(in.get_bits(kValueBits));
