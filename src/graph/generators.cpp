@@ -77,18 +77,6 @@ Graph complete(Vertex n) {
   return Graph::from_edges(n, edges);
 }
 
-Graph random_matching_union(Vertex n, unsigned d, util::Rng& rng) {
-  assert(n % 2 == 0);
-  std::vector<Edge> edges;
-  for (unsigned round = 0; round < d; ++round) {
-    auto perm = rng.permutation(n);
-    for (Vertex i = 0; i < n; i += 2) {
-      edges.push_back({perm[i], perm[i + 1]});
-    }
-  }
-  return Graph::from_edges(n, edges);
-}
-
 BridgeInstance two_clusters_with_bridge(Vertex n, double p, util::Rng& rng) {
   assert(n >= 4 && n % 2 == 0);
   const Vertex half = n / 2;
@@ -206,16 +194,6 @@ void chung_lu_edges(const PowerLawWeights& weights, std::uint64_t edges,
     while (u == v) v = weights.sample(rng);
     sink(Edge{u, v});
   }
-}
-
-Graph chung_lu(Vertex n, double exponent, std::uint64_t edges,
-               util::Rng& rng) {
-  const PowerLawWeights weights(n, exponent);
-  std::vector<Edge> collected;
-  collected.reserve(edges);
-  chung_lu_edges(weights, edges, rng,
-                 [&](Edge e) { collected.push_back(e); });
-  return Graph::from_edges(n, collected);
 }
 
 Graph subsample_edges(const Graph& g, double keep_prob, util::Rng& rng) {

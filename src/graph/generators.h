@@ -33,11 +33,6 @@ namespace ds::graph {
 /// Complete graph K_n.
 [[nodiscard]] Graph complete(Vertex n);
 
-/// d-regular-ish random graph: d random perfect matchings unioned
-/// (n even; actual degrees may be < d where matchings collide).
-[[nodiscard]] Graph random_matching_union(Vertex n, unsigned d,
-                                          util::Rng& rng);
-
 /// The footnote-1 instance: two G(n/2, p) clusters on [0, n/2) and
 /// [n/2, n), plus one uniformly random bridge edge between the clusters.
 /// Returns the graph and the bridge.
@@ -112,10 +107,6 @@ class PowerLawWeights {
 /// model), diagonal draws redrawn.
 void chung_lu_edges(const PowerLawWeights& weights, std::uint64_t edges,
                     util::Rng& rng, const EdgeSink& sink);
-
-/// Materialized Chung-Lu graph; same draws, duplicates collapsed.
-[[nodiscard]] Graph chung_lu(Vertex n, double exponent, std::uint64_t edges,
-                             util::Rng& rng);
 
 /// Keep each edge of g independently with probability `keep_prob`
 /// (the random subsampling step of distribution D_MM).

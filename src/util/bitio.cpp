@@ -39,13 +39,6 @@ void BitWriter::put_gamma(std::uint64_t value) {
   if (len > 1) put_bits(value & detail::width_mask(len - 1), len - 1);
 }
 
-void BitWriter::put_delta(std::uint64_t value) {
-  assert(value >= 1);
-  const unsigned len = static_cast<unsigned>(std::bit_width(value));
-  put_gamma(len);
-  if (len > 1) put_bits(value & detail::width_mask(len - 1), len - 1);
-}
-
 void BitWriter::put_u32_span(std::span<const std::uint32_t> values,
                              unsigned width) {
   put_gamma(values.size() + 1);  // +1: gamma cannot encode zero
@@ -98,13 +91,6 @@ std::uint64_t BitReader::get_gamma() {
   if (zeros > 63) zeros = 63;
   std::uint64_t value = std::uint64_t{1} << zeros;
   if (zeros > 0) value |= get_bits(zeros);
-  return value;
-}
-
-std::uint64_t BitReader::get_delta() {
-  const unsigned len = static_cast<unsigned>(get_gamma());
-  std::uint64_t value = std::uint64_t{1} << (len - 1);
-  if (len > 1) value |= get_bits(len - 1);
   return value;
 }
 

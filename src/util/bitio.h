@@ -8,7 +8,7 @@
 //
 // Supported encodings:
 //   * raw bits / fixed-width unsigned integers (LSB first),
-//   * Elias gamma and delta codes for unbounded positive integers,
+//   * Elias gamma codes for unbounded positive integers,
 //   * length-prefixed spans of fixed-width values,
 //   * zero runs and packed word spans (whole-64-bit-word fast paths).
 //
@@ -119,10 +119,6 @@ class BitWriter {
   /// binary remainder; 2*floor(log2 v) + 1 bits.
   void put_gamma(std::uint64_t value);
 
-  /// Elias delta code of `value` (requires value >= 1): gamma-coded length
-  /// then binary remainder; log v + O(log log v) bits.
-  void put_delta(std::uint64_t value);
-
   /// Gamma-coded length followed by `width`-bit elements.
   void put_u32_span(std::span<const std::uint32_t> values, unsigned width);
 
@@ -212,11 +208,12 @@ class BitReader {
   void get_words(std::span<std::uint64_t> out, std::size_t nbits);
 
   [[nodiscard]] std::uint64_t get_gamma();
-  [[nodiscard]] std::uint64_t get_delta();
 
   /// The gamma-coded length put_u32_span writes, clamped to the elements
   /// of `width` bits the remaining bits can hold: a garbage count must
-  /// not drive allocation or a long loop.  The elements follow.
+  /// not drive allocation or a long loop.  A zero-width element takes no
+  /// bits, so at width 0 the clamp is the remaining bits themselves.  The
+  /// elements follow.
   [[nodiscard]] std::uint64_t get_span_length(unsigned width);
   [[nodiscard]] std::vector<std::uint32_t> get_u32_span(unsigned width);
 

@@ -58,14 +58,6 @@ TEST(Generators, Complete) {
   EXPECT_EQ(k5.max_degree(), 4u);
 }
 
-TEST(Generators, RandomMatchingUnionDegreeBound) {
-  util::Rng rng(4);
-  const Graph g = random_matching_union(100, 5, rng);
-  EXPECT_LE(g.max_degree(), 5u);
-  // Each matching contributes ~n/2 edges, minus collisions.
-  EXPECT_GT(g.num_edges(), 150u);
-}
-
 TEST(Generators, TwoClustersWithBridge) {
   util::Rng rng(5);
   const auto [g, bridge] = two_clusters_with_bridge(40, 0.4, rng);
@@ -180,16 +172,6 @@ TEST(Generators, ChungLuEdgesValidAndDeterministic) {
   util::Rng rng_b(13);
   chung_lu_edges(weights, 800, rng_b, [&](Edge e) { second.push_back(e); });
   EXPECT_EQ(first, second);
-}
-
-TEST(Generators, ChungLuMaterializedMatchesCallbackDraws) {
-  util::Rng rng_a(14);
-  const Graph g = chung_lu(200, 2.5, 600, rng_a);
-  const PowerLawWeights weights(200, 2.5);
-  std::vector<Edge> drawn;
-  util::Rng rng_b(14);
-  chung_lu_edges(weights, 600, rng_b, [&](Edge e) { drawn.push_back(e); });
-  EXPECT_EQ(g, Graph::from_edges(200, drawn));
 }
 
 TEST(Generators, RmatHandlesNonPowerOfTwoN) {

@@ -17,7 +17,7 @@ namespace {
 
 // One randomly generated operation against the bit stream.
 struct Op {
-  enum class Kind : std::uint8_t { kBits, kGamma, kDelta, kSpan } kind;
+  enum class Kind : std::uint8_t { kBits, kGamma, kSpan } kind;
   std::uint64_t value = 0;
   unsigned width = 0;                // kBits only
   std::vector<std::uint32_t> span;   // kSpan only
@@ -26,7 +26,7 @@ struct Op {
 
 Op random_op(util::Rng& rng) {
   Op op;
-  switch (rng.next_below(4)) {
+  switch (rng.next_below(3)) {
     case 0: {
       op.kind = Op::Kind::kBits;
       // Widths 0..64 inclusive, deliberately hitting 1, 63, 64.
@@ -38,11 +38,6 @@ Op random_op(util::Rng& rng) {
     case 1:
       op.kind = Op::Kind::kGamma;
       op.value = 1 + rng.next_below(1u << 20);
-      break;
-    case 2:
-      op.kind = Op::Kind::kDelta;
-      // Bias toward huge values so length fields straddle words.
-      op.value = 1 + (rng.next() >> (rng.next_below(60)));
       break;
     default: {
       op.kind = Op::Kind::kSpan;
@@ -64,7 +59,6 @@ std::size_t op_bits(const Op& op) {
   switch (op.kind) {
     case Op::Kind::kBits: w.put_bits(op.value, op.width); break;
     case Op::Kind::kGamma: w.put_gamma(op.value); break;
-    case Op::Kind::kDelta: w.put_delta(op.value); break;
     case Op::Kind::kSpan: w.put_u32_span(op.span, op.span_width); break;
   }
   return w.bit_count();
@@ -93,7 +87,6 @@ TEST(BitIoRoundTrip, RandomOperationSequencesAreExact) {
       switch (op.kind) {
         case Op::Kind::kBits: writer.put_bits(op.value, op.width); break;
         case Op::Kind::kGamma: writer.put_gamma(op.value); break;
-        case Op::Kind::kDelta: writer.put_delta(op.value); break;
         case Op::Kind::kSpan:
           writer.put_u32_span(op.span, op.span_width);
           break;
@@ -113,9 +106,6 @@ TEST(BitIoRoundTrip, RandomOperationSequencesAreExact) {
           break;
         case Op::Kind::kGamma:
           ASSERT_EQ(reader.get_gamma(), op.value);
-          break;
-        case Op::Kind::kDelta:
-          ASSERT_EQ(reader.get_delta(), op.value);
           break;
         case Op::Kind::kSpan: {
           const std::vector<std::uint32_t> got =

@@ -90,15 +90,6 @@ TEST(BitIo, GammaLengths) {
   }
 }
 
-TEST(BitIo, DeltaRoundTrip) {
-  BitWriter w;
-  const std::uint64_t values[] = {1, 2, 3, 15, 16, 17, 12345, 1ULL << 50};
-  for (std::uint64_t v : values) w.put_delta(v);
-  BitString bs(w);
-  BitReader r(bs);
-  for (std::uint64_t v : values) EXPECT_EQ(r.get_delta(), v);
-}
-
 TEST(BitIo, SpanRoundTrip) {
   BitWriter w;
   const std::vector<std::uint32_t> values{3, 1, 4, 1, 5, 9, 2, 6};
@@ -128,7 +119,7 @@ TEST(BitIo, MixedStreamFuzz) {
     std::vector<Item> items;
     for (int i = 0; i < 100; ++i) {
       Item item;
-      item.kind = static_cast<int>(rng.next_below(3));
+      item.kind = static_cast<int>(rng.next_below(2));
       switch (item.kind) {
         case 0:
           item.width = 1 + static_cast<unsigned>(rng.next_below(64));
@@ -138,13 +129,9 @@ TEST(BitIo, MixedStreamFuzz) {
                             : ((std::uint64_t{1} << item.width) - 1));
           w.put_bits(item.value, item.width);
           break;
-        case 1:
-          item.value = 1 + rng.next_below(1ULL << 32);
-          w.put_gamma(item.value);
-          break;
         default:
           item.value = 1 + rng.next_below(1ULL << 32);
-          w.put_delta(item.value);
+          w.put_gamma(item.value);
       }
       items.push_back(item);
     }
@@ -155,11 +142,8 @@ TEST(BitIo, MixedStreamFuzz) {
         case 0:
           EXPECT_EQ(r.get_bits(item.width), item.value);
           break;
-        case 1:
-          EXPECT_EQ(r.get_gamma(), item.value);
-          break;
         default:
-          EXPECT_EQ(r.get_delta(), item.value);
+          EXPECT_EQ(r.get_gamma(), item.value);
       }
     }
     EXPECT_EQ(r.bits_remaining(), 0u);
