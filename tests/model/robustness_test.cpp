@@ -6,12 +6,17 @@
 
 #include "graph/generators.h"
 #include "model/runner.h"
+#include "protocols/bridge_finding.h"
 #include "protocols/budgeted.h"
+#include "protocols/budgeted_two_round.h"
 #include "protocols/coloring.h"
+#include "protocols/needle.h"
 #include "protocols/sampled_matching.h"
 #include "protocols/sampled_mis.h"
 #include "protocols/spanning_forest.h"
 #include "protocols/trivial.h"
+#include "protocols/two_round_matching.h"
+#include "protocols/two_round_mis.h"
 
 namespace ds::model {
 namespace {
@@ -53,6 +58,27 @@ std::vector<util::BitString> garbage_all(std::size_t count, std::size_t bits,
   return out;
 }
 
+/// An honest run's transcript, whose rounds a test then damages.
+template <typename Output>
+engine::EngineResult<Output> honest_run(const Graph& g,
+                                        const Protocol<Output>& protocol,
+                                        const PublicCoins& coins) {
+  auto source = engine::make_local_source(
+      g.num_vertices(), engine::graph_view_fn(g, coins), protocol);
+  engine::PlainInstrumentation instr;
+  return engine::run_rounds(g.num_vertices(), protocol, coins, source, instr);
+}
+
+/// An edge output in range: endpoints below n, and no self-pair unless it
+/// is the {0, 0} failure sentinel.
+void expect_edge_in_range(const graph::Edge& e, Vertex n) {
+  EXPECT_LT(e.u, n);
+  EXPECT_LT(e.v, n);
+  if (e.u != 0 || e.v != 0) {
+    EXPECT_NE(e.u, e.v);
+  }
+}
+
 class Robustness : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Robustness, BudgetedMatchingSurvivesTruncation) {
@@ -87,6 +113,74 @@ TEST_P(Robustness, ReportedGraphParserBoundsChecks) {
     EXPECT_LT(e.v, 20u);
     EXPECT_NE(e.u, e.v);
   }
+}
+
+TEST_P(Robustness, TwoRoundMatchingsSurviveDamagedRoundOneReports) {
+  util::Rng rng(11);
+  const Vertex n = 30;
+  const Graph g = graph::gnp(n, 0.2, rng);
+  const PublicCoins coins(12);
+  const protocols::TwoRoundMatching plain(4, 8);
+  const protocols::BudgetedTwoRoundMatching budgeted(48, 48);
+  const Protocol<MatchingOutput>* const matchings[] = {&plain, &budgeted};
+  for (const Protocol<MatchingOutput>* protocol : matchings) {
+    SCOPED_TRACE(protocol->name());
+    const auto run = honest_run(g, *protocol, coins);
+    std::vector<std::vector<util::BitString>> rounds = run.all_rounds;
+    for (const bool garbage : {false, true}) {
+      rounds[1] = garbage ? garbage_all(n, GetParam(), rng)
+                          : truncate_all(run.all_rounds[1], GetParam());
+      const MatchingOutput output =
+          protocol->decode_rounds(n, rounds, run.broadcasts, coins);
+      for (const graph::Edge& e : output) {
+        EXPECT_LT(e.u, n);
+        EXPECT_LT(e.v, n);
+        EXPECT_NE(e.u, e.v);
+      }
+      EXPECT_TRUE(graph::is_matching(output, n));
+    }
+  }
+}
+
+TEST_P(Robustness, TwoRoundMisSurvivesDamagedRoundOneReports) {
+  util::Rng rng(13);
+  const Vertex n = 30;
+  const Graph g = graph::gnp(n, 0.2, rng);
+  const PublicCoins coins(14);
+  const protocols::TwoRoundMis protocol(0.3, 8);
+  const auto run = honest_run(g, protocol, coins);
+  std::vector<std::vector<util::BitString>> rounds = run.all_rounds;
+  for (const bool garbage : {false, true}) {
+    rounds[1] = garbage ? garbage_all(n, GetParam(), rng)
+                        : truncate_all(run.all_rounds[1], GetParam());
+    const VertexSetOutput output =
+        protocol.decode_rounds(n, rounds, run.broadcasts, coins);
+    for (Vertex v : output) EXPECT_LT(v, n);
+  }
+}
+
+TEST_P(Robustness, BridgeFindingSurvivesGarbage) {
+  util::Rng rng(15);
+  const Vertex n = 24;
+  const Graph g = graph::gnp(n, 0.3, rng);
+  const PublicCoins coins(16);
+  const protocols::BridgeFinding protocol(4);
+  CommStats comm;
+  const auto sketches = collect_sketches(g, protocol, coins, comm);
+  // A truncated sketch loses its trailing 64-bit sum first.
+  expect_edge_in_range(
+      protocol.decode(n, truncate_all(sketches, GetParam()), coins), n);
+  expect_edge_in_range(
+      protocol.decode(n, garbage_all(n, GetParam(), rng), coins), n);
+}
+
+TEST_P(Robustness, NeedleOneSidedSurvivesGarbage) {
+  util::Rng rng(17);
+  const Vertex n = 24;
+  const PublicCoins coins(18);
+  const protocols::NeedleOneSided protocol(12, 64);
+  expect_edge_in_range(
+      protocol.decode(n, garbage_all(n, GetParam(), rng), coins), n);
 }
 
 INSTANTIATE_TEST_SUITE_P(TruncationLevels, Robustness,
