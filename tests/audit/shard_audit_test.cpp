@@ -51,7 +51,7 @@ Graph test_graph(std::uint64_t seed = 7, Vertex n = 26, double p = 0.25) {
 }
 
 /// kPlayers socketpair connections dealt round-robin onto kShards shard
-/// event loops; the player ends stay blocking TcpLinks.
+/// event loops; the player ends stay blocking wire::Links.
 struct ShardedCluster {
   std::vector<std::unique_ptr<service::RefereeShard>> shards;
   std::vector<std::unique_ptr<wire::Link>> players;

@@ -143,7 +143,7 @@ TEST(CombineShardRounds, MissingVertexIsACleanDeadlineError) {
 // ---------------------------------------------------------------------
 // The sharded service end to end (socketpair connections: the referee
 // side adopted into shard event loops, the player side a blocking
-// TcpLink — exactly the mixed deployment docs/WIRE.md promises works).
+// wire::Link — exactly the mixed deployment docs/WIRE.md promises works).
 // ---------------------------------------------------------------------
 
 struct ShardedCluster {

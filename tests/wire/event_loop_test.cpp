@@ -2,10 +2,10 @@
 // same framing, the same failure taxonomy, the same syscall hooks.
 //
 // The core claim (docs/WIRE.md) is that a peer cannot tell an EventLoop
-// connection from a blocking TcpLink — so these tests drive the loop
+// connection from a blocking wire::Link — so these tests drive the loop
 // through socketpair() peers byte at a time, with injected EINTR/EAGAIN
 // and truncations, and assert the loop reassembles exactly the messages
-// (and reports exactly the failure modes) the whole-message TcpLink path
+// (and reports exactly the failure modes) the whole-message wire::Link path
 // produces for the same bytes.
 #include <gtest/gtest.h>
 
@@ -108,7 +108,7 @@ class EventLoopTest : public ::testing::Test {
 };
 
 TEST_F(EventLoopTest, ByteAtATimeReassemblyMatchesWholeMessage) {
-  // The same bytes a blocking TcpLink would hand up as one message,
+  // The same bytes a blocking wire::Link would hand up as one message,
   // dripped one byte per readiness event: identical reassembly.
   const std::vector<std::uint8_t> body{7, 0, 42, 255, 1, 2, 3};
   const std::vector<std::uint8_t> framed = frame_bytes(body);
@@ -240,7 +240,7 @@ TEST_F(EventLoopTest, CloseAtMessageBoundaryIsClean) {
 }
 
 TEST_F(EventLoopTest, SendIsByteIdenticalToBlockingLink) {
-  // A blocking TcpLink on the peer end must parse the loop's output as
+  // A blocking wire::Link on the peer end must parse the loop's output as
   // one ordinary message: same prefix, same body, same accounting.
   const std::vector<std::uint8_t> body{11, 22, 33, 44};
   ASSERT_TRUE(loop_.send(conn_, body));
